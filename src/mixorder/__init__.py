@@ -15,6 +15,7 @@ from .analysis import (
     MonotonicityVerdict,
     OrderKind,
     OrderVerdict,
+    PairSample,
     auto_grid,
     check_aging_faster_rhr,
     check_likelihood_ratio,
@@ -84,7 +85,6 @@ from .scenarios import (
     get_scenario,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_grid,
 )
 

@@ -13,8 +13,9 @@ can demand refinement stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -183,23 +184,110 @@ def _direction_from_monotone(cls):
     }[cls]
 
 
-def check_usual_stochastic(u, v, grid, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
+def _masked_div(num, den, keep):
+    """num / den where keep holds, NaN elsewhere."""
+    return np.where(keep, num / np.where(keep, den, 1.0), np.nan)
+
+
+class PairSample:
+    """One mixture pair sampled on one grid.
+
+    Each curve is evaluated on first use and at most once, so every
+    checker, the curve writer and ``eval`` read the same arrays. Each
+    ratio is NaN outside the domain its checker classifies on; the domain
+    masks are exposed separately so a NaN inside a domain still reaches
+    the classifier as an invalid sample.
+    """
+
+    def __init__(self, u, v, grid):
+        self.u = u
+        self.v = v
+        self.grid = grid
+
+    @cached_property
+    def x(self):
+        return self.grid.points()
+
+    @cached_property
+    def cdf_u(self):
+        return np.asarray(self.u.cdf(self.x))
+
+    @cached_property
+    def cdf_v(self):
+        return np.asarray(self.v.cdf(self.x))
+
+    @cached_property
+    def pdf_u(self):
+        return np.asarray(self.u.pdf(self.x))
+
+    @cached_property
+    def pdf_v(self):
+        return np.asarray(self.v.pdf(self.x))
+
+    def rh_domain(self, floor=DENOM_FLOOR):
+        return self.cdf_u > floor
+
+    def lr_domain(self, floor=DENOM_FLOOR):
+        return (self.pdf_u > floor) & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
+
+    def r_rh_domain(self, floor=DENOM_FLOOR):
+        return (
+            (self.cdf_u > floor) & (self.cdf_v > floor) & (self.pdf_v > floor)
+            & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
+        )
+
+    def cdf_ratio(self, floor=DENOM_FLOOR):
+        """F_V / F_U on the rh domain."""
+        return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain(floor))
+
+    def pdf_ratio(self, floor=DENOM_FLOOR):
+        """f_V / f_U on the lr domain."""
+        return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain(floor))
+
+    def rhr(self, floor=DENOM_FLOOR):
+        """(h_U, h_V), each where its own CDF exceeds the floor."""
+        return (
+            _masked_div(self.pdf_u, self.cdf_u, self.cdf_u > floor),
+            _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > floor),
+        )
+
+    def rhr_ratio(self, floor=DENOM_FLOOR):
+        """h_U / h_V on the r_rh domain."""
+        hu, hv = self.rhr(floor)
+        return _masked_div(hu, hv, self.r_rh_domain(floor))
+
+    def columns(self, quantity, floor=DENOM_FLOOR):
+        """Named curve columns of one ``eval`` quantity, x excluded."""
+        if quantity == "cdf_ratio":
+            return {"cdf_ratio_V_over_U": self.cdf_ratio(floor)}
+        if quantity == "pdf_ratio":
+            return {"pdf_ratio_V_over_U": self.pdf_ratio(floor)}
+        if quantity == "rhr_ratio":
+            return {"rhr_ratio_U_over_V": self.rhr_ratio(floor)}
+        if quantity == "rhr":
+            pair = self.rhr(floor)
+        elif quantity == "sf":
+            pair = (1.0 - self.cdf_u, 1.0 - self.cdf_v)
+        else:
+            pair = (getattr(self, f"{quantity}_u"), getattr(self, f"{quantity}_v"))
+        return {f"{quantity}_U": pair[0], f"{quantity}_V": pair[1]}
+
+
+def _pointwise_direction(le_uv, le_vu):
+    if le_uv and le_vu:
+        return Direction.BOTH
+    if le_uv:
+        return Direction.U_LEQ_V
+    if le_vu:
+        return Direction.V_LEQ_U
+    return Direction.NEITHER
+
+
+def check_usual_stochastic(sample, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
     """U <=st V iff cdf_U >= cdf_V - tol at every grid point."""
-    x = grid.points()
-    fu = np.asarray(u.cdf(x))
-    fv = np.asarray(v.cdf(x))
+    x, fu, fv = sample.x, sample.cdf_u, sample.cdf_v
     u_le_v = fu >= fv - tol  # U smaller: its CDF dominates
-    v_le_u = fv >= fu - tol
-    holds_uv = bool(np.all(u_le_v))
-    holds_vu = bool(np.all(v_le_u))
-    if holds_uv and holds_vu:
-        direction = Direction.BOTH
-    elif holds_uv:
-        direction = Direction.U_LEQ_V
-    elif holds_vu:
-        direction = Direction.V_LEQ_U
-    else:
-        direction = Direction.NEITHER
+    direction = _pointwise_direction(bool(np.all(u_le_v)), bool(np.all(fv >= fu - tol)))
     witness = None
     if direction is Direction.NEITHER:
         i = int(np.argmax(~u_le_v))
@@ -209,73 +297,61 @@ def check_usual_stochastic(u, v, grid, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
         direction=direction,
         evaluated_range=(float(x[0]), float(x[-1])),
         points_used=int(x.size),
-        grid_signature=grid.signature(),
+        grid_signature=sample.grid.signature(),
         pair_id=pair_id,
         violation_witness=witness,
     )
 
 
-def _restrict(x, *masks):
-    keep = np.logical_and.reduce(masks)
-    if int(np.count_nonzero(keep)) < 3:
-        raise InsufficientDomainError(
-            f"only {int(np.count_nonzero(keep))} usable grid points after restriction"
-        )
-    return keep
+def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curve_u, curve_v):
+    """Classify ``ratio`` on ``keep``; a non-monotone ratio gets a witness
+    with ``curve_u``/``curve_v`` evaluated there."""
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep < 3:
+        raise InsufficientDomainError(f"only {n_keep} usable grid points after restriction")
+    xs = sample.x[keep]
+    mono = classify_monotonicity(xs, ratio[keep], rel_tol=rel_tol)
+    witness = None
+    if mono.classification is Monotonicity.NON_MONOTONE:
+        wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
+        witness = Witness(float(wx), float(curve_u(wx)), float(curve_v(wx)))
+    return OrderVerdict(
+        order=order,
+        direction=_direction_from_monotone(mono.classification),
+        evaluated_range=(float(xs[0]), float(xs[-1])),
+        points_used=int(xs.size),
+        grid_signature=sample.grid.signature(),
+        pair_id=pair_id,
+        violation_witness=witness,
+        ratio_classification=mono,
+    )
 
 
-def check_reversed_hazard(
-    u, v, grid, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""
-):
+def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
     """Classify F_V/F_U on the part of the grid where F_U exceeds the floor.
 
     A nondecreasing ratio means U <=rh V. The pointwise dual (reversed
     hazard rates compared directly where both CDFs are positive) is
     evaluated as well and its agreement is recorded.
     """
-    x = grid.points()
-    fu = np.asarray(u.cdf(x))
-    fv = np.asarray(v.cdf(x))
-    keep = _restrict(x, fu > floor)
-    xs = x[keep]
-    ratio = fv[keep] / fu[keep]
-    mono = classify_monotonicity(xs, ratio, rel_tol=rel_tol)
-    direction = _direction_from_monotone(mono.classification)
-
+    keep = sample.rh_domain(floor)
+    verdict = _ratio_verdict(
+        OrderKind.RH, sample, keep, sample.cdf_ratio(floor), rel_tol, pair_id,
+        sample.u.cdf, sample.v.cdf,
+    )
     # pointwise dual: h_U <= h_V where both CDFs are usable
-    both = keep & (fv > floor)
-    agrees = None
-    if int(np.count_nonzero(both)) >= 3:
-        hu = np.asarray(u.pdf(x[both])) / fu[both]
-        hv = np.asarray(v.pdf(x[both])) / fv[both]
-        # pointwise-relative slack: a global scale would be inflated by
-        # the divergence at a later support start and mask genuine flips
-        h_tol = rel_tol * np.maximum(np.abs(hu), np.abs(hv))
-        pw_uv = bool(np.all(hu <= hv + h_tol))
-        pw_vu = bool(np.all(hv <= hu + h_tol))
-        if pw_uv and pw_vu:
-            pw_direction = Direction.BOTH
-        elif pw_uv:
-            pw_direction = Direction.U_LEQ_V
-        elif pw_vu:
-            pw_direction = Direction.V_LEQ_U
-        else:
-            pw_direction = Direction.NEITHER
-        agrees = _directions_compatible(direction, pw_direction)
-    witness = None
-    if mono.classification is Monotonicity.NON_MONOTONE:
-        wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
-        witness = Witness(float(wx), float(u.cdf(wx)), float(v.cdf(wx)))
-    return OrderVerdict(
-        order=OrderKind.RH,
-        direction=direction,
-        evaluated_range=(float(xs[0]), float(xs[-1])),
-        points_used=int(xs.size),
-        grid_signature=grid.signature(),
-        pair_id=pair_id,
-        violation_witness=witness,
-        ratio_classification=mono,
-        pointwise_agrees=agrees,
+    both = keep & (sample.cdf_v > floor)
+    if int(np.count_nonzero(both)) < 3:
+        return verdict
+    hu, hv = (h[both] for h in sample.rhr(floor))
+    # pointwise-relative slack: a global scale would be inflated by
+    # the divergence at a later support start and mask genuine flips
+    h_tol = rel_tol * np.maximum(np.abs(hu), np.abs(hv))
+    pw_direction = _pointwise_direction(
+        bool(np.all(hu <= hv + h_tol)), bool(np.all(hv <= hu + h_tol))
+    )
+    return replace(
+        verdict, pointwise_agrees=_directions_compatible(verdict.direction, pw_direction)
     )
 
 
@@ -286,37 +362,15 @@ def _directions_compatible(a, b):
     return Direction.BOTH in (a, b) and Direction.NEITHER not in (a, b)
 
 
-def check_likelihood_ratio(
-    u, v, grid, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""
-):
+def check_likelihood_ratio(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
     """Classify f_V/f_U where f_U exceeds the floor; nondecreasing means U <=lr V."""
-    x = grid.points()
-    fu = np.asarray(u.pdf(x))
-    fv = np.asarray(v.pdf(x))
-    keep = _restrict(x, fu > floor, np.isfinite(fu), np.isfinite(fv))
-    xs = x[keep]
-    ratio = fv[keep] / fu[keep]
-    mono = classify_monotonicity(xs, ratio, rel_tol=rel_tol)
-    direction = _direction_from_monotone(mono.classification)
-    witness = None
-    if mono.classification is Monotonicity.NON_MONOTONE:
-        wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
-        witness = Witness(float(wx), float(u.pdf(wx)), float(v.pdf(wx)))
-    return OrderVerdict(
-        order=OrderKind.LR,
-        direction=direction,
-        evaluated_range=(float(xs[0]), float(xs[-1])),
-        points_used=int(xs.size),
-        grid_signature=grid.signature(),
-        pair_id=pair_id,
-        violation_witness=witness,
-        ratio_classification=mono,
+    return _ratio_verdict(
+        OrderKind.LR, sample, sample.lr_domain(floor), sample.pdf_ratio(floor), rel_tol,
+        pair_id, sample.u.pdf, sample.v.pdf,
     )
 
 
-def check_aging_faster_rhr(
-    u, v, grid, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""
-):
+def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
     """Classify the RHRF ratio h_U/h_V where both CDFs and PDFs are usable.
 
     The source definition declares U ages faster than V when the ratio is
@@ -324,38 +378,16 @@ def check_aging_faster_rhr(
     treat a decreasing ratio as the validated conclusion. Both readings
     are recorded; ``direction`` follows the definition.
     """
-    x = grid.points()
-    fu = np.asarray(u.cdf(x))
-    fv = np.asarray(v.cdf(x))
-    du = np.asarray(u.pdf(x))
-    dv = np.asarray(v.pdf(x))
-    keep = _restrict(
-        x, fu > floor, fv > floor, dv > floor, np.isfinite(du), np.isfinite(dv)
+    verdict = _ratio_verdict(
+        OrderKind.R_RH, sample, sample.r_rh_domain(floor), sample.rhr_ratio(floor), rel_tol,
+        pair_id, sample.u.rhr, sample.v.rhr,
     )
-    xs = x[keep]
-    ratio = (du[keep] / fu[keep]) / (dv[keep] / fv[keep])
-    mono = classify_monotonicity(xs, ratio, rel_tol=rel_tol)
-    direction = _direction_from_monotone(mono.classification)
     readings = {
-        "definition": f"ratio increasing means U ages faster (direction {direction.value})",
+        "definition": f"ratio increasing means U ages faster (direction {verdict.direction.value})",
         "theorem_usage": "ratio decreasing is the validated multiple-outlier conclusion",
-        "ratio_classification": mono.classification.value,
+        "ratio_classification": verdict.ratio_classification.classification.value,
     }
-    witness = None
-    if mono.classification is Monotonicity.NON_MONOTONE:
-        wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
-        witness = Witness(float(wx), float(u.rhr(wx)), float(v.rhr(wx)))
-    return OrderVerdict(
-        order=OrderKind.R_RH,
-        direction=direction,
-        evaluated_range=(float(xs[0]), float(xs[-1])),
-        points_used=int(xs.size),
-        grid_signature=grid.signature(),
-        pair_id=pair_id,
-        violation_witness=witness,
-        ratio_classification=mono,
-        readings=readings,
-    )
+    return replace(verdict, readings=readings)
 
 
 @dataclass(frozen=True)
@@ -411,5 +443,5 @@ CHECKERS = {
 
 
 def check_order(kind, u, v, grid, pair_id="", **kwargs):
-    """Dispatch to the checker for ``kind``."""
-    return CHECKERS[OrderKind(kind)](u, v, grid, pair_id=pair_id, **kwargs)
+    """Sample the pair on ``grid`` and dispatch to the checker for ``kind``."""
+    return CHECKERS[OrderKind(kind)](PairSample(u, v, grid), pair_id=pair_id, **kwargs)

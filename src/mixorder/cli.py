@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,11 +21,13 @@ from . import _sampling
 import dataclasses
 
 from .analysis import (
+    CHECKERS,
     DEFAULT_POINTS,
     Direction,
     Grid,
     Monotonicity,
     OrderKind,
+    PairSample,
     auto_grid,
     check_likelihood_ratio,
     check_order,
@@ -40,6 +41,7 @@ from .mixture import FiniteMixture, WeightPolicy, verify_normalization
 from .numerics import DENOM_FLOOR, central_difference
 from .reporting import dumps, to_jsonable, write_csv
 from .scenarios import (
+    _need,
     builtin_catalog,
     catalog_ids,
     get_scenario,
@@ -103,46 +105,20 @@ def _check_kwargs(args, order):
 # -------------------------------------------------------------- eval
 
 
-def _masked_ratio(num, den, floor):
-    return np.where(den > floor, num / np.where(den > floor, den, 1.0), np.nan)
-
-
 def cmd_eval(args):
     scenario = _resolve_scenario(args.source, args.policy)
-    u, v = scenario.mixtures()
-    grid = _grid_for(scenario, args)
-    x = grid.points()
+    sample = PairSample(*scenario.mixtures(), _grid_for(scenario, args))
     floor = args.rh_floor if args.rh_floor is not None else DENOM_FLOOR
     q = args.quantity
-    if q in ("cdf", "pdf", "sf"):
-        header = ["x", f"{q}_U", f"{q}_V"]
-        cols = [x, np.asarray(getattr(u, q)(x)), np.asarray(getattr(v, q)(x))]
-    elif q == "rhr":
-        fu, fv = np.asarray(u.cdf(x)), np.asarray(v.cdf(x))
-        header = ["x", "rhr_U", "rhr_V"]
-        cols = [
-            x,
-            _masked_ratio(np.asarray(u.pdf(x)), fu, floor),
-            _masked_ratio(np.asarray(v.pdf(x)), fv, floor),
-        ]
-    elif q == "cdf_ratio":
-        header = ["x", "cdf_ratio_V_over_U"]
-        cols = [x, _masked_ratio(np.asarray(v.cdf(x)), np.asarray(u.cdf(x)), floor)]
-    elif q == "pdf_ratio":
-        header = ["x", "pdf_ratio_V_over_U"]
-        cols = [x, _masked_ratio(np.asarray(v.pdf(x)), np.asarray(u.pdf(x)), floor)]
-    else:
-        fu, fv = np.asarray(u.cdf(x)), np.asarray(v.cdf(x))
-        hu = _masked_ratio(np.asarray(u.pdf(x)), fu, floor)
-        hv = _masked_ratio(np.asarray(v.pdf(x)), fv, floor)
-        header = ["x", "rhr_ratio_U_over_V"]
-        cols = [x, np.where(np.isfinite(hu) & (hv > floor), hu / hv, np.nan)]
+    columns = sample.columns(q, floor)
+    header = ["x", *columns]
+    cols = [sample.x, *columns.values()]
     if all(np.all(~np.isfinite(np.asarray(c, dtype=float))) for c in cols[1:]):
         raise MixorderError(f"quantity {q!r} is undefined on the entire grid")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, header, cols)
-        print(f"wrote {len(x)} rows to {args.out}", file=sys.stderr)
+        print(f"wrote {len(sample.x)} rows to {args.out}", file=sys.stderr)
     else:
         write_csv(sys.stdout, header, cols)
     return 0
@@ -158,10 +134,11 @@ def _load_mixture_file(path, policy=None):
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioFormatError(str(exc), location=str(path)) from None
     # reuse the scenario mixture schema with a private single-mixture wrapper
+    mixture = _need(data, "mixture", str(path))
     wrapper = {
         "id": "adhoc",
-        "baseline": data["baseline"],
-        "mixtures": [data["mixture"], data["mixture"]],
+        "baseline": _need(data, "baseline", str(path)),
+        "mixtures": [mixture, mixture],
         "theorem": "T3.1",
         "order": "st",
         "expected": {"order": "st"},
@@ -186,8 +163,8 @@ def cmd_check_order(args):
         pair_id = f"{args.source[0]}|{args.source[1]}"
     else:
         raise MixorderError("check-order takes one scenario or two mixture files")
-    kwargs = _check_kwargs(args, order)
-    verdict = check_order(order, u, v, grid, pair_id=pair_id, **kwargs)
+    sample = PairSample(u, v, grid)
+    verdict = CHECKERS[order](sample, pair_id=pair_id, **_check_kwargs(args, order))
     report = {
         "command": "check-order",
         "pair": pair_id,
@@ -198,16 +175,16 @@ def cmd_check_order(args):
         "verdict": to_jsonable(verdict),
     }
     if order in (OrderKind.RH, OrderKind.LR):
-        st = check_usual_stochastic(u, v, grid, pair_id=pair_id)
+        st = check_usual_stochastic(sample, pair_id=pair_id)
         rh = (
             verdict
             if order is OrderKind.RH
-            else check_reversed_hazard(u, v, grid, pair_id=pair_id)
+            else check_reversed_hazard(sample, pair_id=pair_id)
         )
         lr = (
             verdict
             if order is OrderKind.LR
-            else check_likelihood_ratio(u, v, grid, pair_id=pair_id)
+            else check_likelihood_ratio(sample, pair_id=pair_id)
         )
         audit = implication_audit(st, rh, lr)
         report["implication_audit"] = to_jsonable(audit)
@@ -326,16 +303,7 @@ def _persist_record(record, out_dir):
 
 def cmd_reproduce(args):
     ids = catalog_ids() if args.all or not args.ids else list(args.ids)
-    scenarios = [_resolve_scenario(i) for i in ids]
-
-    def run(s):
-        return run_scenario(s, n_points=args.points)
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run, scenarios))
-    else:
-        records = [run(s) for s in scenarios]
+    records = [run_scenario(_resolve_scenario(i), n_points=args.points) for i in ids]
     out_dir = _results_dir(args)
     if not args.no_records:
         for record in records:
@@ -418,10 +386,10 @@ def cmd_validate(args):
 
         # implication chain on the catalog and on random pairs
         def audit_pair(u, v, pair_id):
-            grid = auto_grid(u, v)
-            st = check_usual_stochastic(u, v, grid, tol=1e-9, pair_id=pair_id)
-            rh = check_reversed_hazard(u, v, grid, rel_tol=1e-9, pair_id=pair_id)
-            lr = check_likelihood_ratio(u, v, grid, rel_tol=1e-9, pair_id=pair_id)
+            sample = PairSample(u, v, auto_grid(u, v))
+            st = check_usual_stochastic(sample, tol=1e-9, pair_id=pair_id)
+            rh = check_reversed_hazard(sample, rel_tol=1e-9, pair_id=pair_id)
+            lr = check_likelihood_ratio(sample, rel_tol=1e-9, pair_id=pair_id)
             return implication_audit(st, rh, lr)
 
         bad = []
@@ -557,7 +525,7 @@ def cmd_experiment(args):
             w_v[-1] = 1.0 - w_v[:-1].sum()
             u = FiniteMixture(u.components, w_u)
             v = FiniteMixture(v.components, w_v)
-            verdict = check_usual_stochastic(u, v, auto_grid(u, v), pair_id=f"exp-{i}")
+            verdict = check_order(OrderKind.ST, u, v, auto_grid(u, v), pair_id=f"exp-{i}")
             ok = verdict.direction in (Direction.U_LEQ_V, Direction.BOTH)
             held += ok
             trials.append({"trial": i, "direction": verdict.direction.value})
@@ -629,7 +597,6 @@ def build_parser():
     p.add_argument("ids", nargs="*", help="scenario ids (default: all)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--points", type=int, default=DEFAULT_POINTS)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--results-dir", default=None,
                    help="record directory (or env STOCHORDER_RESULTS_DIR)")

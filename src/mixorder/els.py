@@ -64,19 +64,7 @@ class ELSComponent:
         mask = arr > self.support_start
         if mask.any():
             z = self._z(arr[mask])
-            F = np.asarray(self.baseline.cdf(z))
-            f = np.asarray(self.baseline.pdf(z))
-            if self.alpha == 1.0:
-                vals = f / self.lam
-            else:
-                # F == 0 just above the start point means underflow; the
-                # alpha < 1 divergence would otherwise produce inf * 0.
-                pos = F > 0.0
-                vals = np.zeros_like(F)
-                vals[pos] = (
-                    (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
-                )
-            out[mask] = vals
+            out[mask] = self._density(self.baseline.cdf(z), self.baseline.pdf(z))
         return float(out) if scalar else out
 
     def pdf_at_offset(self, dx):
@@ -91,18 +79,21 @@ class ELSComponent:
         mask = dx > 0.0
         if mask.any():
             dz = dx[mask] / self.lam
-            F = np.asarray(self.baseline.cdf_offset(dz))
-            f = np.asarray(self.baseline.pdf_offset(dz))
-            if self.alpha == 1.0:
-                vals = f / self.lam
-            else:
-                pos = F > 0.0
-                vals = np.zeros_like(F)
-                vals[pos] = (
-                    (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
-                )
-            out[mask] = vals
+            out[mask] = self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
         return float(out) if scalar else out
+
+    def _density(self, F, f):
+        """Component density from baseline F and f at the same standardized points."""
+        F = np.asarray(F)
+        f = np.asarray(f)
+        if self.alpha == 1.0:
+            return f / self.lam
+        # F == 0 just above the start point means underflow; the
+        # alpha < 1 divergence would otherwise produce inf * 0.
+        pos = F > 0.0
+        vals = np.zeros_like(F)
+        vals[pos] = (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
+        return vals
 
     def rhr(self, x):
         """Reversed hazard rate (alpha/lambda) * f(z)/F(z); needs x above support."""

@@ -3,8 +3,9 @@
 Each scenario bundles a baseline, two mixtures (plain weighted lists or
 two-block outlier constructions), the theorem whose hypotheses it
 exercises, and the expected outcome of the matching order check. The
-sixteen built-ins reproduce the published worked cases; user files follow
-the same JSON schema (see docs/scenario_schema.md).
+sixteen built-ins reproduce the published worked cases and ship as JSON
+files in the package's ``catalog/`` folder; user files follow the same
+schema (see docs/scenario_schema.md).
 
 Expected outcomes carry an optional classification window (x_min, x_max).
 The lower end matches the quoted restriction ("increasing in x >= 5");
@@ -18,17 +19,18 @@ import datetime as _dt
 import json
 import warnings as _warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from importlib import resources
 
 from .analysis import (
     DEFAULT_POINTS,
     Direction,
     Grid,
     Monotonicity,
+    CHECKERS,
     OrderKind,
+    PairSample,
     auto_grid,
-    check_order,
 )
 from .baseline import make_baseline
 from .conditions import OUTLIER_THEOREMS, THEOREM_EVALUATORS
@@ -40,6 +42,7 @@ from .mixture import (
     WeightPolicy,
     build_outlier_mixture,
 )
+from .numerics import DENOM_FLOOR
 
 
 @dataclass(frozen=True)
@@ -129,221 +132,25 @@ class Scenario:
 # --------------------------------------------------------------------------
 
 
-def _single(weights, comps):
-    return MixtureSpec(
-        components=tuple(ComponentSpec(*c) for c in comps), weights=tuple(weights)
-    )
-
-
-def _outlier(n1, r1, n2, r2, comps):
-    return MixtureSpec(
-        components=tuple(ComponentSpec(*c) for c in comps),
-        outlier=(n1, r1, n2, r2),
-    )
-
-
-def _triples(alphas, sigmas, lams):
-    sigmas = sigmas if isinstance(sigmas, (list, tuple)) else [sigmas] * len(alphas)
-    lams = lams if isinstance(lams, (list, tuple)) else [lams] * len(alphas)
-    return list(zip(alphas, sigmas, lams))
+@lru_cache(maxsize=None)
+def _packaged_catalog():
+    files = resources.files(__package__) / "catalog"
+    scenarios = [
+        scenario_from_dict(json.loads(f.read_text(encoding="utf-8")), where=f"catalog/{f.name}")
+        for f in files.iterdir()
+        if f.name.endswith(".json")
+    ]
+    return tuple(sorted(scenarios, key=lambda s: int(s.expected.figure)))
 
 
 def builtin_catalog():
-    """The sixteen built-in scenarios, parameters transcribed verbatim."""
-    cat = []
-    cat.append(Scenario(
-        scenario_id="EX4.1",
-        description="Pareto baseline, componentwise dominated parameters; "
-                    "usual stochastic order holds",
-        baseline_family="pareto", baseline_params={"a": 5.0, "k": 1.0},
-        mixture_u=_single((0.40, 0.55, 0.05), _triples((5, 2, 7), (1, 2, 3), (2, 4, 6))),
-        mixture_v=_single((0.40, 0.55, 0.05), _triples((9, 10, 8), (2, 4, 5), (6, 7, 9))),
-        theorem_id="T3.1", order=OrderKind.ST,
-        expected=Expected(OrderKind.ST, holds=True, direction=Direction.U_LEQ_V, figure="1"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE4.1",
-        description="Pareto baseline with broken componentwise dominance; "
-                    "survival functions cross",
-        baseline_family="pareto", baseline_params={"a": 2.0, "k": 4.0},
-        mixture_u=_single((0.1, 0.3, 0.6), _triples((7, 6, 1), (2, 6, 7), (1, 5, 8))),
-        mixture_v=_single((0.1, 0.3, 0.6), _triples((6, 9, 9), (4, 5, 6), (2, 3, 4))),
-        theorem_id="T3.1", order=OrderKind.ST,
-        expected=Expected(OrderKind.ST, holds=False, direction=Direction.U_LEQ_V, figure="2"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE4.2",
-        description="Componentwise dominance alone does not move the usual "
-                    "stochastic order up to the reversed hazard rate order",
-        baseline_family="pareto", baseline_params={"a": 6.0, "k": 2.0},
-        mixture_u=_single((0.2, 0.3, 0.5), _triples((4, 6, 5), (3, 10, 14), (1, 4, 6))),
-        mixture_v=_single((0.2, 0.3, 0.5), _triples((8, 7, 11), (6, 11, 16), (2, 8, 10))),
-        theorem_id="T3.1", order=OrderKind.RH,
-        expected=Expected(OrderKind.RH, holds=False, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_MONOTONE, figure="3"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE4.22",
-        description="Componentwise dominance alone does not move the usual "
-                    "stochastic order up to the likelihood ratio order",
-        baseline_family="pareto", baseline_params={"a": 3.0, "k": 5.0},
-        mixture_u=_single((0.3, 0.2, 0.5), _triples((2, 6, 5), (1, 2, 7), (1, 2, 5))),
-        mixture_v=_single((0.3, 0.2, 0.5), _triples((6, 7, 9), (5, 7, 8), (2, 4, 6))),
-        theorem_id="T3.1", order=OrderKind.LR,
-        expected=Expected(OrderKind.LR, holds=False, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_MONOTONE, figure="4"),
-    ))
-    cat.append(Scenario(
-        scenario_id="EX4.2",
-        description="Left-truncated exponential baseline, separated parameter "
-                    "blocks; CDF ratio increases beyond the first support point",
-        baseline_family="lt_exponential", baseline_params={"b": 2.0, "t0": 2.0},
-        mixture_u=_single((0.30, 0.50, 0.20), _triples((0.1, 5.0, 1.3), (2, 3, 1), (3, 5, 2))),
-        mixture_v=_single((0.85, 0.05, 0.10), _triples((5.1, 6.0, 5.5), (5, 4, 4.5), (7, 5, 6))),
-        theorem_id="T3.2", order=OrderKind.RH,
-        expected=Expected(OrderKind.RH, holds=True, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_DECREASING, x_min=5.0, figure="5"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE4.3",
-        description="Scale-block separation violated; CDF ratio turns "
-                    "non-monotone past x = 8",
-        baseline_family="lt_exponential", baseline_params={"b": 5.0, "t0": 2.0},
-        mixture_u=_single((0.30, 0.50, 0.20), _triples((0.1, 5.0, 1.3), (2, 3, 4), (3, 5, 2))),
-        mixture_v=_single((0.85, 0.05, 0.10), _triples((5.1, 6.0, 5.5), (6, 4, 4.5), (1, 2, 6))),
-        theorem_id="T3.2", order=OrderKind.RH,
-        expected=Expected(OrderKind.RH, holds=False, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_MONOTONE, x_min=8.0, figure="6"),
-    ))
-    cat.append(Scenario(
-        scenario_id="EX4.3",
-        description="Pareto baseline, common location and scale, separated "
-                    "shapes; density ratio increases on the shared support",
-        baseline_family="pareto", baseline_params={"a": 6.0, "k": 4.0},
-        mixture_u=_single((0.30, 0.20, 0.50), _triples((6, 3, 5), 2, 3)),
-        mixture_v=_single((0.85, 0.05, 0.10), _triples((7, 7, 6), 2, 3)),
-        theorem_id="T3.3", order=OrderKind.LR,
-        expected=Expected(OrderKind.LR, holds=True, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_DECREASING, x_min=14.0, figure="7"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE4.4",
-        description="Shape separation violated; density ratio non-monotone "
-                    "past x = 11",
-        baseline_family="pareto", baseline_params={"a": 2.0, "k": 3.0},
-        mixture_u=_single((0.30, 0.20, 0.50), _triples((0.2, 9, 0.1), 2, 3)),
-        mixture_v=_single((0.85, 0.05, 0.10), _triples((7, 0.7, 6), 2, 3)),
-        theorem_id="T3.3", order=OrderKind.LR,
-        expected=Expected(OrderKind.LR, holds=False, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_MONOTONE, x_min=11.0, x_max=60.0,
-                          figure="8"),
-        notes="Classification window [11, 60] reconstructs the plotted range; "
-              "the non-monotone stretch sits between 11 and 35 and would be "
-              "averaged away on the full quantile-capped tail.",
-    ))
-    cat.append(Scenario(
-        scenario_id="EX4.4",
-        description="Benktander-II baseline; majorized weights and shapes "
-                    "give the usual stochastic order",
-        baseline_family="benktander2", baseline_params={"a": 5.0, "b": 0.8},
-        mixture_u=_single((0.6, 0.3, 0.1), _triples((5, 6, 14), 2, 3)),
-        mixture_v=_single((0.4, 0.4, 0.2), _triples((6, 9, 10), 4, 5)),
-        theorem_id="T3.4", order=OrderKind.ST,
-        expected=Expected(OrderKind.ST, holds=True, direction=Direction.U_LEQ_V, figure="9"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE5.6",
-        description="Shape majorization fails (unequal totals); CDFs cross",
-        baseline_family="benktander2", baseline_params={"a": 2.0, "b": 0.3},
-        mixture_u=_single((0.8, 0.1, 0.1), _triples((2, 4, 5), 3, 7)),
-        mixture_v=_single((0.5, 0.3, 0.2), _triples((1, 1.5, 3), 4, 7)),
-        theorem_id="T3.4", order=OrderKind.ST,
-        expected=Expected(OrderKind.ST, holds=False, direction=Direction.U_LEQ_V, figure="10"),
-    ))
-    cat.append(Scenario(
-        scenario_id="EX5.5",
-        description="Two-block Burr-XII mixtures sharing components; weight "
-                    "product condition holds, reversed hazard rate order follows",
-        baseline_family="lt_burr12", baseline_params={"k": 1.5, "m": 5.0, "t0": 2.0},
-        mixture_u=_outlier(25, 0.032, 8, 0.025,
-                           [(2.3, 5, 4), (4, 10, 6)]),
-        mixture_v=_outlier(15, 0.020, 20, 0.035,
-                           [(2.3, 5, 4), (4, 10, 6)]),
-        theorem_id="T4.1", order=OrderKind.RH,
-        expected=Expected(OrderKind.RH, holds=True, direction=Direction.U_LEQ_V,
-                          ratio=Monotonicity.NON_DECREASING, figure="11"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE5.7",
-        description="Weight product condition and shape ordering both fail; "
-                    "reversed hazard rates cross",
-        baseline_family="lt_burr12", baseline_params={"k": 2.0, "m": 1.0, "t0": 3.0},
-        mixture_u=_outlier(10, 0.03, 10, 0.04, [(6, 4, 0.6), (2, 9, 8)]),
-        mixture_v=_outlier(7, 0.01, 3, 0.01, [(6, 4, 0.6), (2, 9, 8)]),
-        theorem_id="T4.1", order=OrderKind.RH,
-        expected=Expected(OrderKind.RH, holds=False, direction=Direction.U_LEQ_V,
-                          figure="12"),
-        weight_policy=WeightPolicy.AUTO_NORMALIZE,
-        notes="Raw block weights sum to 0.7 and 0.1, kept as published and "
-              "auto-normalized; ratio-based verdicts are unaffected. The "
-              "published product sides 0.09 and 0.28 are ten times the "
-              "values implied by the stated parameters (0.009, 0.028); the "
-              "inequality direction is the same either way.",
-    ))
-    cat.append(Scenario(
-        scenario_id="EX5.6",
-        description="Two-block Lomax mixtures; reversed product condition and "
-                    "shapes above one give the likelihood ratio order V <= U",
-        baseline_family="lt_lomax", baseline_params={"m": 5.0, "t0": 6.0},
-        mixture_u=_outlier(15, 0.04, 5, 0.08, [(2, 3, 1), (4, 4, 2)]),
-        mixture_v=_outlier(10, 0.08, 20, 0.01, [(2, 3, 1), (4, 4, 2)]),
-        theorem_id="T4.2", order=OrderKind.LR,
-        expected=Expected(OrderKind.LR, holds=True, direction=Direction.V_LEQ_U,
-                          ratio=Monotonicity.NON_INCREASING, x_min=6.0, figure="13"),
-    ))
-    cat.append(Scenario(
-        scenario_id="CE5.8",
-        description="Shapes below one break the likelihood ratio conclusion; "
-                    "density ratio non-monotone",
-        baseline_family="lt_lomax", baseline_params={"m": 3.0, "t0": 2.0},
-        mixture_u=_outlier(10, 0.05, 25, 0.02, [(0.2, 3, 2), (0.7, 4, 4)]),
-        mixture_v=_outlier(7, 0.01, 3, 0.01, [(0.2, 3, 2), (0.7, 4, 4)]),
-        theorem_id="T4.2", order=OrderKind.LR,
-        expected=Expected(OrderKind.LR, holds=False, direction=Direction.V_LEQ_U,
-                          ratio=Monotonicity.NON_MONOTONE, x_min=2.0, figure="14"),
-        weight_policy=WeightPolicy.AUTO_NORMALIZE,
-        notes="Second mixture's raw block weights sum to 0.1, kept as "
-              "published and auto-normalized. The published product sides "
-              "0.15 and 0.35 are ten times the values implied by the stated "
-              "parameters (0.015, 0.035); the inequality direction is the "
-              "same either way.",
-    ))
-    cat.append(Scenario(
-        scenario_id="EX5.7",
-        description="Log-logistic baseline with shape below one; RHRF ratio "
-                    "decreases, the ageing-faster comparison's validated shape",
-        baseline_family="loglogistic", baseline_params={"b": 0.9},
-        mixture_u=_outlier(10, 0.02, 8, 0.10, [(0.3, 6, 4), (0.3, 6, 6)]),
-        mixture_v=_outlier(20, 0.02, 15, 0.04, [(0.3, 4, 3), (0.3, 4, 2)]),
-        theorem_id="T4.3", order=OrderKind.R_RH,
-        expected=Expected(OrderKind.R_RH, ratio=Monotonicity.NON_INCREASING,
-                          x_min=6.0, x_max=60.0, figure="15"),
-        notes="Classification window [6, 60] reconstructs the plotted range; "
-              "the heavy log-logistic tail otherwise stretches the grid past "
-              "x = 1e6 where the RHRF ratio is dominated by rounding noise.",
-    ))
-    cat.append(Scenario(
-        scenario_id="CE5.9",
-        description="Density log-slope not increasing; RHRF ratio turns "
-                    "non-monotone",
-        baseline_family="loglogistic", baseline_params={"b": 4.0},
-        mixture_u=_outlier(4, 0.1, 6, 0.1, [(0.8, 5, 3), (0.8, 5, 7)]),
-        mixture_v=_outlier(10, 0.05, 25, 0.02, [(0.8, 2, 2), (0.8, 2, 1)]),
-        theorem_id="T4.3", order=OrderKind.R_RH,
-        expected=Expected(OrderKind.R_RH, ratio=Monotonicity.NON_MONOTONE,
-                          x_min=5.0, figure="16"),
-    ))
-    return cat
+    """The sixteen built-in scenarios in figure order, read once per process
+    from the package's ``catalog/`` folder.
+
+    The scenarios are shared between calls: change one through
+    ``dataclasses.replace``, never in place.
+    """
+    return list(_packaged_catalog())
 
 
 def catalog_ids():
@@ -358,45 +165,8 @@ def get_scenario(scenario_id):
 
 
 # --------------------------------------------------------------------------
-# serialization
+# scenario files
 # --------------------------------------------------------------------------
-
-
-def _component_to_dict(c):
-    return {"alpha": c.alpha, "sigma": c.sigma, "lambda": c.lam}
-
-
-def _mixture_to_dict(m):
-    d = {"components": [_component_to_dict(c) for c in m.components]}
-    if m.weights is not None:
-        d["weights"] = list(m.weights)
-    else:
-        n1, r1, n2, r2 = m.outlier
-        d["outlier"] = {"n1": n1, "r1": r1, "n2": n2, "r2": r2}
-    return d
-
-
-def scenario_to_dict(s):
-    exp = {
-        "order": s.expected.order.value,
-        "holds": s.expected.holds,
-        "direction": s.expected.direction.value if s.expected.direction else None,
-        "ratio": s.expected.ratio.value if s.expected.ratio else None,
-        "x_min": s.expected.x_min,
-        "x_max": s.expected.x_max,
-        "figure": s.expected.figure,
-    }
-    return {
-        "id": s.scenario_id,
-        "description": s.description,
-        "baseline": {"family": s.baseline_family, "params": dict(s.baseline_params)},
-        "mixtures": [_mixture_to_dict(s.mixture_u), _mixture_to_dict(s.mixture_v)],
-        "theorem": s.theorem_id,
-        "order": s.order.value,
-        "expected": exp,
-        "weight_policy": s.weight_policy.value,
-        "notes": s.notes,
-    }
 
 
 def _need(d, key, where):
@@ -502,12 +272,6 @@ def load_scenario(path):
     return scenario_from_dict(data, where=str(path))
 
 
-def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
 # --------------------------------------------------------------------------
 # running
 # --------------------------------------------------------------------------
@@ -550,31 +314,19 @@ def _weight_warnings(scenario):
     return tuple(warnings)
 
 
-def _curves(scenario, u, v, grid, floor=1e-12):
-    x = grid.points()
-    out = {"x": x.tolist()}
-    if scenario.order is OrderKind.ST:
-        out["sf_U"] = np.asarray(u.sf(x)).tolist()
-        out["sf_V"] = np.asarray(v.sf(x)).tolist()
-    elif scenario.order is OrderKind.RH:
-        fu = np.asarray(u.cdf(x))
-        fv = np.asarray(v.cdf(x))
-        ratio = np.where(fu > floor, fv / np.where(fu > floor, fu, 1.0), np.nan)
-        out["cdf_ratio_V_over_U"] = ratio.tolist()
-    elif scenario.order is OrderKind.LR:
-        du = np.asarray(u.pdf(x))
-        dv = np.asarray(v.pdf(x))
-        ratio = np.where(du > floor, dv / np.where(du > floor, du, 1.0), np.nan)
-        out["pdf_ratio_V_over_U"] = ratio.tolist()
-    else:
-        fu = np.asarray(u.cdf(x))
-        fv = np.asarray(v.cdf(x))
-        du = np.asarray(u.pdf(x))
-        dv = np.asarray(v.pdf(x))
-        ok = (fu > floor) & (fv > floor) & (dv > floor)
-        hu = np.where(ok, du / np.where(ok, fu, 1.0), np.nan)
-        hv = np.where(ok, dv / np.where(ok, fv, 1.0), np.nan)
-        out["rhr_ratio_U_over_V"] = np.where(ok, hu / np.where(ok, hv, 1.0), np.nan).tolist()
+#: the curve quantity recorded for each order
+_CURVE_QUANTITY = {
+    OrderKind.ST: "sf",
+    OrderKind.RH: "cdf_ratio",
+    OrderKind.LR: "pdf_ratio",
+    OrderKind.R_RH: "rhr_ratio",
+}
+
+
+def _curves(order, sample, floor):
+    out = {"x": sample.x.tolist()}
+    for name, col in sample.columns(_CURVE_QUANTITY[order], floor).items():
+        out[name] = col.tolist()
     return out
 
 
@@ -610,20 +362,21 @@ def run_scenario(scenario, grid=None, n_points=DEFAULT_POINTS, rel_tol=None,
             report = evaluator(*specs)
         else:
             report = evaluator(u, v)
+        floor = DENOM_FLOOR if floor is None else floor
         kwargs = {}
         if scenario.order is OrderKind.ST:
             if st_tol is not None:
                 kwargs["tol"] = st_tol
         else:
+            kwargs["floor"] = floor
             if rel_tol is not None:
                 kwargs["rel_tol"] = rel_tol
-            if floor is not None:
-                kwargs["floor"] = floor
-        verdict = check_order(
-            scenario.order, u, v, grid, pair_id=scenario.scenario_id, **kwargs
+        sample = PairSample(u, v, grid)
+        verdict = CHECKERS[scenario.order](
+            sample, pair_id=scenario.scenario_id, **kwargs
         )
         agreement = judge_agreement(scenario.expected, verdict)
-        curves = _curves(scenario, u, v, grid)
+        curves = _curves(scenario.order, sample, floor)
     return ScenarioRecord(
         scenario_id=scenario.scenario_id,
         condition_report=report,

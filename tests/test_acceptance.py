@@ -13,16 +13,20 @@ underlying sufficient conditions are repaired.
 """
 
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import mixorder
 from mixorder import (
     Direction,
     Monotonicity,
     OrderKind,
+    PairSample,
     auto_grid,
     build_outlier_mixture,
     check_likelihood_ratio,
@@ -149,9 +153,9 @@ def test_criterion_3_normalization():
 
 def _audit(u, v, pair_id):
     grid = auto_grid(u, v)
-    st = check_usual_stochastic(u, v, grid, tol=1e-9, pair_id=pair_id)
-    rh = check_reversed_hazard(u, v, grid, rel_tol=1e-9, pair_id=pair_id)
-    lr = check_likelihood_ratio(u, v, grid, rel_tol=1e-9, pair_id=pair_id)
+    st = check_usual_stochastic(PairSample(u, v, grid), tol=1e-9, pair_id=pair_id)
+    rh = check_reversed_hazard(PairSample(u, v, grid), rel_tol=1e-9, pair_id=pair_id)
+    lr = check_likelihood_ratio(PairSample(u, v, grid), rel_tol=1e-9, pair_id=pair_id)
     return implication_audit(st, rh, lr)
 
 
@@ -323,8 +327,12 @@ def test_criterion_8_determinism():
         sys.executable, "-m", "mixorder.cli",
         "reproduce", "--all", "--no-records", "--seed", "42",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the subprocess imports the same source tree as this test
+    src = str(pathlib.Path(mixorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     ok = _report(8, first.stdout == second.stdout,
                  "two reproduce runs emit byte-identical reports"
                  if first.stdout == second.stdout else "stdout differs between runs")

@@ -9,6 +9,7 @@ from mixorder import (
     InvalidSampleError,
     Monotonicity,
     OrderKind,
+    PairSample,
     ParameterError,
     auto_grid,
     check_aging_faster_rhr,
@@ -106,23 +107,23 @@ def _pair(scenario_id):
 
 def test_reflexivity_all_checkers():
     u, _, grid = _pair("EX4.1")
-    assert check_usual_stochastic(u, u, grid).direction is Direction.BOTH
-    rh = check_reversed_hazard(u, u, grid)
+    assert check_usual_stochastic(PairSample(u, u, grid)).direction is Direction.BOTH
+    rh = check_reversed_hazard(PairSample(u, u, grid))
     assert rh.direction is Direction.BOTH
     assert rh.ratio_classification.classification is Monotonicity.CONSTANT
-    assert check_likelihood_ratio(u, u, grid).direction is Direction.BOTH
-    r = check_aging_faster_rhr(u, u, grid)
+    assert check_likelihood_ratio(PairSample(u, u, grid)).direction is Direction.BOTH
+    r = check_aging_faster_rhr(PairSample(u, u, grid))
     assert r.ratio_classification.classification is Monotonicity.CONSTANT
 
 
 def test_usual_stochastic_on_catalog_pairs():
     u, v, grid = _pair("EX4.1")
-    verdict = check_usual_stochastic(u, v, grid)
+    verdict = check_usual_stochastic(PairSample(u, v, grid))
     assert verdict.direction is Direction.U_LEQ_V
     assert verdict.violation_witness is None
 
     u, v, grid = _pair("CE4.1")
-    verdict = check_usual_stochastic(u, v, grid)
+    verdict = check_usual_stochastic(PairSample(u, v, grid))
     assert verdict.direction is Direction.NEITHER
     w = verdict.violation_witness
     assert w is not None
@@ -132,20 +133,20 @@ def test_usual_stochastic_on_catalog_pairs():
 
 def test_swap_symmetry():
     u, v, grid = _pair("EX4.1")
-    assert check_usual_stochastic(v, u, grid).direction is Direction.V_LEQ_U
+    assert check_usual_stochastic(PairSample(v, u, grid)).direction is Direction.V_LEQ_U
     u, v, grid = _pair("EX4.2")
-    assert check_reversed_hazard(v, u, grid).direction is Direction.V_LEQ_U
+    assert check_reversed_hazard(PairSample(v, u, grid)).direction is Direction.V_LEQ_U
 
 
 def test_reversed_hazard_catalog():
     u, v, grid = _pair("EX4.2")
-    verdict = check_reversed_hazard(u, v, grid)
+    verdict = check_reversed_hazard(PairSample(u, v, grid))
     assert verdict.direction is Direction.U_LEQ_V
     assert verdict.ratio_classification.classification is Monotonicity.NON_DECREASING
     assert verdict.pointwise_agrees is True
 
     u, v, grid = _pair("CE4.2")
-    verdict = check_reversed_hazard(u, v, grid)
+    verdict = check_reversed_hazard(PairSample(u, v, grid))
     assert verdict.direction is Direction.NEITHER
     assert verdict.ratio_classification.classification is Monotonicity.NON_MONOTONE
     assert verdict.violation_witness is not None
@@ -153,33 +154,33 @@ def test_reversed_hazard_catalog():
 
 def test_likelihood_ratio_catalog():
     u, v, grid = _pair("EX4.3")
-    assert check_likelihood_ratio(u, v, grid).direction is Direction.U_LEQ_V
+    assert check_likelihood_ratio(PairSample(u, v, grid)).direction is Direction.U_LEQ_V
 
     u, v, grid = _pair("CE4.4")
-    verdict = check_likelihood_ratio(u, v, grid)
+    verdict = check_likelihood_ratio(PairSample(u, v, grid))
     assert verdict.ratio_classification.classification is Monotonicity.NON_MONOTONE
 
     # the reversed direction: first mixture dominates
     u, v, grid = _pair("EX5.6")
-    assert check_likelihood_ratio(u, v, grid).direction is Direction.V_LEQ_U
+    assert check_likelihood_ratio(PairSample(u, v, grid)).direction is Direction.V_LEQ_U
 
 
 def test_aging_faster_catalog_and_readings():
     u, v, grid = _pair("EX5.7")
-    verdict = check_aging_faster_rhr(u, v, grid)
+    verdict = check_aging_faster_rhr(PairSample(u, v, grid))
     assert verdict.ratio_classification.classification is Monotonicity.NON_INCREASING
     assert "definition" in verdict.readings
     assert "theorem_usage" in verdict.readings
 
     u, v, grid = _pair("CE5.9")
-    verdict = check_aging_faster_rhr(u, v, grid)
+    verdict = check_aging_faster_rhr(PairSample(u, v, grid))
     assert verdict.ratio_classification.classification is Monotonicity.NON_MONOTONE
 
 
 def test_insufficient_domain():
     u, v, _ = _pair("EX4.1")
     with pytest.raises(InsufficientDomainError):
-        check_reversed_hazard(u, v, Grid(0.1, 2.0, 50))  # below both supports
+        check_reversed_hazard(PairSample(u, v, Grid(0.1, 2.0, 50)))  # below both supports
 
 
 def test_tolerance_monotonicity_on_catalog(catalog):
@@ -207,7 +208,7 @@ def test_rh_dual_agreement_across_catalog(catalog):
     # the ratio test and the pointwise comparison never disagree
     for s in catalog:
         u, v = s.mixtures()
-        verdict = check_reversed_hazard(u, v, scenario_grid(s))
+        verdict = check_reversed_hazard(PairSample(u, v, scenario_grid(s)))
         assert verdict.pointwise_agrees in (True, None), s.scenario_id
 
 
@@ -224,9 +225,9 @@ def test_auto_grid_window():
 
 def test_audit_consistent_on_catalog_chain():
     u, v, grid = _pair("EX4.3")
-    st = check_usual_stochastic(u, v, grid, pair_id="EX4.3")
-    rh = check_reversed_hazard(u, v, grid, pair_id="EX4.3")
-    lr = check_likelihood_ratio(u, v, grid, pair_id="EX4.3")
+    st = check_usual_stochastic(PairSample(u, v, grid), pair_id="EX4.3")
+    rh = check_reversed_hazard(PairSample(u, v, grid), pair_id="EX4.3")
+    lr = check_likelihood_ratio(PairSample(u, v, grid), pair_id="EX4.3")
     audit = implication_audit(st, rh, lr)
     assert audit.consistent
 

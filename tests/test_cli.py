@@ -1,8 +1,19 @@
+import collections
 import json
 
+import numpy as np
+import pytest
+
+from mixorder import (
+    FiniteMixture,
+    OrderKind,
+    check_order,
+    classify_monotonicity,
+    run_scenario,
+    scenario_grid,
+)
+from mixorder.analysis import DEFAULT_POINTS
 from mixorder.cli import main
-from mixorder.scenarios import scenario_to_dict
-from mixorder import get_scenario
 
 
 def run_cli(capsys, *argv):
@@ -89,8 +100,8 @@ def test_check_order_includes_audit_for_rh_lr(capsys):
     assert doc["implication_audit"]["consistent"] is True
 
 
-def test_check_order_two_mixture_files(tmp_path, capsys):
-    doc = scenario_to_dict(get_scenario("EX4.1"))
+def test_check_order_two_mixture_files(tmp_path, capsys, catalog_doc):
+    doc = catalog_doc("EX4.1")
     for i, name in enumerate(("u.json", "v.json")):
         path = tmp_path / name
         path.write_text(
@@ -106,6 +117,85 @@ def test_check_order_two_mixture_files(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"]["direction"] == "UleqV"
+
+
+@pytest.mark.parametrize("missing", ["baseline", "mixture"])
+def test_check_order_mixture_file_missing_field_exits_2(tmp_path, capsys, catalog_doc, missing):
+    doc = catalog_doc("EX4.1")
+    mix = {"baseline": doc["baseline"], "mixture": doc["mixtures"][0]}
+    (tmp_path / "u.json").write_text(json.dumps(mix))
+    del mix[missing]
+    (tmp_path / "v.json").write_text(json.dumps(mix))
+    code, out, err = run_cli(
+        capsys, "check-order", str(tmp_path / "u.json"), str(tmp_path / "v.json"),
+        "--order", "st",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"missing required field '{missing}'" in err
+
+
+@pytest.mark.parametrize("order", ["rh", "lr"])
+def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
+    # the verdict and the st/rh/lr audit share one sample of the pair
+    calls = collections.Counter()
+    for name in ("cdf", "pdf"):
+        original = getattr(FiniteMixture, name)
+
+        def counting(self, x, name=name, original=original):
+            if np.size(x) == DEFAULT_POINTS:
+                calls[id(self), name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(FiniteMixture, name, counting)
+    for s in catalog:
+        calls.clear()
+        code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
+        assert code in (0, 1), s.scenario_id
+        assert sorted(calls.values()) == [1, 1, 1, 1], (s.scenario_id, calls)
+
+
+def _eval_columns(capsys, scenario_id, quantity):
+    code, out, _ = run_cli(capsys, "eval", scenario_id, quantity)
+    assert code == 0, (scenario_id, quantity)
+    header, *rows = (line.split(",") for line in out.strip().split("\n"))
+    return {
+        name: np.array([float(r[i]) if r[i] else np.nan for r in rows])
+        for i, name in enumerate(header)
+    }
+
+
+_RATIO_ORDERS = {"cdf_ratio": OrderKind.RH, "pdf_ratio": OrderKind.LR,
+                 "rhr_ratio": OrderKind.R_RH}
+_CURVE_QUANTITIES = {OrderKind.ST: "sf", OrderKind.RH: "cdf_ratio",
+                     OrderKind.LR: "pdf_ratio", OrderKind.R_RH: "rhr_ratio"}
+
+
+def test_eval_ratio_defined_exactly_on_checker_domain(capsys, catalog):
+    for s in catalog:
+        u, v = s.mixtures()
+        grid = scenario_grid(s)
+        for quantity, order in _RATIO_ORDERS.items():
+            cols = _eval_columns(capsys, s.scenario_id, quantity)
+            x = cols.pop("x")
+            (ratio,) = cols.values()
+            kept = ~np.isnan(ratio)
+            verdict = check_order(order, u, v, grid)
+            where = (s.scenario_id, quantity)
+            assert verdict.points_used == np.count_nonzero(kept), where
+            assert verdict.evaluated_range == (x[kept][0], x[kept][-1]), where
+            assert classify_monotonicity(x[kept], ratio[kept]) == (
+                verdict.ratio_classification
+            ), where
+
+
+def test_recorded_curves_equal_eval_columns(capsys, catalog):
+    for s in catalog:
+        curves = run_scenario(s).curves
+        cols = _eval_columns(capsys, s.scenario_id, _CURVE_QUANTITIES[s.order])
+        assert list(curves) == list(cols), s.scenario_id
+        for name, col in cols.items():
+            assert np.array_equal(curves[name], col, equal_nan=True), (s.scenario_id, name)
 
 
 def test_check_theorem(capsys):
@@ -155,14 +245,6 @@ def test_reproduce_all_deterministic_stdout(capsys):
     assert all(r["agreement"] == "AsExpected" for r in doc["rows"])
 
 
-def test_reproduce_jobs_matches_serial(capsys):
-    _, out_serial, _ = run_cli(capsys, "reproduce", "EX4.1", "EX4.2", "--no-records")
-    _, out_jobs, _ = run_cli(
-        capsys, "reproduce", "EX4.1", "EX4.2", "--no-records", "--jobs", "2"
-    )
-    assert out_serial == out_jobs
-
-
 def test_validate_deterministic_and_green(capsys):
     code1, out1, err1 = run_cli(capsys, "validate", "--seed", "42", "--pairs", "8")
     code2, out2, _ = run_cli(capsys, "validate", "--seed", "42", "--pairs", "8")
@@ -173,8 +255,8 @@ def test_validate_deterministic_and_green(capsys):
     assert "PASS normalization_catalog" in err1
 
 
-def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys):
-    doc = scenario_to_dict(get_scenario("EX4.1"))
+def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys, catalog_doc):
+    doc = catalog_doc("EX4.1")
     doc["baseline"] = {
         "family": "tabulated",
         "params": {

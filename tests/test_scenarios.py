@@ -1,5 +1,4 @@
 import json
-import pathlib
 
 import pytest
 
@@ -13,18 +12,18 @@ from mixorder import (
     get_scenario,
     load_scenario,
     run_scenario,
-    save_scenario,
 )
-from mixorder.scenarios import judge_agreement, scenario_to_dict
-
-DOCS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "scenarios"
+from mixorder.scenarios import judge_agreement
 
 
 def test_catalog_size_and_ids():
     ids = catalog_ids()
     assert len(ids) == 16
     assert len(set(ids)) == 16
-    assert ids[0] == "EX4.1"
+    assert ids == [
+        "EX4.1", "CE4.1", "CE4.2", "CE4.22", "EX4.2", "CE4.3", "EX4.3", "CE4.4",
+        "EX4.4", "CE5.6", "EX5.5", "CE5.7", "EX5.6", "CE5.8", "EX5.7", "CE5.9",
+    ]
 
 
 def test_catalog_published_parameters():
@@ -64,22 +63,14 @@ def test_catalog_theorem_map():
         assert (s.theorem_id, s.order) == expected[s.scenario_id]
 
 
-def test_roundtrip_through_files(tmp_path, catalog):
+def test_packaged_files_load_by_path(catalog, catalog_path):
+    # each file is named after its id and loads like a user scenario file
     for s in catalog:
-        path = tmp_path / f"{s.scenario_id}.json"
-        save_scenario(s, path)
-        assert load_scenario(path) == s
+        assert load_scenario(catalog_path(s.scenario_id)) == s
 
 
-def test_docs_catalog_files_match_builtin(catalog):
-    for s in catalog:
-        path = DOCS / f"{s.scenario_id.replace('.', '_')}.json"
-        assert path.exists(), path
-        assert load_scenario(path) == s
-
-
-def test_load_rejects_bad_lambda(tmp_path):
-    doc = scenario_to_dict(get_scenario("EX4.1"))
+def test_load_rejects_bad_lambda(tmp_path, catalog_doc):
+    doc = catalog_doc("EX4.1")
     doc["mixtures"][0]["components"][0]["lambda"] = -1.0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -87,8 +78,8 @@ def test_load_rejects_bad_lambda(tmp_path):
         load_scenario(path)
 
 
-def test_load_rejects_strict_weight_violation(tmp_path):
-    doc = scenario_to_dict(get_scenario("CE5.7"))
+def test_load_rejects_strict_weight_violation(tmp_path, catalog_doc):
+    doc = catalog_doc("CE5.7")
     doc["weight_policy"] = "strict"  # raw block weights sum to 0.7
     path = tmp_path / "strict.json"
     path.write_text(json.dumps(doc))
@@ -103,8 +94,8 @@ def test_load_rejects_malformed_json(tmp_path):
         load_scenario(path)
 
 
-def test_load_reports_missing_field_location(tmp_path):
-    doc = scenario_to_dict(get_scenario("EX4.1"))
+def test_load_reports_missing_field_location(tmp_path, catalog_doc):
+    doc = catalog_doc("EX4.1")
     del doc["mixtures"][1]["components"][0]["alpha"]
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
@@ -112,8 +103,8 @@ def test_load_reports_missing_field_location(tmp_path):
         load_scenario(path)
 
 
-def test_truncation_key_merges_into_params(tmp_path):
-    doc = scenario_to_dict(get_scenario("EX5.5"))
+def test_truncation_key_merges_into_params(tmp_path, catalog_doc):
+    doc = catalog_doc("EX5.5")
     t0 = doc["baseline"]["params"].pop("t0")
     doc["baseline"]["truncation"] = t0
     path = tmp_path / "trunc.json"
