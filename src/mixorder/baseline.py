@@ -17,6 +17,10 @@ Closed forms:
 
 Left-truncated families renormalise the parent survival function at the
 truncation point, which reproduces the forms used in the worked examples.
+
+Quantiles are exact inverses for every family but Benktander-II and
+tabulated, written in survival form from log F and log(1 - F) so that
+levels near one keep their tail; those two find a bracketed root.
 """
 
 from __future__ import annotations
@@ -25,14 +29,19 @@ import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError, UndefinedPointError
-from .numerics import (
+# perfbench/tracing.py wraps both root helpers by their names in this module
+from .numerics import (  # noqa: F401
     DENOM_FLOOR,
     bisect_nondecreasing,
     central_difference,
     expand_upper_bracket,
 )
+
+#: absolute x tolerance of the bracketed quantile root (Benktander-II, tabulated)
+_ROOT_XTOL = 1e-10
 
 
 def _as_array(t):
@@ -42,6 +51,13 @@ def _as_array(t):
 
 def _finish(values, scalar):
     return float(values) if scalar else values
+
+
+def _log_survival(log_q):
+    """log(1 - q) from log q, without rounding q first."""
+    if log_q < -math.log(2.0):
+        return math.log1p(-math.exp(log_q))
+    return math.log(-math.expm1(log_q))
 
 
 def _require_positive(name, value):
@@ -125,13 +141,32 @@ class BaselineModel:
             )
         return _finish(np.asarray(self.pdf(arr)) / F, scalar)
 
-    def quantile(self, p, xtol=1e-10):
-        """Inverse CDF by bisection (no closed-form inverse assumed)."""
+    def quantile(self, p):
+        """Inverse CDF: the t > c with F(t) = p."""
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {p}")
+        return self.quantile_log(math.log(p))
+
+    def quantile_log(self, log_q):
+        """Inverse CDF at the level q = exp(log_q) < 1, given by its logarithm.
+
+        Callers holding a power of a level (an ELS component's p^(1/alpha))
+        pass its logarithm, so 1 - q is formed without rounding q first.
+        """
+        try:
+            return self._quantile_above(log_q, _log_survival(log_q))
+        except OverflowError:
+            raise DomainError(
+                f"{self.family} quantile at level {math.exp(log_q)!r} overflows the float range"
+            ) from None
+
+    def _quantile_above(self, log_q, log_s):
+        """Root of F(t) = q above the support bound; families with a
+        closed-form inverse override this with it."""
+        q = math.exp(log_q)
         lo = self._c
-        hi = expand_upper_bracket(self.cdf, p, lo, step=max(1.0, abs(lo)))
-        return bisect_nondecreasing(self.cdf, p, lo, hi, xtol=xtol)
+        hi = expand_upper_bracket(self.cdf, q, lo, step=max(1.0, abs(lo)))
+        return brentq(lambda t: self.cdf(t) - q, lo, hi, xtol=_ROOT_XTOL)
 
     def params(self):
         raise NotImplementedError
@@ -178,6 +213,9 @@ class Pareto(BaselineModel):
         dz = np.asarray(dz, dtype=float)
         return (self.a / self.k) * np.exp(-(self.a + 1.0) * np.log1p(dz / self.k))
 
+    def _quantile_above(self, log_q, log_s):
+        return self.k * math.exp(-log_s / self.a)
+
     def params(self):
         return {"a": self.a, "k": self.k}
 
@@ -208,6 +246,9 @@ class LeftTruncatedExponential(BaselineModel):
     def pdf_offset(self, dz):
         dz = np.asarray(dz, dtype=float)
         return np.exp(-dz / self.b) / self.b
+
+    def _quantile_above(self, log_q, log_s):
+        return self.t0 - self.b * log_s
 
     def params(self):
         return {"b": self.b, "t0": self.t0}
@@ -301,6 +342,11 @@ class LeftTruncatedBurrXII(BaselineModel):
         t = self.t0 + np.asarray(dz, dtype=float)
         return self._pdf_above(t)
 
+    def _quantile_above(self, log_q, log_s):
+        # t^k = t0^k + (1 + t0^k) (s^(-1/m) - 1), growth without cancellation
+        t0k = self.t0**self.k
+        return (t0k + (1.0 + t0k) * math.expm1(-log_s / self.m)) ** (1.0 / self.k)
+
     def params(self):
         return {"k": self.k, "m": self.m, "t0": self.t0}
 
@@ -331,6 +377,9 @@ class LeftTruncatedLomax(BaselineModel):
 
     def pdf_offset(self, dz):
         return self._pdf_above(self.t0 + np.asarray(dz, dtype=float))
+
+    def _quantile_above(self, log_q, log_s):
+        return self.t0 + (1.0 + self.t0) * math.expm1(-log_s / self.m)
 
     def params(self):
         return {"m": self.m, "t0": self.t0}
@@ -368,6 +417,10 @@ class LogLogistic(BaselineModel):
     def pdf_offset(self, dz):
         dz = np.asarray(dz, dtype=float)
         return np.where(dz > 0.0, self._pdf_above(np.maximum(dz, 1e-320)), 0.0)
+
+    def _quantile_above(self, log_q, log_s):
+        # t^b = F / (1 - F)
+        return math.exp((log_q - log_s) / self.b)
 
     def params(self):
         return {"b": self.b}

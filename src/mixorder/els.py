@@ -8,6 +8,7 @@ start point itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .baseline import BaselineModel
 from .errors import DomainError, ParameterError
-from .numerics import bisect_nondecreasing, expand_upper_bracket
+# perfbench/tracing.py wraps both root helpers by their names in this module
+from .numerics import bisect_nondecreasing, expand_upper_bracket  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,15 @@ class ELSComponent:
         vals = (self.alpha / self.lam) * np.asarray(self.baseline.rhr(self._z(arr)))
         return float(vals) if scalar else vals
 
-    def quantile(self, p, xtol=1e-10):
-        """Inverse CDF by bisection to absolute x tolerance."""
+    def quantile(self, p):
+        """Inverse CDF sigma + lam * F^{-1}(p^(1/alpha)).
+
+        The baseline level is handed over as its logarithm log(p)/alpha, so
+        its survival 1 - p^(1/alpha) keeps full precision near p = 1.
+        """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {p}")
-        lo = self.support_start
-        hi = expand_upper_bracket(self.cdf, p, lo, step=max(1.0, abs(lo)))
-        return bisect_nondecreasing(self.cdf, p, lo, hi, xtol=xtol)
+        return self.sigma + self.lam * self.baseline.quantile_log(math.log(p) / self.alpha)
 
     def spec(self):
         return {"alpha": self.alpha, "sigma": self.sigma, "lambda": self.lam}

@@ -14,15 +14,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .els import ELSComponent
 from .errors import (
+    DomainError,
     ParameterError,
     QuadratureError,
     UndefinedPointError,
     WeightError,
 )
-from .numerics import (
+# perfbench/tracing.py wraps both root helpers by their names in this module
+from .numerics import (  # noqa: F401
     DENOM_FLOOR,
     adaptive_simpson,
     bisect_nondecreasing,
@@ -34,6 +37,13 @@ from .numerics import (
 #: quadrature; large enough to smooth F^(alpha-1) divergences for alpha*b
 #: down to about 0.07
 _EDGE_POWER = 16.0
+
+#: tolerance of the quantile root in log(x - support_start), i.e. relative
+#: to the distance from the support start
+_LOG_XTOL = 1e-10
+
+#: largest double below one; a CDF that rounds to one is clamped to it
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class WeightPolicy(str, Enum):
@@ -128,10 +138,39 @@ class FiniteMixture:
         vals = np.asarray(self.pdf(arr)) / F
         return float(vals) if scalar else vals
 
-    def quantile(self, p, xtol=1e-10):
-        lo = self.support_start
-        hi = expand_upper_bracket(self.cdf, p, lo, step=max(1.0, abs(lo)))
-        return bisect_nondecreasing(self.cdf, p, lo, hi, xtol=xtol)
+    def quantile(self, p):
+        """Inverse CDF by a root bracketed by the component quantiles.
+
+        Every component CDF is at most p at the smallest component
+        quantile and at least p at the largest, so the mixture CDF crosses
+        p between them; when all component quantiles coincide, that point
+        is the answer. The root solves log S(x) = log(1 - p) in the
+        variable u = log(x - support_start), in which power-law tails are
+        straight lines, so brentq needs few steps. A bound that rounding
+        leaves on the wrong side is moved out until its sign is right.
+        """
+        if not 0.0 < p < 1.0:
+            raise DomainError(f"quantile level must lie in (0,1), got {p}")
+        qs = [component.quantile(p) for component in self.components]
+        lo, hi = min(qs), max(qs)
+        if lo == hi:
+            return lo
+        origin = self.support_start
+        target = math.log1p(-p)
+
+        def excess(u):
+            # log S(x) - log(1 - p) at x = origin + e^u, decreasing in u
+            F = self.cdf(origin + math.exp(u))
+            return math.log1p(-min(F, _BELOW_ONE)) - target
+
+        u_hi = math.log(hi - origin)
+        # lo sits on the support start only if p rounds a component quantile there
+        u_lo = math.log(lo - origin) if lo > origin else u_hi - 1.0
+        while excess(u_lo) <= 0.0:
+            u_lo -= 1.0
+        while excess(u_hi) > 0.0:
+            u_hi += 1.0
+        return origin + math.exp(brentq(excess, u_lo, u_hi, xtol=_LOG_XTOL))
 
     def pdf_at_offset(self, origin, dx):
         """Density at origin + dx, exact in the offset.

@@ -170,6 +170,11 @@ def get_scenario(scenario_id):
 
 
 def _need(d, key, where):
+    if not isinstance(d, dict):
+        raise ScenarioFormatError(
+            f"expected a JSON object with field {key!r}, got {type(d).__name__}",
+            location=where,
+        )
     if key not in d:
         raise ScenarioFormatError(f"missing required field {key!r}", location=where)
     return d[key]

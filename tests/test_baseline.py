@@ -26,6 +26,11 @@ FAMILY_CASES = [
 ]
 
 
+#: levels of the 40-digit quantile oracle, from the far left to the far tail
+ORACLE_LEVELS = (1e-9, 0.5, 1.0 - 1e-6, 1.0 - 1e-10)
+CLOSED_FORM_CASES = [(fam, params) for fam, params in FAMILY_CASES if fam != "benktander2"]
+
+
 def _models():
     return [(f"{fam}-{i}", make_baseline(fam, **params))
             for i, (fam, params) in enumerate(FAMILY_CASES)]
@@ -198,3 +203,23 @@ def test_tabulated_rejects_nonmonotone_cdf():
     F = np.array([0.0, 0.6, 0.5, 1.0])
     with pytest.raises(ParameterError, match="nondecreasing"):
         Tabulated(t, F)
+
+
+@pytest.mark.parametrize("p", ORACLE_LEVELS)
+@pytest.mark.parametrize("family,params", CLOSED_FORM_CASES)
+def test_closed_form_quantile_matches_40_digit_root(family, params, p, mp_els_quantile):
+    q = make_baseline(family, **params).quantile(p)
+    assert q == pytest.approx(mp_els_quantile(family, params, p), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family,params", FAMILY_CASES[3:5])
+def test_benktander_quantile_is_bracketed_root(family, params):
+    model = make_baseline(family, **params)
+    for p in (1e-6, 0.5, 1.0 - 1e-6):
+        q = model.quantile(p)
+        assert model.cdf(q - 2e-10) <= p <= model.cdf(q + 2e-10)
+
+
+def test_quantile_beyond_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        make_baseline("pareto", a=0.01, k=1.0).quantile(1.0 - 1e-6)

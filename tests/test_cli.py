@@ -135,6 +135,33 @@ def test_check_order_mixture_file_missing_field_exits_2(tmp_path, capsys, catalo
     assert f"missing required field '{missing}'" in err
 
 
+def test_check_order_non_object_mixture_files_exit_2(tmp_path, capsys):
+    (tmp_path / "num.json").write_text("5")
+    code, out, err = run_cli(
+        capsys, "check-order", str(tmp_path / "num.json"), str(tmp_path / "num.json"),
+        "--order", "st",
+    )
+    assert (code, out) == (2, "")
+    assert f"{tmp_path / 'num.json'}: expected a JSON object with field 'mixture', got int" in err
+
+
+def test_eval_non_object_scenario_file_exits_2(tmp_path, capsys):
+    (tmp_path / "num.json").write_text("5")
+    code, out, err = run_cli(capsys, "eval", str(tmp_path / "num.json"), "cdf")
+    assert (code, out) == (2, "")
+    assert f"{tmp_path / 'num.json'}: expected a JSON object with field 'baseline'" in err
+
+
+def test_eval_non_object_baseline_exits_2(tmp_path, capsys, catalog_doc):
+    doc = catalog_doc("EX4.1")
+    doc["baseline"] = 5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", str(path), "cdf")
+    assert (code, out) == (2, "")
+    assert f"{path}.baseline: expected a JSON object with field 'params', got int" in err
+
+
 @pytest.mark.parametrize("order", ["rh", "lr"])
 def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
     # the verdict and the st/rh/lr audit share one sample of the pair

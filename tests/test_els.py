@@ -103,3 +103,33 @@ def test_parameter_validation_and_warning():
         ELSComponent(PARETO51, alpha=1.0, sigma=1.0, lam=-2.0)
     with pytest.warns(UserWarning, match="negative location"):
         ELSComponent(PARETO51, alpha=1.0, sigma=-0.5, lam=1.0)
+
+
+#: at p = 1 - 1e-10 and alpha = 5 the baseline level p^(1/alpha) is within
+#: 2e-11 of one, so rounding it before taking 1 - q would cost five digits
+ELS_ORACLE_BASELINES = [
+    ("pareto", {"a": 2.0, "k": 4.0}),
+    ("lt_exponential", {"b": 2.0, "t0": 2.0}),
+    ("lt_burr12", {"k": 1.5, "m": 5.0, "t0": 2.0}),
+    ("lt_lomax", {"m": 5.0, "t0": 6.0}),
+    ("loglogistic", {"b": 0.9}),
+]
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.5, 1.0 - 1e-6, 1.0 - 1e-10])
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("family,params", ELS_ORACLE_BASELINES)
+def test_quantile_matches_40_digit_root(family, params, alpha, p, mp_els_quantile):
+    comp = ELSComponent(make_baseline(family, **params), alpha, 0.0, 3.0)
+    exact = mp_els_quantile(family, params, p, alpha=alpha, lam=3.0)
+    assert comp.quantile(p) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.5, 1.0 - 1e-6, 1.0 - 1e-10])
+def test_heavy_loglogistic_quantile_matches_40_digit_root(p, mp_els_quantile):
+    # the heaviest tail of the benchmark's normalization pool (mixture 1218)
+    b, alpha = 0.5575809612158066, 4.361173233805365
+    sigma, lam = 1.9667806849058564, 3.235946853187489
+    comp = ELSComponent(make_baseline("loglogistic", b=b), alpha, sigma, lam)
+    exact = mp_els_quantile("loglogistic", {"b": b}, p, alpha=alpha, sigma=sigma, lam=lam)
+    assert comp.quantile(p) == pytest.approx(exact, rel=1e-12, abs=0)

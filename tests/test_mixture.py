@@ -1,15 +1,19 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from mixorder import (
+    BaselineModel,
+    DomainError,
     ELSComponent,
     FiniteMixture,
     OutlierMixtureSpec,
     UndefinedPointError,
     WeightError,
     WeightPolicy,
+    auto_grid,
     build_outlier_mixture,
     get_scenario,
     make_baseline,
@@ -174,3 +178,91 @@ def test_outlier_spec_validation():
         OutlierMixtureSpec(0, 1, 0.5, 0.5, c1, c2)
     with pytest.raises(Exception, match="positive"):
         OutlierMixtureSpec(1, 1, -0.5, 0.5, c1, c2)
+
+
+def test_catalog_quantile_inside_component_bracket(catalog):
+    p = 1.0 - 1e-6
+    for s in catalog:
+        for mix in s.mixtures():
+            bracket = [c.quantile(p) for c in mix.components]
+            q = mix.quantile(p)
+            assert min(bracket) <= q <= max(bracket), s.scenario_id
+            assert abs(mix.cdf(q) - p) <= 1e-12, s.scenario_id
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, float("nan")])
+def test_quantile_level_outside_unit_interval(p):
+    mix = ex41_mixture_u()
+    for dist in (mix, mix.components[0], mix.components[0].baseline):
+        with pytest.raises(DomainError, match="quantile level"):
+            dist.quantile(p)
+
+
+def test_quantile_at_the_largest_level_below_one(catalog):
+    # the mixture CDF rounds to one inside the bracket here
+    p = math.nextafter(1.0, 0.0)
+    for s in catalog:
+        for mix in s.mixtures():
+            q = mix.quantile(p)
+            assert math.isfinite(q) and abs(mix.cdf(q) - p) <= 2**-52, s.scenario_id
+
+
+def test_single_component_quantile_is_the_component_quantile():
+    comp = ELSComponent(make_baseline("loglogistic", b=0.5575809612158066), 4.36, 1.97, 3.24)
+    mix = FiniteMixture((comp,), (1.0,))
+    for p in (1e-9, 0.5, 1.0 - 1e-10):
+        assert mix.quantile(p) == comp.quantile(p)
+
+
+@pytest.mark.parametrize("shift", [0.5, 2.0])
+def test_quantile_widens_a_bracket_on_the_wrong_side(monkeypatch, shift):
+    # component quantiles scaled past the root on one side stand in for a
+    # bracket that rounding left on the wrong side
+    mix = ex41_mixture_u()
+    p = 1.0 - 1e-6
+    exact = mix.quantile(p)
+    original = ELSComponent.quantile
+    monkeypatch.setattr(ELSComponent, "quantile", lambda self, q: shift * original(self, q))
+    q = mix.quantile(p)
+    assert abs(mix.cdf(q) - p) <= 1e-12
+    assert q == pytest.approx(exact, rel=1e-9)
+
+
+def _count_cdf_calls(monkeypatch):
+    """Counter of mixture CDF calls (per mixture) and baseline CDF calls."""
+    calls = collections.Counter()
+    for owner, key in ((FiniteMixture, id), (BaselineModel, lambda _: "baseline")):
+        original = owner.cdf
+
+        def counting(self, x, original=original, key=key):
+            calls[key(self)] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(owner, "cdf", counting)
+    return calls
+
+
+def test_closed_form_quantiles_make_no_cdf_call(monkeypatch):
+    calls = _count_cdf_calls(monkeypatch)
+    for family, params in (("pareto", {"a": 2.0, "k": 4.0}),
+                           ("lt_exponential", {"b": 2.0, "t0": 2.0}),
+                           ("lt_burr12", {"k": 1.5, "m": 5.0, "t0": 2.0}),
+                           ("lt_lomax", {"m": 5.0, "t0": 6.0}),
+                           ("loglogistic", {"b": 0.9})):
+        base = make_baseline(family, **params)
+        for p in (1e-9, 0.5, 1.0 - 1e-10):
+            base.quantile(p)
+            ELSComponent(base, 0.3, 1.0, 2.0).quantile(p)
+    assert not calls
+    # the counter does see the families that still find a root
+    make_baseline("benktander2", a=5.0, b=0.8).quantile(0.5)
+    assert calls["baseline"] > 0
+
+
+def test_auto_grid_cdf_calls_per_quantile(monkeypatch, catalog):
+    calls = _count_cdf_calls(monkeypatch)
+    for s in catalog:
+        u, v = s.mixtures()
+        calls.clear()
+        auto_grid(u, v)
+        assert calls[id(u)] <= 25 and calls[id(v)] <= 25, (s.scenario_id, calls)
