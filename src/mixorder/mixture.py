@@ -173,21 +173,23 @@ class FiniteMixture:
         return origin + math.exp(brentq(excess, u_lo, u_hi, xtol=_LOG_XTOL))
 
     def pdf_at_offset(self, origin, dx):
-        """Density at origin + dx, exact in the offset.
+        """Density at origin + dx, exact in the offset; ``dx`` is a scalar or an array.
 
         Components starting exactly at ``origin`` are evaluated through
         their offset path; already-active components are smooth there and
         take the rounded abscissa. Components starting later contribute
         nothing (callers keep origin + dx inside one support segment).
         """
-        total = 0.0
+        arr = np.asarray(dx, dtype=float)
+        scalar = arr.ndim == 0
+        total = np.zeros(arr.shape)
         for w, component in zip(self.weights, self.components):
             start = component.support_start
             if start == origin:
-                total += w * component.pdf_at_offset(dx)
+                total += w * component.pdf_at_offset(arr)
             elif start < origin:
-                total += w * component.pdf(origin + dx)
-        return total
+                total += w * component.pdf(origin + arr)
+        return float(total) if scalar else total
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,11 @@ def verify_normalization(mix, tol=1e-6, panel_tol=1e-9, max_depth=40):
         g = _EDGE_POWER
 
         def transformed(u, a=a, width=width, g=g):
-            if u <= 0.0:
-                return 0.0
-            return float(mix.pdf_at_offset(a, width * u**g)) * width * g * u ** (g - 1.0)
+            out = np.zeros(u.shape)
+            pos = u > 0.0
+            up = u[pos]
+            out[pos] = mix.pdf_at_offset(a, width * up**g) * width * g * up ** (g - 1.0)
+            return out
 
         res = adaptive_simpson(transformed, 0.0, 1.0, abs_tol=panel_tol, max_depth=max_depth)
         if not res.converged:

@@ -2,7 +2,8 @@
 
 Everything here is deterministic and stateless. The adaptive Simpson rule
 uses interval halving with a per-panel absolute tolerance, so the total
-error scales with the number of accepted panels.
+error scales with the number of accepted panels. Its integrand maps a 1-D
+float array to a 1-D float array and is called once per bisection depth.
 """
 
 from __future__ import annotations
@@ -36,49 +37,56 @@ class QuadratureResult:
     unconverged_panels: int
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _simpson(x, fx):
+    """Simpson estimates of panels whose last axis holds (a, m, b) and f there."""
+    return (x[..., 2] - x[..., 0]) / 6.0 * (fx[..., 0] + 4.0 * fx[..., 1] + fx[..., 2])
 
 
 def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
-    """Adaptive Simpson quadrature of ``f`` on [a, b].
+    """Adaptive Simpson quadrature of the array integrand ``f`` on [a, b].
 
     Each panel is halved until the classic Richardson estimate
     |S(fine) - S(coarse)| <= 15 * abs_tol holds or ``max_depth`` is hit.
     Panels that never meet the tolerance are counted but still contribute
-    their best fine estimate.
+    their best fine estimate. All open panels of one depth are tested after
+    one call of ``f`` on their midpoints (at most ``max_depth + 2`` calls),
+    and accepted contributions are Kahan-summed right to left, as in a
+    depth-first recursion that splits the right half first.
     """
     if a == b:
         return QuadratureResult(0.0, True, 0, 0)
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    stack = [(a, fa, b, fb, m, fm, whole, 0)]
-    total = 0.0
-    comp = 0.0
-    panels = 0
-    bad = 0
-    while stack:
-        a0, fa0, b0, fb0, m0, fm0, s0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(f, a0, fa0, m0, fm0, lm, flm)
-        right = _simpson(f, m0, fm0, b0, fb0, rm, frm)
-        err = (left + right) - s0
-        if abs(err) <= 15.0 * abs_tol or depth >= max_depth:
-            panels += 1
-            if abs(err) > 15.0 * abs_tol:
-                bad += 1
-            total, comp = kahan_add(total, comp, left + right + err / 15.0)
-        else:
-            stack.append((a0, fa0, m0, fm0, lm, flm, left, depth + 1))
-            stack.append((m0, fm0, b0, fb0, rm, frm, right, depth + 1))
-    return QuadratureResult(total, bad == 0, panels, bad)
+    tol = 15.0 * abs_tol
+    # open panels, left to right: rows (a, m, b), f there, coarse estimates
+    x = np.array([[a, 0.5 * (a + b), b]])
+    fx = f(x[0]).reshape(1, 3)
+    coarse = _simpson(x, fx)
+    # accepted contributions, left to right; open panel i lies just before done[slot[i]]
+    done, slot, bad = np.empty(0), np.zeros(1, dtype=np.intp), 0
+    for depth in range(max_depth + 1):
+        # halves of every panel, shape (n, 2, 3), last axis (a, m, b)
+        mid = 0.5 * (x[:, :2] + x[:, 1:])
+        xh = np.stack((x[:, :2], mid, x[:, 1:]), axis=-1)
+        fh = np.stack((fx[:, :2], f(mid.T.ravel()).reshape(2, -1).T, fx[:, 1:]), axis=-1)
+        fine = _simpson(xh, fh)
+        both = fine[:, 0] + fine[:, 1]
+        err = both - coarse
+        accept = (np.abs(err) <= tol) | (depth >= max_depth)
+        bad += int(np.count_nonzero(accept & (np.abs(err) > tol)))
+        done = np.insert(done, slot[accept], (both + err / 15.0)[accept])
+        if accept.all():
+            break
+        split = ~accept
+        slot = np.repeat((slot + np.cumsum(accept))[split], 2)
+        x, fx = xh[split].reshape(-1, 3), fh[split].reshape(-1, 3)
+        coarse = fine[split].ravel()
+    total = comp = 0.0
+    for term in done[::-1].tolist():
+        total, comp = kahan_add(total, comp, term)
+    return QuadratureResult(total, bad == 0, len(done), bad)
 
 
 def integrate_or_raise(f, a, b, abs_tol=1e-9, max_depth=40):
+    """``adaptive_simpson`` of the array integrand ``f``; raises if a panel missed the tolerance."""
     res = adaptive_simpson(f, a, b, abs_tol=abs_tol, max_depth=max_depth)
     if not res.converged:
         raise QuadratureError(

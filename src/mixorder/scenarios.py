@@ -169,7 +169,7 @@ def get_scenario(scenario_id):
 # --------------------------------------------------------------------------
 
 
-def _need(d, key, where):
+def _need(d, key, where, kind=None):
     if not isinstance(d, dict):
         raise ScenarioFormatError(
             f"expected a JSON object with field {key!r}, got {type(d).__name__}",
@@ -177,7 +177,20 @@ def _need(d, key, where):
         )
     if key not in d:
         raise ScenarioFormatError(f"missing required field {key!r}", location=where)
+    if kind is not None and not isinstance(d[key], kind):
+        json_type = "object" if kind is dict else "array"
+        msg = f"field {key!r} must be a JSON {json_type}, got {type(d[key]).__name__}"
+        raise ScenarioFormatError(msg, location=where)
     return d[key]
+
+
+def _member(enum, value, key, where):
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in enum)
+        msg = f"field {key!r} must be one of {choices}, got {value!r}"
+        raise ScenarioFormatError(msg, location=where) from None
 
 
 def _component_from_dict(d, where):
@@ -194,12 +207,13 @@ def _component_from_dict(d, where):
 def _mixture_from_dict(d, where):
     comps = tuple(
         _component_from_dict(c, f"{where}.components[{i}]")
-        for i, c in enumerate(_need(d, "components", where))
+        for i, c in enumerate(_need(d, "components", where, list))
     )
     if "weights" in d and "outlier" in d:
         raise ScenarioFormatError("give weights or outlier, not both", location=where)
     if "weights" in d:
-        return MixtureSpec(components=comps, weights=tuple(float(w) for w in d["weights"]))
+        weights = _need(d, "weights", where, list)
+        return MixtureSpec(components=comps, weights=tuple(float(w) for w in weights))
     if "outlier" in d:
         o = d["outlier"]
         return MixtureSpec(
@@ -216,19 +230,21 @@ def _mixture_from_dict(d, where):
 
 def scenario_from_dict(d, where="scenario"):
     baseline = _need(d, "baseline", where)
-    params = dict(_need(baseline, "params", f"{where}.baseline"))
+    params = dict(_need(baseline, "params", f"{where}.baseline", dict))
     if "truncation" in baseline and baseline["truncation"] is not None:
         params.setdefault("t0", float(baseline["truncation"]))
-    mixtures = _need(d, "mixtures", where)
+    mixtures = _need(d, "mixtures", where, list)
     if len(mixtures) != 2:
         raise ScenarioFormatError("exactly two mixtures required", location=where)
-    exp = _need(d, "expected", where)
-    order = OrderKind(_need(d, "order", where))
+    exp = _need(d, "expected", where, dict)
+    order = _member(OrderKind, _need(d, "order", where), "order", where)
     expected = Expected(
-        order=OrderKind(exp.get("order", order.value)),
+        order=_member(OrderKind, exp.get("order", order.value), "order", f"{where}.expected"),
         holds=exp.get("holds"),
-        direction=Direction(exp["direction"]) if exp.get("direction") else None,
-        ratio=Monotonicity(exp["ratio"]) if exp.get("ratio") else None,
+        direction=(_member(Direction, exp["direction"], "direction", f"{where}.expected")
+                   if exp.get("direction") else None),
+        ratio=(_member(Monotonicity, exp["ratio"], "ratio", f"{where}.expected")
+               if exp.get("ratio") else None),
         x_min=exp.get("x_min"),
         x_max=exp.get("x_max"),
         figure=str(exp.get("figure", "")),
@@ -248,7 +264,8 @@ def scenario_from_dict(d, where="scenario"):
         theorem_id=str(_need(d, "theorem", where)),
         order=order,
         expected=expected,
-        weight_policy=WeightPolicy(d.get("weight_policy", "strict")),
+        weight_policy=_member(WeightPolicy, d.get("weight_policy", "strict"), "weight_policy",
+                              where),
         notes=str(d.get("notes", "")),
     )
     # construction-time validation: materialize once so parameter problems

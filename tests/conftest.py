@@ -3,17 +3,36 @@ import pathlib
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import settings
 
 import mixorder
 from mixorder import builtin_catalog
+from mixorder._sampling import random_mixture
 
 CATALOG_DIR = pathlib.Path(mixorder.__file__).resolve().parent / "catalog"
+
+# one fixed profile: every run tries the same examples, and a bounded number
+settings.register_profile(
+    "mixorder", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("mixorder")
 
 
 @pytest.fixture(scope="session")
 def catalog():
     return builtin_catalog()
+
+
+@pytest.fixture(scope="session")
+def false_convergence_mixtures():
+    """Draws 270 and 1911 of ``random_mixture`` from ``default_rng(22)``:
+    valid mixtures whose normalization integrals come out as 0.9999983 and
+    0.9999909, because adaptive Simpson accepts a wrong panel on each."""
+    rng = np.random.default_rng(22)
+    draws = [random_mixture(rng) for _ in range(1912)]
+    return draws[270], draws[1911]
 
 
 @pytest.fixture

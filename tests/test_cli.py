@@ -162,6 +162,45 @@ def test_eval_non_object_baseline_exits_2(tmp_path, capsys, catalog_doc):
     assert f"{path}.baseline: expected a JSON object with field 'params', got int" in err
 
 
+def _set(*path):
+    """Edit that sets the field at ``path`` of a scenario document to 5."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = 5
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set("mixtures"), ": field 'mixtures' must be a JSON array, got int",
+                 id="mixtures"),
+    pytest.param(_set("expected"), ": field 'expected' must be a JSON object, got int",
+                 id="expected"),
+    pytest.param(_set("mixtures", 0, "components"),
+                 ".mixtures[0]: field 'components' must be a JSON array, got int",
+                 id="components"),
+    pytest.param(_set("mixtures", 1, "weights"),
+                 ".mixtures[1]: field 'weights' must be a JSON array, got int", id="weights"),
+    pytest.param(_set("baseline", "params"),
+                 ".baseline: field 'params' must be a JSON object, got int", id="params"),
+    pytest.param(_set("order"), ": field 'order' must be one of 'st', 'rh', 'lr', 'r_rh', got 5",
+                 id="order"),
+    pytest.param(_set("expected", "direction"), ".expected: field 'direction' must be one of",
+                 id="direction"),
+    pytest.param(_set("weight_policy"),
+                 ": field 'weight_policy' must be one of 'strict', 'autonorm', got 5",
+                 id="weight_policy"),
+])
+def test_eval_wrong_field_type_exits_2(tmp_path, capsys, catalog_doc, edit, message):
+    doc = catalog_doc("EX4.1")
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", str(path), "cdf")
+    assert (code, out) == (2, "")
+    assert f"{path}{message}" in err
+
+
 @pytest.mark.parametrize("order", ["rh", "lr"])
 def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
     # the verdict and the st/rh/lr audit share one sample of the pair

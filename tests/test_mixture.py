@@ -128,6 +128,22 @@ def test_normalization_catalog_spot_checks():
         assert rep.passed, rep
 
 
+@pytest.mark.xfail(strict=True, reason="adaptive Simpson accepts a wrong panel at panel_tol=1e-9")
+@pytest.mark.parametrize("index", [0, 1])
+def test_normalization_of_false_convergence_mixtures(false_convergence_mixtures, index):
+    # integrals 0.9999983 and 0.9999909 for valid mixtures; passes once fixed
+    assert verify_normalization(false_convergence_mixtures[index], tol=1e-6).passed
+
+
+def test_pdf_at_offset_array_matches_scalar(catalog):
+    dx = np.geomspace(1e-12, 20.0, 60)
+    for s in catalog:
+        for mix in s.mixtures():
+            for origin in mix.support_breaks:
+                vec = mix.pdf_at_offset(origin, dx)
+                assert np.array_equal(vec, [mix.pdf_at_offset(origin, d) for d in dx])
+
+
 def test_normalization_autonormalized_weights():
     comp = ELSComponent(make_baseline("pareto", a=5.0, k=1.0), 2.0, 1.0, 2.0)
     other = ELSComponent(make_baseline("pareto", a=5.0, k=1.0), 0.7, 2.0, 1.0)

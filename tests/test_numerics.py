@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from mixorder import get_scenario, mixture, verify_normalization
 from mixorder.errors import QuadratureError
 from mixorder.numerics import (
+    QuadratureResult,
     adaptive_simpson,
     bisect_nondecreasing,
     central_difference,
@@ -33,7 +37,7 @@ def test_adaptive_simpson_polynomial_exact():
 
 
 def test_adaptive_simpson_smooth():
-    res = adaptive_simpson(math.sin, 0.0, math.pi, abs_tol=1e-10)
+    res = adaptive_simpson(np.sin, 0.0, math.pi, abs_tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
@@ -41,11 +45,140 @@ def test_adaptive_simpson_smooth():
 def test_integrate_or_raise_reports_estimate():
     # power singularity that depth 8 cannot settle to 1e-12 per panel
     def nasty(x):
-        return x**-0.9 if x > 0 else 0.0
+        out = np.zeros(x.shape)
+        out[x > 0] = x[x > 0] ** -0.9
+        return out
 
     with pytest.raises(QuadratureError) as exc:
         integrate_or_raise(nasty, 0.0, 1.0, abs_tol=1e-12, max_depth=8)
     assert exc.value.estimate is not None
+
+
+def _reference_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
+    """Depth-first adaptive Simpson on a scalar integrand ``f``, splitting
+    the right half first: the reference for the level-wise rule."""
+    if a == b:
+        return QuadratureResult(0.0, True, 0, 0)
+
+    def simpson(a, fa, b, fb, fm):
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    stack = [(a, fa, b, fb, m, fm, simpson(a, fa, b, fb, fm), 0)]
+    total = comp = 0.0
+    panels = bad = 0
+    while stack:
+        a0, fa0, b0, fb0, m0, fm0, s0, depth = stack.pop()
+        lm = 0.5 * (a0 + m0)
+        rm = 0.5 * (m0 + b0)
+        flm, frm = f(lm), f(rm)
+        left = simpson(a0, fa0, m0, fm0, flm)
+        right = simpson(m0, fm0, b0, fb0, frm)
+        err = (left + right) - s0
+        if abs(err) <= 15.0 * abs_tol or depth >= max_depth:
+            panels += 1
+            if abs(err) > 15.0 * abs_tol:
+                bad += 1
+            total, comp = kahan_add(total, comp, left + right + err / 15.0)
+        else:
+            stack.append((a0, fa0, m0, fm0, lm, flm, left, depth + 1))
+            stack.append((m0, fm0, b0, fb0, rm, frm, right, depth + 1))
+    return QuadratureResult(total, bad == 0, panels, bad)
+
+
+def _scalar(f):
+    """The array integrand ``f`` evaluated at one point."""
+    return lambda t: float(f(np.array([t]))[0])
+
+
+def _pointwise(fn):
+    """Array integrand applying the scalar ``fn`` at each point."""
+    return lambda x: np.array([fn(t) for t in x.tolist()])
+
+
+def _same_panels(new, ref):
+    return (new.panels, new.unconverged_panels, new.converged) == (
+        ref.panels, ref.unconverged_panels, ref.converged
+    )
+
+
+def _segment_integrands(monkeypatch, mixtures):
+    """(f, a, b, keywords) of every quadrature ``verify_normalization`` runs."""
+    calls = []
+    level_wise = mixture.adaptive_simpson
+
+    def recording(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return level_wise(f, a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mixture, "adaptive_simpson", recording)
+        for mix in mixtures:
+            verify_normalization(mix, tol=1e-6)
+    return calls
+
+
+def test_level_wise_simpson_matches_depth_first_on_normalization(
+    monkeypatch, catalog, false_convergence_mixtures
+):
+    mixtures = [m for s in catalog for m in s.mixtures()] + list(false_convergence_mixtures)
+    calls = _segment_integrands(monkeypatch, mixtures)
+    assert len(calls) >= len(mixtures)
+    for f, a, b, kwargs in calls:
+        new = adaptive_simpson(f, a, b, **kwargs)
+        ref = _reference_simpson(_scalar(f), a, b, **kwargs)
+        assert _same_panels(new, ref)
+        assert abs(new.value - ref.value) <= 1e-15
+
+
+_TOLERANCES = st.sampled_from([1e-6, 1e-9, 1e-12])
+
+
+@given(p=st.floats(0.0, 4.0), a=st.floats(0.0, 4.0), width=st.floats(1e-3, 4.0),
+       abs_tol=_TOLERANCES, max_depth=st.integers(0, 12))
+def test_level_wise_simpson_matches_depth_first_power(p, a, width, abs_tol, max_depth):
+    # the same integrand values give the same arithmetic, hence the same bits
+    fn = lambda t: t**p
+    new = adaptive_simpson(_pointwise(fn), a, a + width, abs_tol=abs_tol, max_depth=max_depth)
+    ref = _reference_simpson(fn, a, a + width, abs_tol=abs_tol, max_depth=max_depth)
+    assert _same_panels(new, ref)
+    assert new.value == ref.value
+
+
+@given(c=st.floats(-3.0, 3.0), a=st.floats(-2.0, 2.0), width=st.floats(1e-3, 2.0),
+       abs_tol=_TOLERANCES, max_depth=st.integers(0, 12))
+# three panels whose sum changes in the last bit when taken in another order
+@example(c=2.8531978705609227, a=-1.570091086455411, width=0.9047254878658898,
+         abs_tol=1e-6, max_depth=2)
+def test_level_wise_simpson_matches_depth_first_exp(c, a, width, abs_tol, max_depth):
+    fn = lambda t: math.exp(c * t)
+    new = adaptive_simpson(_pointwise(fn), a, a + width, abs_tol=abs_tol, max_depth=max_depth)
+    ref = _reference_simpson(fn, a, a + width, abs_tol=abs_tol, max_depth=max_depth)
+    assert _same_panels(new, ref)
+    assert new.value == ref.value
+
+
+def test_simpson_calls_integrand_once_per_level(monkeypatch):
+    # EX4.2 U holds the alpha = 0.1 component, the deepest normalization
+    u, _ = get_scenario("EX4.2").mixtures()
+    for f, a, b, kwargs in _segment_integrands(monkeypatch, [u]):
+        sizes, nodes = [], []
+
+        def counted(x):
+            sizes.append(len(x))
+            return f(x)
+
+        def scalar_counted(t):
+            nodes.append(t)
+            return _scalar(f)(t)
+
+        res = adaptive_simpson(counted, a, b, **kwargs)
+        _reference_simpson(scalar_counted, a, b, **kwargs)
+        assert len(sizes) <= kwargs["max_depth"] + 2
+        # three starting nodes, then two midpoints per examined panel
+        assert sum(sizes) == len(nodes) == 3 + 2 * (2 * res.panels - 1)
 
 
 def test_bisection_quantile_accuracy():
