@@ -82,6 +82,7 @@ from .scenarios import (
     ScenarioRecord,
     builtin_catalog,
     catalog_ids,
+    evaluate_theorem,
     get_scenario,
     load_scenario,
     run_scenario,

@@ -28,6 +28,8 @@ from .errors import (
 from .numerics import DENOM_FLOOR
 
 DEFAULT_POINTS = 2001
+#: largest grid; checked before any point array is allocated
+MAX_POINTS = 1_000_001
 #: relative tolerance for monotonicity classification
 DEFAULT_REL_TOL = 1e-9
 #: absolute tolerance for pointwise probability dominance
@@ -65,8 +67,8 @@ class Grid:
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
             raise ParameterError(f"grid needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
-        if self.n_points < 3:
-            raise ParameterError("grid needs at least 3 points")
+        if not 3 <= self.n_points <= MAX_POINTS:
+            raise ParameterError(f"grid needs 3 to {MAX_POINTS} points, got {self.n_points}")
         if self.spacing not in ("linear", "logarithmic"):
             raise ParameterError(f"unknown spacing {self.spacing!r}")
         if self.spacing == "logarithmic" and self.x_lo <= 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 import warnings
@@ -18,8 +17,6 @@ import warnings
 import numpy as np
 
 from . import _sampling
-import dataclasses
-
 from .analysis import (
     CHECKERS,
     DEFAULT_POINTS,
@@ -35,19 +32,21 @@ from .analysis import (
     check_usual_stochastic,
     implication_audit,
 )
-from .conditions import OUTLIER_THEOREMS, THEOREM_EVALUATORS, check_majorization
-from .errors import MixorderError, ScenarioFormatError, TheoremShapeError
-from .mixture import FiniteMixture, WeightPolicy, verify_normalization
+from .conditions import THEOREM_EVALUATORS, check_majorization
+from .errors import MixorderError
+from .mixture import FiniteMixture, verify_normalization
 from .numerics import DENOM_FLOOR, central_difference
 from .reporting import dumps, to_jsonable, write_csv
 from .scenarios import (
-    _need,
+    Expected,
     builtin_catalog,
     catalog_ids,
+    evaluate_theorem,
     get_scenario,
+    judge_agreement,
+    load_mixture,
     load_scenario,
     run_scenario,
-    scenario_from_dict,
     scenario_grid,
 )
 
@@ -64,14 +63,8 @@ def _results_dir(args):
     return d or "results"
 
 
-def _resolve_scenario(source, policy=None):
-    if source in catalog_ids():
-        s = get_scenario(source)
-    else:
-        s = load_scenario(source)
-    if policy:
-        s = dataclasses.replace(s, weight_policy=WeightPolicy(policy))
-    return s
+def _resolve_scenario(source):
+    return get_scenario(source) if source in catalog_ids() else load_scenario(source)
 
 
 def _parse_grid(args):
@@ -106,7 +99,7 @@ def _check_kwargs(args, order):
 
 
 def cmd_eval(args):
-    scenario = _resolve_scenario(args.source, args.policy)
+    scenario = _resolve_scenario(args.source)
     sample = PairSample(*scenario.mixtures(), _grid_for(scenario, args))
     floor = args.rh_floor if args.rh_floor is not None else DENOM_FLOOR
     q = args.quantity
@@ -127,38 +120,15 @@ def cmd_eval(args):
 # -------------------------------------------------------------- check-order
 
 
-def _load_mixture_file(path, policy=None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioFormatError(str(exc), location=str(path)) from None
-    # reuse the scenario mixture schema with a private single-mixture wrapper
-    mixture = _need(data, "mixture", str(path))
-    wrapper = {
-        "id": "adhoc",
-        "baseline": _need(data, "baseline", str(path)),
-        "mixtures": [mixture, mixture],
-        "theorem": "T3.1",
-        "order": "st",
-        "expected": {"order": "st"},
-        "weight_policy": policy or data.get("weight_policy", "strict"),
-    }
-    scenario = scenario_from_dict(wrapper, where=str(path))
-    u, _ = scenario.mixtures()
-    return u
-
-
 def cmd_check_order(args):
     order = OrderKind(args.order)
     if len(args.source) == 1:
-        scenario = _resolve_scenario(args.source[0], args.policy)
+        scenario = _resolve_scenario(args.source[0])
         u, v = scenario.mixtures()
         grid = _grid_for(scenario, args)
         pair_id = scenario.scenario_id
     elif len(args.source) == 2:
-        u = _load_mixture_file(args.source[0], args.policy)
-        v = _load_mixture_file(args.source[1], args.policy)
+        u, v = (load_mixture(path) for path in args.source)
         grid = _parse_grid(args) or auto_grid(u, v, args.points)
         pair_id = f"{args.source[0]}|{args.source[1]}"
     else:
@@ -202,32 +172,19 @@ def cmd_check_order(args):
 
 
 def cmd_check_theorem(args):
-    scenario = _resolve_scenario(args.source, args.policy)
+    scenario = _resolve_scenario(args.source)
     theorem = args.theorem
-    if theorem not in THEOREM_EVALUATORS:
-        raise MixorderError(f"unknown theorem {theorem!r}")
-    u, v = scenario.mixtures()
-    if theorem in OUTLIER_THEOREMS:
-        specs = scenario.outlier_specs()
-        if specs is None:
-            raise TheoremShapeError(
-                f"{theorem} applies to two-block outlier mixtures only"
-            )
-        report = THEOREM_EVALUATORS[theorem](*specs)
-    else:
-        report = THEOREM_EVALUATORS[theorem](u, v)
+    report = evaluate_theorem(scenario, theorem)
+    order = report.predicted_order
     grid = _grid_for(scenario, args)
-    kwargs = _check_kwargs(args, report.predicted_order)
-    verdict = check_order(
-        report.predicted_order, u, v, grid, pair_id=scenario.scenario_id, **kwargs
-    )
-    if report.predicted_order is OrderKind.R_RH:
-        prediction_met = verdict.ratio_classification.classification in (
-            Monotonicity.NON_INCREASING,
-            Monotonicity.CONSTANT,
-        )
+    verdict = check_order(order, *scenario.mixtures(), grid, pair_id=scenario.scenario_id,
+                          **_check_kwargs(args, order))
+    # the r_rh direction convention is ambiguous, so its prediction is the ratio trend
+    if order is OrderKind.R_RH:
+        prediction = Expected(order, ratio=Monotonicity.NON_INCREASING)
     else:
-        prediction_met = verdict.direction in (report.predicted_direction, Direction.BOTH)
+        prediction = Expected(order, holds=True, direction=report.predicted_direction)
+    prediction_met = judge_agreement(prediction, verdict) == "AsExpected"
     doc = {
         "command": "check-theorem",
         "scenario": scenario.scenario_id,
@@ -557,9 +514,6 @@ def _add_common(p, grid=True):
                    help="dominance tolerance (st) or ratio tolerance (others)")
     p.add_argument("--rh-floor", type=float, default=None,
                    help="denominator floor for restricted domains")
-    p.add_argument("--policy", choices=["strict", "autonorm"], default=None,
-                   help="weight policy override for loaded files")
-    p.add_argument("--seed", type=int, default=42)
 
 
 def build_parser():

@@ -257,7 +257,7 @@ class OutlierMixtureSpec:
     def __post_init__(self):
         for name in ("n1", "n2"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (type(v) is int and v >= 1):
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
         for name in ("r1", "r2"):
             v = getattr(self, name)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
-
 #: absolute floor under which a denominator is treated as undefined
 DENOM_FLOOR = 1e-12
 
@@ -83,18 +81,6 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     for term in done[::-1].tolist():
         total, comp = kahan_add(total, comp, term)
     return QuadratureResult(total, bad == 0, len(done), bad)
-
-
-def integrate_or_raise(f, a, b, abs_tol=1e-9, max_depth=40):
-    """``adaptive_simpson`` of the array integrand ``f``; raises if a panel missed the tolerance."""
-    res = adaptive_simpson(f, a, b, abs_tol=abs_tol, max_depth=max_depth)
-    if not res.converged:
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}] "
-            f"({res.unconverged_panels} of {res.panels} panels over tolerance)",
-            estimate=res.value,
-        )
-    return res.value
 
 
 def bisect_nondecreasing(fn, target, lo, hi, xtol=1e-10, max_iter=200):

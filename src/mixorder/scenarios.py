@@ -1,8 +1,9 @@
 """Built-in verification scenarios plus scenario-file ingestion.
 
-Each scenario bundles a baseline, two mixtures (plain weighted lists or
-two-block outlier constructions), the theorem whose hypotheses it
-exercises, and the expected outcome of the matching order check. The
+Each scenario is parsed once into its two mixtures over one baseline
+(plain weighted lists or two-block outlier constructions), and names the
+theorem whose hypotheses it exercises and the expected outcome of the
+matching order check. The
 sixteen built-ins reproduce the published worked cases and ship as JSON
 files in the package's ``catalog/`` folder; user files follow the same
 schema (see docs/scenario_schema.md).
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 import warnings as _warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from .analysis import (
@@ -35,14 +37,13 @@ from .analysis import (
 from .baseline import make_baseline
 from .conditions import OUTLIER_THEOREMS, THEOREM_EVALUATORS
 from .els import ELSComponent
-from .errors import ScenarioFormatError, TheoremShapeError
+from .errors import MixorderError, ScenarioFormatError, TheoremShapeError
 from .mixture import (
     FiniteMixture,
     OutlierMixtureSpec,
     WeightPolicy,
     build_outlier_mixture,
 )
-from .numerics import DENOM_FLOOR
 
 
 @dataclass(frozen=True)
@@ -57,74 +58,30 @@ class Expected:
 
 
 @dataclass(frozen=True)
-class ComponentSpec:
-    alpha: float
-    sigma: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """One side of a comparison: plain weights or an outlier block."""
-
-    components: tuple
-    weights: tuple | None = None
-    outlier: tuple | None = None  # (n1, r1, n2, r2)
-
-    def __post_init__(self):
-        if (self.weights is None) == (self.outlier is None):
-            raise ScenarioFormatError("mixture needs exactly one of weights/outlier")
-        if self.weights is not None and len(self.weights) != len(self.components):
-            raise ScenarioFormatError("weights and components must have equal length")
-        if self.outlier is not None and len(self.components) != 2:
-            raise ScenarioFormatError("outlier mixtures take exactly two components")
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """One comparison, parsed once into its U and V mixtures.
+
+    ``specs`` holds the two-block (spec_U, spec_V) when both sides are
+    outlier constructions, else None.
+    """
+
     scenario_id: str
     description: str
-    baseline_family: str
-    baseline_params: dict
-    mixture_u: MixtureSpec
-    mixture_v: MixtureSpec
+    u: FiniteMixture
+    v: FiniteMixture
     theorem_id: str
     order: OrderKind
     expected: Expected
-    weight_policy: WeightPolicy = WeightPolicy.STRICT_UNIT
+    specs: tuple | None = None
     notes: str = ""
 
-    def baseline(self):
-        return make_baseline(self.baseline_family, **self.baseline_params)
-
-    def _components(self, spec, baseline):
-        return tuple(
-            ELSComponent(baseline, c.alpha, c.sigma, c.lam) for c in spec.components
-        )
-
-    def _materialize(self, spec, baseline):
-        comps = self._components(spec, baseline)
-        if spec.outlier is not None:
-            n1, r1, n2, r2 = spec.outlier
-            ospec = OutlierMixtureSpec(n1, n2, r1, r2, comps[0], comps[1])
-            return build_outlier_mixture(ospec, policy=self.weight_policy), ospec
-        return FiniteMixture(comps, spec.weights, policy=self.weight_policy), None
-
     def mixtures(self):
-        """Materialized (U, V) mixtures."""
-        baseline = self.baseline()
-        u, _ = self._materialize(self.mixture_u, baseline)
-        v, _ = self._materialize(self.mixture_v, baseline)
-        return u, v
+        """The (U, V) mixtures."""
+        return self.u, self.v
 
     def outlier_specs(self):
-        """Materialized (spec_U, spec_V) for two-block scenarios."""
-        if self.mixture_u.outlier is None or self.mixture_v.outlier is None:
-            return None
-        baseline = self.baseline()
-        _, su = self._materialize(self.mixture_u, baseline)
-        _, sv = self._materialize(self.mixture_v, baseline)
-        return su, sv
+        """(spec_U, spec_V) for two-block scenarios, else None."""
+        return self.specs
 
 
 # --------------------------------------------------------------------------
@@ -147,8 +104,8 @@ def builtin_catalog():
     """The sixteen built-in scenarios in figure order, read once per process
     from the package's ``catalog/`` folder.
 
-    The scenarios are shared between calls: change one through
-    ``dataclasses.replace``, never in place.
+    The scenarios and their mixtures are shared between calls; treat them
+    as read-only.
     """
     return list(_packaged_catalog())
 
@@ -193,60 +150,90 @@ def _member(enum, value, key, where):
         raise ScenarioFormatError(msg, location=where) from None
 
 
-def _component_from_dict(d, where):
+def _number(value, key, where):
     try:
-        return ComponentSpec(
-            alpha=float(_need(d, "alpha", where)),
-            sigma=float(_need(d, "sigma", where)),
-            lam=float(_need(d, "lambda", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad component value: {exc}", location=where) from None
+        if not isinstance(value, bool) and math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    msg = f"field {key!r} must be a finite number, got {value!r}"
+    raise ScenarioFormatError(msg, location=where)
 
 
-def _mixture_from_dict(d, where):
+def _flag(value, key, where):
+    if not isinstance(value, bool):
+        msg = f"field {key!r} must be true, false or null, got {value!r}"
+        raise ScenarioFormatError(msg, location=where)
+    return value
+
+
+def _optional(d, key, parse, where):
+    return None if d.get(key) is None else parse(d[key], key, where)
+
+
+def _built(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a construction error reported at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (MixorderError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ScenarioFormatError(str(exc), location=where) from None
+
+
+def _baseline_from_dict(d, where):
+    params = dict(_need(d, "params", where, dict))
+    truncation = _optional(d, "truncation", _number, where)
+    if truncation is not None:
+        params.setdefault("t0", truncation)
+    return _built(where, make_baseline, str(_need(d, "family", where)), **params)
+
+
+def _component_from_dict(d, baseline, where):
+    keys = ("alpha", "sigma", "lambda")
+    alpha, sigma, lam = (_number(_need(d, k, where), k, where) for k in keys)
+    return _built(where, ELSComponent, baseline, alpha, sigma, lam)
+
+
+def _mixture_from_dict(d, baseline, policy, where):
+    """One side of a comparison: its mixture, and its block spec if it is a two-block one."""
     comps = tuple(
-        _component_from_dict(c, f"{where}.components[{i}]")
+        _component_from_dict(c, baseline, f"{where}.components[{i}]")
         for i, c in enumerate(_need(d, "components", where, list))
     )
-    if "weights" in d and "outlier" in d:
-        raise ScenarioFormatError("give weights or outlier, not both", location=where)
+    if ("weights" in d) == ("outlier" in d):
+        raise ScenarioFormatError("give exactly one of weights or outlier", location=where)
     if "weights" in d:
-        weights = _need(d, "weights", where, list)
-        return MixtureSpec(components=comps, weights=tuple(float(w) for w in weights))
-    if "outlier" in d:
-        o = d["outlier"]
-        return MixtureSpec(
-            components=comps,
-            outlier=(
-                int(_need(o, "n1", f"{where}.outlier")),
-                float(_need(o, "r1", f"{where}.outlier")),
-                int(_need(o, "n2", f"{where}.outlier")),
-                float(_need(o, "r2", f"{where}.outlier")),
-            ),
-        )
-    raise ScenarioFormatError("mixture needs weights or outlier", location=where)
+        weights = [_number(w, f"weights[{i}]", where)
+                   for i, w in enumerate(_need(d, "weights", where, list))]
+        return _built(where, FiniteMixture, comps, weights, policy=policy), None
+    if len(comps) != 2:
+        raise ScenarioFormatError("outlier mixtures take exactly two components", location=where)
+    at = f"{where}.outlier"
+    o = d["outlier"]
+    n1, n2 = _need(o, "n1", at), _need(o, "n2", at)
+    r1, r2 = (_number(_need(o, k, at), k, at) for k in ("r1", "r2"))
+    spec = _built(at, OutlierMixtureSpec, n1, n2, r1, r2, *comps)
+    return _built(where, build_outlier_mixture, spec, policy=policy), spec
+
+
+def _policy(d, where):
+    return _member(WeightPolicy, d.get("weight_policy", "strict"), "weight_policy", where)
 
 
 def scenario_from_dict(d, where="scenario"):
-    baseline = _need(d, "baseline", where)
-    params = dict(_need(baseline, "params", f"{where}.baseline", dict))
-    if "truncation" in baseline and baseline["truncation"] is not None:
-        params.setdefault("t0", float(baseline["truncation"]))
+    baseline = _baseline_from_dict(_need(d, "baseline", where), f"{where}.baseline")
     mixtures = _need(d, "mixtures", where, list)
     if len(mixtures) != 2:
         raise ScenarioFormatError("exactly two mixtures required", location=where)
+    at = f"{where}.expected"
     exp = _need(d, "expected", where, dict)
     order = _member(OrderKind, _need(d, "order", where), "order", where)
     expected = Expected(
-        order=_member(OrderKind, exp.get("order", order.value), "order", f"{where}.expected"),
-        holds=exp.get("holds"),
-        direction=(_member(Direction, exp["direction"], "direction", f"{where}.expected")
-                   if exp.get("direction") else None),
-        ratio=(_member(Monotonicity, exp["ratio"], "ratio", f"{where}.expected")
-               if exp.get("ratio") else None),
-        x_min=exp.get("x_min"),
-        x_max=exp.get("x_max"),
+        order=_member(OrderKind, exp.get("order", order.value), "order", at),
+        holds=_optional(exp, "holds", _flag, at),
+        direction=_optional(exp, "direction", partial(_member, Direction), at),
+        ratio=_optional(exp, "ratio", partial(_member, Monotonicity), at),
+        x_min=_optional(exp, "x_min", _number, at),
+        x_max=_optional(exp, "x_max", _number, at),
         figure=str(exp.get("figure", "")),
     )
     if expected.order is not order:
@@ -254,44 +241,49 @@ def scenario_from_dict(d, where="scenario"):
             f"expected.order {expected.order.value!r} does not match order {order.value!r}",
             location=where,
         )
-    scenario = Scenario(
+    policy = _policy(d, where)
+    (u, su), (v, sv) = (
+        _mixture_from_dict(m, baseline, policy, f"{where}.mixtures[{i}]")
+        for i, m in enumerate(mixtures)
+    )
+    theorem_id = str(_need(d, "theorem", where))
+    if theorem_id not in THEOREM_EVALUATORS:
+        raise ScenarioFormatError(f"unknown theorem {theorem_id!r}", location=where)
+    return Scenario(
         scenario_id=str(_need(d, "id", where)),
         description=str(d.get("description", "")),
-        baseline_family=str(_need(baseline, "family", f"{where}.baseline")),
-        baseline_params=params,
-        mixture_u=_mixture_from_dict(mixtures[0], f"{where}.mixtures[0]"),
-        mixture_v=_mixture_from_dict(mixtures[1], f"{where}.mixtures[1]"),
-        theorem_id=str(_need(d, "theorem", where)),
+        u=u,
+        v=v,
+        theorem_id=theorem_id,
         order=order,
         expected=expected,
-        weight_policy=_member(WeightPolicy, d.get("weight_policy", "strict"), "weight_policy",
-                              where),
+        specs=None if su is None or sv is None else (su, sv),
         notes=str(d.get("notes", "")),
     )
-    # construction-time validation: materialize once so parameter problems
-    # surface at load with the scenario named
-    try:
-        scenario.mixtures()
-    except ScenarioFormatError:
-        raise
-    except Exception as exc:
-        raise ScenarioFormatError(str(exc), location=where) from exc
-    if scenario.theorem_id not in THEOREM_EVALUATORS:
-        raise ScenarioFormatError(
-            f"unknown theorem {scenario.theorem_id!r}", location=where
-        )
-    return scenario
 
 
-def load_scenario(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON: {exc}", location=str(path)) from None
     except OSError as exc:
         raise ScenarioFormatError(str(exc), location=str(path)) from None
-    return scenario_from_dict(data, where=str(path))
+
+
+def load_scenario(path):
+    return scenario_from_dict(_read_json(path), where=str(path))
+
+
+def load_mixture(path):
+    """The mixture of a file holding ``baseline``, ``mixture`` and an optional
+    ``weight_policy``, parsed like one side of a scenario."""
+    where = str(path)
+    data = _read_json(path)
+    mixture = _need(data, "mixture", where)
+    baseline = _baseline_from_dict(_need(data, "baseline", where), f"{where}.baseline")
+    return _mixture_from_dict(mixture, baseline, _policy(data, where), f"{where}.mixture")[0]
 
 
 # --------------------------------------------------------------------------
@@ -317,17 +309,15 @@ def scenario_grid(scenario, n_points=DEFAULT_POINTS):
     A stated lower end is used exactly; any grid point at or below a
     support start is harmless because every checker floors its inputs.
     """
-    u, v = scenario.mixtures()
-    base = auto_grid(u, v, n_points)
-    lo = base.x_lo if scenario.expected.x_min is None else float(scenario.expected.x_min)
-    hi = base.x_hi if scenario.expected.x_max is None else float(scenario.expected.x_max)
+    base = auto_grid(scenario.u, scenario.v, n_points)
+    lo = base.x_lo if scenario.expected.x_min is None else scenario.expected.x_min
+    hi = base.x_hi if scenario.expected.x_max is None else scenario.expected.x_max
     return Grid(lo, hi, n_points)
 
 
 def _weight_warnings(scenario):
     warnings = []
-    u, v = scenario.mixtures()
-    for label, mix in (("U", u), ("V", v)):
+    for label, mix in (("U", scenario.u), ("V", scenario.v)):
         if abs(mix.raw_sum - 1.0) > 1e-12:
             warnings.append(
                 f"mixture {label}: raw weights sum to {mix.raw_sum:.12g}, "
@@ -345,13 +335,6 @@ _CURVE_QUANTITY = {
 }
 
 
-def _curves(order, sample, floor):
-    out = {"x": sample.x.tolist()}
-    for name, col in sample.columns(_CURVE_QUANTITY[order], floor).items():
-        out[name] = col.tolist()
-    return out
-
-
 def judge_agreement(expected, verdict):
     """AsExpected when the verdict matches every stated expectation."""
     ok = True
@@ -367,43 +350,33 @@ def judge_agreement(expected, verdict):
     return "AsExpected" if ok else "Contradiction"
 
 
-def run_scenario(scenario, grid=None, n_points=DEFAULT_POINTS, rel_tol=None,
-                 st_tol=None, floor=None):
+def evaluate_theorem(scenario, theorem_id):
+    """Condition report of one theorem on the scenario; the outlier theorems
+    take the two block specs, the others the two mixtures."""
+    evaluator = THEOREM_EVALUATORS[theorem_id]
+    if theorem_id not in OUTLIER_THEOREMS:
+        return evaluator(scenario.u, scenario.v)
+    if scenario.specs is None:
+        raise TheoremShapeError(f"theorem {theorem_id} needs two-block outlier mixtures")
+    return evaluator(*scenario.specs)
+
+
+def run_scenario(scenario, n_points=DEFAULT_POINTS):
     """Evaluate conditions and the designated order check for one scenario."""
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        u, v = scenario.mixtures()
-        grid = grid or scenario_grid(scenario, n_points)
-        evaluator = THEOREM_EVALUATORS[scenario.theorem_id]
-        if scenario.theorem_id in OUTLIER_THEOREMS:
-            specs = scenario.outlier_specs()
-            if specs is None:
-                raise TheoremShapeError(
-                    f"theorem {scenario.theorem_id} needs two-block outlier mixtures"
-                )
-            report = evaluator(*specs)
-        else:
-            report = evaluator(u, v)
-        floor = DENOM_FLOOR if floor is None else floor
-        kwargs = {}
-        if scenario.order is OrderKind.ST:
-            if st_tol is not None:
-                kwargs["tol"] = st_tol
-        else:
-            kwargs["floor"] = floor
-            if rel_tol is not None:
-                kwargs["rel_tol"] = rel_tol
-        sample = PairSample(u, v, grid)
-        verdict = CHECKERS[scenario.order](
-            sample, pair_id=scenario.scenario_id, **kwargs
-        )
-        agreement = judge_agreement(scenario.expected, verdict)
-        curves = _curves(scenario.order, sample, floor)
+        grid = scenario_grid(scenario, n_points)
+        report = evaluate_theorem(scenario, scenario.theorem_id)
+        sample = PairSample(scenario.u, scenario.v, grid)
+        verdict = CHECKERS[scenario.order](sample, pair_id=scenario.scenario_id)
+        curves = {"x": sample.x.tolist()}
+        for name, col in sample.columns(_CURVE_QUANTITY[scenario.order]).items():
+            curves[name] = col.tolist()
     return ScenarioRecord(
         scenario_id=scenario.scenario_id,
         condition_report=report,
         order_verdict=verdict,
-        agreement=agreement,
+        agreement=judge_agreement(scenario.expected, verdict),
         curves=curves,
         warnings=_weight_warnings(scenario),
         grid=grid.signature(),

@@ -236,7 +236,7 @@ def test_criterion_5_theorem_soundness_sweep():
                  if not failures else "; ".join(failures + lines))
     assert ok, (
         "the two-block likelihood-ratio sufficient conditions do not imply "
-        "their stated conclusion on wide grids; see the decisions ledger "
+        "their stated conclusion on wide grids; see ROADMAP item 1 "
         f"for the oracle-verified counterexample analysis. {failures}"
     )
 

@@ -12,7 +12,7 @@ from mixorder import (
     run_scenario,
     scenario_grid,
 )
-from mixorder.analysis import DEFAULT_POINTS
+from mixorder.analysis import DEFAULT_POINTS, MAX_POINTS
 from mixorder.cli import main
 
 
@@ -162,12 +162,14 @@ def test_eval_non_object_baseline_exits_2(tmp_path, capsys, catalog_doc):
     assert f"{path}.baseline: expected a JSON object with field 'params', got int" in err
 
 
-def _set(*path):
-    """Edit that sets the field at ``path`` of a scenario document to 5."""
+def _set(*path, value=5, scenario_id="EX4.1"):
+    """Edit that sets the field at ``path`` of a scenario document to ``value``;
+    it names the catalog scenario whose document it edits."""
     def edit(doc):
         for key in path[:-1]:
             doc = doc[key]
-        doc[path[-1]] = 5
+        doc[path[-1]] = value
+    edit.scenario_id = scenario_id
     return edit
 
 
@@ -190,15 +192,61 @@ def _set(*path):
     pytest.param(_set("weight_policy"),
                  ": field 'weight_policy' must be one of 'strict', 'autonorm', got 5",
                  id="weight_policy"),
+    pytest.param(_set("expected", "x_min", value="abc"),
+                 ".expected: field 'x_min' must be a finite number, got 'abc'", id="x_min"),
+    pytest.param(_set("expected", "x_max", value=[1.0]),
+                 ".expected: field 'x_max' must be a finite number, got [1.0]", id="x_max"),
+    pytest.param(_set("mixtures", 1, "weights", 0, value="abc"),
+                 ".mixtures[1]: field 'weights[0]' must be a finite number, got 'abc'",
+                 id="weight_value"),
+    pytest.param(_set("baseline", "truncation", value="abc"),
+                 ".baseline: field 'truncation' must be a finite number, got 'abc'",
+                 id="truncation"),
+    pytest.param(_set("mixtures", 0, "outlier", "n1", value="abc", scenario_id="EX5.5"),
+                 ".mixtures[0].outlier: n1 must be a positive integer, got 'abc'",
+                 id="n1_text"),
+    pytest.param(_set("mixtures", 0, "outlier", "n1", value=25.7, scenario_id="EX5.5"),
+                 ".mixtures[0].outlier: n1 must be a positive integer, got 25.7",
+                 id="n1_fraction"),
+    pytest.param(_set("expected", "holds", value="no"),
+                 ".expected: field 'holds' must be true, false or null, got 'no'", id="holds"),
+    pytest.param(_set("mixtures", 0, "components", 1, "sigma", value=float("nan")),
+                 ".mixtures[0].components[1]: field 'sigma' must be a finite number, got nan",
+                 id="sigma_nan"),
 ])
 def test_eval_wrong_field_type_exits_2(tmp_path, capsys, catalog_doc, edit, message):
-    doc = catalog_doc("EX4.1")
+    doc = catalog_doc(edit.scenario_id)
     edit(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "eval", str(path), "cdf")
     assert (code, out) == (2, "")
     assert f"{path}{message}" in err
+
+
+@pytest.mark.parametrize("grid", [
+    ("--points", str(10**12)),
+    ("--grid", f"1:2:{10**12}"),
+])
+def test_eval_oversized_grid_exits_2(capsys, grid):
+    # rejected before any point array is allocated
+    code, out, err = run_cli(capsys, "eval", "EX4.1", "cdf", *grid)
+    assert (code, out) == (2, "")
+    assert f"grid needs 3 to {MAX_POINTS} points, got {10**12}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "EX4.1", "cdf"),
+    ("check-order", "EX4.1", "--order", "st"),
+    ("check-theorem", "EX4.1", "--theorem", "T3.1"),
+], ids=["eval", "check-order", "check-theorem"])
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--policy", "autonorm")],
+                         ids=["seed", "policy"])
+def test_removed_options_are_rejected(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", ["rh", "lr"])

@@ -6,14 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mixorder import get_scenario, mixture, verify_normalization
-from mixorder.errors import QuadratureError
 from mixorder.numerics import (
     QuadratureResult,
     adaptive_simpson,
     bisect_nondecreasing,
     central_difference,
     expand_upper_bracket,
-    integrate_or_raise,
     kahan_add,
 )
 
@@ -40,18 +38,6 @@ def test_adaptive_simpson_smooth():
     res = adaptive_simpson(np.sin, 0.0, math.pi, abs_tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=1e-9)
-
-
-def test_integrate_or_raise_reports_estimate():
-    # power singularity that depth 8 cannot settle to 1e-12 per panel
-    def nasty(x):
-        out = np.zeros(x.shape)
-        out[x > 0] = x[x > 0] ** -0.9
-        return out
-
-    with pytest.raises(QuadratureError) as exc:
-        integrate_or_raise(nasty, 0.0, 1.0, abs_tol=1e-12, max_depth=8)
-    assert exc.value.estimate is not None
 
 
 def _reference_simpson(f, a, b, abs_tol=1e-9, max_depth=40):

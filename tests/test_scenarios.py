@@ -4,6 +4,7 @@ import pytest
 
 from mixorder import (
     Direction,
+    FiniteMixture,
     Monotonicity,
     OrderKind,
     ScenarioFormatError,
@@ -27,12 +28,11 @@ def test_catalog_size_and_ids():
 
 
 def test_catalog_published_parameters():
-    ex44 = get_scenario("EX4.4")
-    assert ex44.mixture_u.weights == (0.6, 0.3, 0.1)
-    assert ex44.mixture_v.weights == (0.4, 0.4, 0.2)
+    u, v = get_scenario("EX4.4").mixtures()
+    assert u.raw_weights.tolist() == [0.6, 0.3, 0.1]
+    assert v.raw_weights.tolist() == [0.4, 0.4, 0.2]
 
-    ex57 = get_scenario("EX5.7")
-    u, v = ex57.mixture_u, ex57.mixture_v
+    u, v = get_scenario("EX5.7").mixtures()
     assert [c.sigma for c in u.components] == [6.0, 6.0]
     assert [c.sigma for c in v.components] == [4.0, 4.0]
     assert [c.lam for c in u.components] == [4.0, 6.0]
@@ -109,7 +109,8 @@ def test_truncation_key_merges_into_params(tmp_path, catalog_doc):
     doc["baseline"]["truncation"] = t0
     path = tmp_path / "trunc.json"
     path.write_text(json.dumps(doc))
-    assert load_scenario(path).baseline_params["t0"] == t0
+    u, _ = load_scenario(path).mixtures()
+    assert u.components[0].baseline.params()["t0"] == t0
 
 
 def test_run_scenario_records():
@@ -131,6 +132,21 @@ def test_run_scenario_records():
     rec = run_scenario(get_scenario("EX5.5"))
     assert rec.agreement == "AsExpected"
     assert rec.order_verdict.pointwise_agrees is True
+
+
+def test_run_scenario_builds_no_mixture(monkeypatch, catalog):
+    # each scenario is parsed once into its mixtures; running only reads them
+    built = []
+    original = FiniteMixture.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteMixture, "__init__", counting)
+    for s in catalog:
+        run_scenario(s, n_points=101)
+    assert built == []
 
 
 def test_run_scenario_warns_on_autonormalized_weights():
