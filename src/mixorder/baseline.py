@@ -20,7 +20,8 @@ truncation point, which reproduces the forms used in the worked examples.
 
 Quantiles are exact inverses for every family but Benktander-II and
 tabulated, written in survival form from log F and log(1 - F) so that
-levels near one keep their tail; those two find a bracketed root.
+levels near one keep their tail; those two find a Brent root. Only a
+tabulated baseline imports scipy, for its monotone cubic interpolant.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError, UndefinedPointError
 # perfbench/tracing.py wraps both root helpers by their names in this module
 from .numerics import (  # noqa: F401
     DENOM_FLOOR,
     bisect_nondecreasing,
+    brent_root,
     central_difference,
     expand_upper_bracket,
 )
@@ -86,21 +86,23 @@ class BaselineModel:
     def _pdf_prime_above(self, t):
         raise NotImplementedError
 
-    def cdf(self, t):
+    def _above(self, closed_form, t, name):
+        """``closed_form`` on t > c and zero elsewhere; float overflow is a DomainError."""
         arr, scalar = _as_array(t)
         out = np.zeros(arr.shape)
         mask = arr > self._c
         if mask.any():
-            out[mask] = self._cdf_above(arr[mask])
+            try:
+                out[mask] = closed_form(arr[mask])
+            except OverflowError:
+                raise DomainError(f"{self.family} {name} overflows the float range") from None
         return _finish(out, scalar)
 
+    def cdf(self, t):
+        return self._above(self._cdf_above, t, "cdf")
+
     def pdf(self, t):
-        arr, scalar = _as_array(t)
-        out = np.zeros(arr.shape)
-        mask = arr > self._c
-        if mask.any():
-            out[mask] = self._pdf_above(arr[mask])
-        return _finish(out, scalar)
+        return self._above(self._pdf_above, t, "pdf")
 
     def pdf_prime(self, t):
         """Density derivative f'(t); analytic when the family provides one."""
@@ -155,10 +157,10 @@ class BaselineModel:
         """
         try:
             return self._quantile_above(log_q, _log_survival(log_q))
-        except OverflowError:
-            raise DomainError(
-                f"{self.family} quantile at level {math.exp(log_q)!r} overflows the float range"
-            ) from None
+        except (OverflowError, DomainError) as exc:
+            why = exc if isinstance(exc, DomainError) else "overflows the float range"
+            level = math.exp(log_q)
+            raise DomainError(f"{self.family} quantile at level {level!r}: {why}") from None
 
     def _quantile_above(self, log_q, log_s):
         """Root of F(t) = q above the support bound; families with a
@@ -166,7 +168,7 @@ class BaselineModel:
         q = math.exp(log_q)
         lo = self._c
         hi = expand_upper_bracket(self.cdf, q, lo, step=max(1.0, abs(lo)))
-        return brentq(lambda t: self.cdf(t) - q, lo, hi, xtol=_ROOT_XTOL)
+        return brent_root(lambda t: self.cdf(t) - q, lo, hi, _ROOT_XTOL)
 
     def params(self):
         raise NotImplementedError
@@ -451,6 +453,7 @@ class Tabulated(BaselineModel):
         self._F = F
         self._c = float(t[0])
         self._hi = float(t[-1])
+        from scipy.interpolate import PchipInterpolator
         self._interp = PchipInterpolator(t, F, extrapolate=False)
         self._deriv = self._interp.derivative()
 

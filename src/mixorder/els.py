@@ -46,28 +46,24 @@ class ELSComponent:
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.sigma) / self.lam
 
-    def cdf(self, x):
+    def _above(self, x, of_z):
+        """``of_z`` at the standardized points of x above the start point, zero elsewhere."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         out = np.zeros(arr.shape)
         mask = arr > self.support_start
         if mask.any():
-            F = np.asarray(self.baseline.cdf(self._z(arr[mask])))
-            out[mask] = F**self.alpha
+            out[mask] = of_z(self._z(arr[mask]))
         return float(out) if scalar else out
+
+    def cdf(self, x):
+        return self._above(x, lambda z: np.asarray(self.baseline.cdf(z)) ** self.alpha)
 
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = np.zeros(arr.shape)
-        mask = arr > self.support_start
-        if mask.any():
-            z = self._z(arr[mask])
-            out[mask] = self._density(self.baseline.cdf(z), self.baseline.pdf(z))
-        return float(out) if scalar else out
+        return self._above(x, lambda z: self._density(self.baseline.cdf(z), self.baseline.pdf(z)))
 
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .els import ELSComponent
 from .errors import (
@@ -29,6 +28,7 @@ from .numerics import (  # noqa: F401
     DENOM_FLOOR,
     adaptive_simpson,
     bisect_nondecreasing,
+    brent_root,
     expand_upper_bracket,
     kahan_add,
 )
@@ -146,7 +146,7 @@ class FiniteMixture:
         p between them; when all component quantiles coincide, that point
         is the answer. The root solves log S(x) = log(1 - p) in the
         variable u = log(x - support_start), in which power-law tails are
-        straight lines, so brentq needs few steps. A bound that rounding
+        straight lines, so Brent's method needs few steps. A bound that rounding
         leaves on the wrong side is moved out until its sign is right.
         """
         if not 0.0 < p < 1.0:
@@ -166,11 +166,14 @@ class FiniteMixture:
         u_hi = math.log(hi - origin)
         # lo sits on the support start only if p rounds a component quantile there
         u_lo = math.log(lo - origin) if lo > origin else u_hi - 1.0
-        while excess(u_lo) <= 0.0:
-            u_lo -= 1.0
-        while excess(u_hi) > 0.0:
-            u_hi += 1.0
-        return origin + math.exp(brentq(excess, u_lo, u_hi, xtol=_LOG_XTOL))
+        try:  # an unbounded search ends when u or e^u leaves the float range
+            while (f_lo := excess(u_lo)) <= 0.0:
+                u_lo -= 1.0
+            while (f_hi := excess(u_hi)) > 0.0 and u_hi < math.inf:
+                u_hi += 1.0
+            return origin + math.exp(brent_root(excess, u_lo, u_hi, _LOG_XTOL, f_lo, f_hi))
+        except (DomainError, OverflowError) as exc:
+            raise DomainError(f"mixture quantile at level {p!r}: {exc}") from None
 
     def pdf_at_offset(self, origin, dx):
         """Density at origin + dx, exact in the offset; ``dx`` is a scalar or an array.

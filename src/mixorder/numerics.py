@@ -1,4 +1,4 @@
-"""Small numerical kernels: compensated sums, quadrature, bisection.
+"""Small numerical kernels: compensated sums, quadrature, bracketed roots.
 
 Everything here is deterministic and stateless. The adaptive Simpson rule
 uses interval halving with a per-panel absolute tolerance, so the total
@@ -8,12 +8,18 @@ float array to a 1-D float array and is called once per bisection depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 #: absolute floor under which a denominator is treated as undefined
 DENOM_FLOOR = 1e-12
+
+#: relative x tolerance and iteration cap of ``brent_root``, as in scipy's brentq
+_BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
 def kahan_add(total, comp, term):
@@ -84,10 +90,8 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
 
 
 def bisect_nondecreasing(fn, target, lo, hi, xtol=1e-10, max_iter=200):
-    """Smallest-x solution of fn(x) >= target for nondecreasing ``fn``.
-
-    Plain bisection; ``lo`` must satisfy fn(lo) <= target <= fn(hi).
-    """
+    """Smallest-x solution of fn(x) >= target for nondecreasing ``fn`` by plain
+    bisection; ``lo`` must satisfy fn(lo) <= target <= fn(hi)."""
     flo, fhi = fn(lo), fn(hi)
     if flo >= target:
         return lo
@@ -104,6 +108,49 @@ def bisect_nondecreasing(fn, target, lo, hi, xtol=1e-10, max_iter=200):
     return hi
 
 
+def brent_root(fn, a, b, xtol, fa=None, fb=None):
+    """Root of ``fn`` on [a, b] by Brent's method (Brent 1973, ch. 4): a port of
+    scipy's ``brentq`` with its iterates, tolerances and 100-iteration cap.
+    ``fa``/``fb`` are fn(a)/fn(b) when known. DomainError if no root is found."""
+    xpre, xcur = a, b
+    fpre = fn(a) if fa is None else fa
+    fcur = fn(b) if fb is None else fb
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
+        raise DomainError(f"no sign change on [{a!r}, {b!r}]: f = {fpre!r}, {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fn(xcur)
+        if math.isnan(fcur):
+            raise DomainError(f"function value is NaN at {xcur!r}")
+    raise DomainError(f"no convergence after {_BRENT_MAXITER} iterations, last x = {xcur!r}")
+
+
 def expand_upper_bracket(fn, target, lo, step=1.0, max_doublings=200):
     """Find hi > lo with fn(hi) >= target by repeated doubling."""
     hi = lo + step
@@ -111,7 +158,7 @@ def expand_upper_bracket(fn, target, lo, step=1.0, max_doublings=200):
         if fn(hi) >= target:
             return hi
         hi = lo + (hi - lo) * 2.0
-    raise ValueError(f"could not bracket target {target} above {lo}")
+    raise DomainError(f"could not bracket target {target} above {lo}")
 
 
 def central_difference(fn, t, h=None):

@@ -1,9 +1,14 @@
 import collections
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mixorder
 from mixorder import (
     FiniteMixture,
     OrderKind,
@@ -222,6 +227,38 @@ def test_eval_wrong_field_type_exits_2(tmp_path, capsys, catalog_doc, edit, mess
     code, out, err = run_cli(capsys, "eval", str(path), "cdf")
     assert (code, out) == (2, "")
     assert f"{path}{message}" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set("mixtures", 0, "components", 0, "lambda", value=1e308),
+                 "mixture quantile at level 0.999999: no convergence", id="lambda"),
+    pytest.param(_set("baseline", "params", "m", value=1e308, scenario_id="EX5.5"),
+                 "mixture quantile at level 0.999999: no sign change", id="burr_m"),
+    pytest.param(_set("baseline", "params", "a", value=1e308, scenario_id="CE4.2"),
+                 "pareto pdf overflows the float range", id="pareto_a"),
+    # a component that never starts: the bracket search once widened forever
+    pytest.param(_set("mixtures", 0, "components", 0, "lambda", value=1e308,
+                      scenario_id="CE4.1"),
+                 "mixture quantile at level 0.999999: no sign change", id="lambda_unbounded"),
+    pytest.param(_set("baseline", "params", "b", value=1e-308, scenario_id="CE5.6"),
+                 "benktander2 quantile at level 0.999999499999875: could not bracket",
+                 id="benktander_b"),
+])
+def test_eval_extreme_finite_parameter_exits_2(tmp_path, catalog_doc, edit, message):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    doc = catalog_doc(edit.scenario_id)
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(mixorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixorder.cli", "eval", str(path), "rhr_ratio", "--points", "21"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("grid", [

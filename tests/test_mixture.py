@@ -19,7 +19,8 @@ from mixorder import (
     make_baseline,
     verify_normalization,
 )
-from mixorder.numerics import central_difference
+from mixorder import mixture
+from mixorder.numerics import brent_root, central_difference
 
 
 def ex41_mixture_u():
@@ -242,6 +243,23 @@ def test_quantile_widens_a_bracket_on_the_wrong_side(monkeypatch, shift):
     q = mix.quantile(p)
     assert abs(mix.cdf(q) - p) <= 1e-12
     assert q == pytest.approx(exact, rel=1e-9)
+
+
+def test_quantile_hands_its_bracket_values_to_the_root(monkeypatch, catalog):
+    # the bracket checks already evaluated both ends; the root reuses them
+    roots = []
+
+    def checking(fn, a, b, xtol, fa=None, fb=None):
+        assert (fa, fb) == (fn(a), fn(b))
+        roots.append((a, b))
+        return brent_root(fn, a, b, xtol, fa, fb)
+
+    monkeypatch.setattr(mixture, "brent_root", checking)
+    for s in catalog:
+        for mix in s.mixtures():
+            for p in (1e-6, 0.5, 1.0 - 1e-10):
+                mix.quantile(p)
+    assert roots
 
 
 def _count_cdf_calls(monkeypatch):

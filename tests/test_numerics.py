@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from mixorder import get_scenario, mixture, verify_normalization
+from mixorder.errors import DomainError
 from mixorder.numerics import (
     QuadratureResult,
     adaptive_simpson,
     bisect_nondecreasing,
+    brent_root,
     central_difference,
     expand_upper_bracket,
     kahan_add,
@@ -174,10 +177,63 @@ def test_bisection_quantile_accuracy():
     assert x == pytest.approx(math.log(2.0), abs=1e-10)
 
 
+#: monotone test functions with a root at ``r`` and a steepness ``s``
+BRENT_CASES = {
+    "cubic": lambda r, s: lambda x: (x - r) ** 3 + s * (x - r),
+    "tanh": lambda r, s: lambda x: math.tanh(s * (x - r)),
+    # a Lomax-type log survival in u = log(x), as in the mixture quantile,
+    # negated to increase
+    "loglog": lambda r, s: lambda u: s * (math.log1p(math.exp(u)) - math.log1p(math.exp(r))),
+}
+
+
+@given(
+    case=st.sampled_from(sorted(BRENT_CASES)),
+    root=st.floats(-5.0, 5.0),
+    steep=st.floats(0.01, 50.0),
+    below=st.floats(1e-3, 20.0),
+    above=st.floats(1e-3, 20.0),
+    xtol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+)
+def test_brent_root_matches_brentq_bit_for_bit(case, root, steep, below, above, xtol):
+    fn = BRENT_CASES[case](root, steep)
+    a, b = root - below, root + above
+    expected = brentq(fn, a, b, xtol=xtol)
+    assert brent_root(fn, a, b, xtol) == expected
+    # end values handed in by the caller give the same iterates
+    assert brent_root(fn, a, b, xtol, fn(a), fn(b)) == expected
+    assert brent_root(fn, b, a, xtol) == brentq(fn, b, a, xtol=xtol)
+
+
+def test_brent_root_zero_at_an_end():
+    fn = lambda x: x - 1.0
+    for a, b in ((1.0, 3.0), (-1.0, 1.0)):
+        assert brent_root(fn, a, b, 1e-10) == brentq(fn, a, b, xtol=1e-10) == 1.0
+    # a given end value is trusted: no call of fn at all
+    untouched = lambda x: pytest.fail("fn called")
+    assert brent_root(untouched, 0.0, 2.0, 1e-10, fa=0.0, fb=1.0) == 0.0
+    assert brent_root(untouched, 0.0, 2.0, 1e-10, fa=-1.0, fb=0.0) == 2.0
+
+
+@pytest.mark.parametrize("fn", [lambda x: x * x + 1.0, lambda x: math.nan],
+                         ids=["same_sign", "nan"])
+def test_brent_root_without_sign_change_raises(fn):
+    with pytest.raises(DomainError, match="no sign change on"):
+        brent_root(fn, -1.0, 1.0, 1e-10)
+
+
+def test_brent_root_nan_inside_bracket_raises():
+    fn = lambda x: math.nan if 0.0 < x < 0.9 else x - 0.5
+    with pytest.raises(DomainError, match="NaN"):
+        brent_root(fn, -1.0, 1.0, 1e-10)
+
+
 def test_expand_upper_bracket():
     fn = lambda x: x / 100.0
     hi = expand_upper_bracket(fn, 0.5, 0.0, step=1.0)
     assert fn(hi) >= 0.5
+    with pytest.raises(DomainError, match="could not bracket"):
+        expand_upper_bracket(lambda x: 0.0, 0.5, 0.0, max_doublings=3)
 
 
 def test_central_difference_step_rule():
