@@ -163,12 +163,12 @@ class BaselineModel:
             raise DomainError(f"{self.family} quantile at level {level!r}: {why}") from None
 
     def _quantile_above(self, log_q, log_s):
-        """Root of F(t) = q above the support bound; families with a
-        closed-form inverse override this with it."""
+        """Root of F(t) = q above the support bound, where F = 0; families
+        with a closed-form inverse override this with it."""
         q = math.exp(log_q)
         lo = self._c
-        hi = expand_upper_bracket(self.cdf, q, lo, step=max(1.0, abs(lo)))
-        return brent_root(lambda t: self.cdf(t) - q, lo, hi, _ROOT_XTOL)
+        hi, f_hi = expand_upper_bracket(self.cdf, q, lo, step=max(1.0, abs(lo)))
+        return brent_root(lambda t: self.cdf(t) - q, lo, hi, _ROOT_XTOL, -q, f_hi - q)
 
     def params(self):
         raise NotImplementedError

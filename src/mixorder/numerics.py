@@ -152,11 +152,12 @@ def brent_root(fn, a, b, xtol, fa=None, fb=None):
 
 
 def expand_upper_bracket(fn, target, lo, step=1.0, max_doublings=200):
-    """Find hi > lo with fn(hi) >= target by repeated doubling."""
+    """Find hi > lo with fn(hi) >= target by doubling; returns (hi, fn(hi))."""
     hi = lo + step
     for _ in range(max_doublings):
-        if fn(hi) >= target:
-            return hi
+        f_hi = fn(hi)
+        if f_hi >= target:
+            return hi, f_hi
         hi = lo + (hi - lo) * 2.0
     raise DomainError(f"could not bracket target {target} above {lo}")
 

@@ -2,8 +2,9 @@
 
 Reports are emitted as JSON with floats printed at 17 significant digits
 (lossless double round-trip) and insertion-ordered keys, so identical
-inputs give byte-identical output. Curve data goes to CSV with the same
-float format; points outside a curve's domain become empty fields.
+inputs give byte-identical output. Curve data goes to CSV with LF ends and
+each value as ``%.17g``: NaN (outside a curve's domain) is an empty field,
+infinities are ``inf``/``-inf`` and negative zero is ``-0``.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-
-def fmt_float(x):
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+#: rows per format pass and write in ``write_csv``; bounds its memory on long grids
+CSV_BLOCK_ROWS = 4096
 
 
 def to_jsonable(obj):
@@ -103,9 +98,12 @@ def dumps(obj, indent=0, _level=0):
 
 
 def write_csv(stream, header, columns):
-    """CSV with LF endings, '.' decimals, 17 significant digits, empty
-    fields for NaN."""
+    """CSV of equal-length float columns in the curve format above, formatted
+    by one ``%`` pass and written by one call per ``CSV_BLOCK_ROWS`` rows."""
     stream.write(",".join(header) + "\n")
-    n = len(columns[0])
-    for i in range(n):
-        stream.write(",".join(fmt_float(col[i]) for col in columns) + "\n")
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([col[start:start + CSV_BLOCK_ROWS] for col in columns])
+        body = (row * len(block)) % tuple(block.ravel().tolist())
+        stream.write(body.replace("nan", ""))

@@ -297,7 +297,7 @@ class ScenarioRecord:
     condition_report: object
     order_verdict: object
     agreement: str  # "AsExpected" | "Contradiction"
-    curves: dict
+    curves: dict  # column name -> 1-D float array, "x" first
     warnings: tuple
     grid: tuple
     timestamp: str
@@ -369,9 +369,7 @@ def run_scenario(scenario, n_points=DEFAULT_POINTS):
         report = evaluate_theorem(scenario, scenario.theorem_id)
         sample = PairSample(scenario.u, scenario.v, grid)
         verdict = CHECKERS[scenario.order](sample, pair_id=scenario.scenario_id)
-        curves = {"x": sample.x.tolist()}
-        for name, col in sample.columns(_CURVE_QUANTITY[scenario.order]).items():
-            curves[name] = col.tolist()
+        curves = {"x": sample.x, **sample.columns(_CURVE_QUANTITY[scenario.order])}
     return ScenarioRecord(
         scenario_id=scenario.scenario_id,
         condition_report=report,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from mixorder import (
     make_baseline,
 )
 from mixorder.analysis import Grid, Monotonicity
-from mixorder.numerics import central_difference
+from mixorder.baseline import _ROOT_XTOL
+from mixorder.numerics import brent_root, central_difference, expand_upper_bracket
 
 FAMILY_CASES = [
     ("pareto", {"a": 5.0, "k": 1.0}),
@@ -218,6 +221,34 @@ def test_benktander_quantile_is_bracketed_root(family, params):
     for p in (1e-6, 0.5, 1.0 - 1e-6):
         q = model.quantile(p)
         assert model.cdf(q - 2e-10) <= p <= model.cdf(q + 2e-10)
+
+
+def _tabulated_lt_exponential():
+    knots = np.linspace(2.0, 60.0, 400)
+    F = np.asarray(make_baseline("lt_exponential", b=2.0, t0=2.0).cdf(knots))
+    F[-1] = 1.0
+    return Tabulated(knots, F)
+
+
+@pytest.mark.parametrize("model", [make_baseline("benktander2", a=2.0, b=0.5),
+                                   _tabulated_lt_exponential()], ids=["benktander2", "tabulated"])
+def test_root_quantile_reuses_known_cdf_values(model, monkeypatch):
+    """The root takes F = 0 at the support bound and F at the bracket's upper
+    end as given: the same root as evaluating both ends again, two CDF
+    calls fewer."""
+    calls = []
+    cdf = model.cdf
+    monkeypatch.setattr(model, "cdf", lambda t: calls.append(t) or cdf(t))
+    lo = model.support_low
+    for p in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        calls.clear()
+        got = model.quantile(p)
+        reused = len(calls)
+        calls.clear()
+        q = math.exp(math.log(p))
+        hi, _ = expand_upper_bracket(model.cdf, q, lo, step=max(1.0, abs(lo)))
+        assert got == brent_root(lambda t: model.cdf(t) - q, lo, hi, _ROOT_XTOL), p
+        assert reused == len(calls) - 2, p
 
 
 def test_quantile_beyond_float_range_is_a_domain_error():

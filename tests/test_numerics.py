@@ -230,8 +230,8 @@ def test_brent_root_nan_inside_bracket_raises():
 
 def test_expand_upper_bracket():
     fn = lambda x: x / 100.0
-    hi = expand_upper_bracket(fn, 0.5, 0.0, step=1.0)
-    assert fn(hi) >= 0.5
+    hi, f_hi = expand_upper_bracket(fn, 0.5, 0.0, step=1.0)
+    assert f_hi == fn(hi) >= 0.5
     with pytest.raises(DomainError, match="could not bracket"):
         expand_upper_bracket(lambda x: 0.0, 0.5, 0.0, max_doublings=3)
 
