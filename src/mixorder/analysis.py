@@ -34,6 +34,8 @@ MAX_POINTS = 1_000_001
 DEFAULT_REL_TOL = 1e-9
 #: absolute tolerance for pointwise probability dominance
 DEFAULT_POINTWISE_TOL = 1e-12
+#: upper end of every automatic grid, as a quantile level
+UPPER_QUANTILE = 1.0 - 1e-6
 
 
 class Monotonicity(str, Enum):
@@ -83,7 +85,7 @@ class Grid:
         return (self.x_lo, self.x_hi, self.n_points, self.spacing)
 
 
-def auto_grid(u, v, n_points=DEFAULT_POINTS, quantile=1.0 - 1e-6):
+def auto_grid(u, v, n_points=DEFAULT_POINTS):
     """Default evaluation window for a mixture pair.
 
     Starts just above the later of the two support starts and ends at the
@@ -91,7 +93,7 @@ def auto_grid(u, v, n_points=DEFAULT_POINTS, quantile=1.0 - 1e-6):
     """
     lo = max(u.support_start, v.support_start)
     lo = lo + 1e-9 * (1.0 + abs(lo))
-    hi = max(u.quantile(quantile), v.quantile(quantile))
+    hi = max(u.quantile(UPPER_QUANTILE), v.quantile(UPPER_QUANTILE))
     return Grid(lo, hi, n_points)
 
 
@@ -226,48 +228,48 @@ class PairSample:
     def pdf_v(self):
         return np.asarray(self.v.pdf(self.x))
 
-    def rh_domain(self, floor=DENOM_FLOOR):
-        return self.cdf_u > floor
+    def rh_domain(self):
+        return self.cdf_u > DENOM_FLOOR
 
-    def lr_domain(self, floor=DENOM_FLOOR):
-        return (self.pdf_u > floor) & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
+    def lr_domain(self):
+        return (self.pdf_u > DENOM_FLOOR) & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
 
-    def r_rh_domain(self, floor=DENOM_FLOOR):
+    def r_rh_domain(self):
         return (
-            (self.cdf_u > floor) & (self.cdf_v > floor) & (self.pdf_v > floor)
+            (self.cdf_u > DENOM_FLOOR) & (self.cdf_v > DENOM_FLOOR) & (self.pdf_v > DENOM_FLOOR)
             & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
         )
 
-    def cdf_ratio(self, floor=DENOM_FLOOR):
+    def cdf_ratio(self):
         """F_V / F_U on the rh domain."""
-        return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain(floor))
+        return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain())
 
-    def pdf_ratio(self, floor=DENOM_FLOOR):
+    def pdf_ratio(self):
         """f_V / f_U on the lr domain."""
-        return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain(floor))
+        return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain())
 
-    def rhr(self, floor=DENOM_FLOOR):
+    def rhr(self):
         """(h_U, h_V), each where its own CDF exceeds the floor."""
         return (
-            _masked_div(self.pdf_u, self.cdf_u, self.cdf_u > floor),
-            _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > floor),
+            _masked_div(self.pdf_u, self.cdf_u, self.cdf_u > DENOM_FLOOR),
+            _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > DENOM_FLOOR),
         )
 
-    def rhr_ratio(self, floor=DENOM_FLOOR):
+    def rhr_ratio(self):
         """h_U / h_V on the r_rh domain."""
-        hu, hv = self.rhr(floor)
-        return _masked_div(hu, hv, self.r_rh_domain(floor))
+        hu, hv = self.rhr()
+        return _masked_div(hu, hv, self.r_rh_domain())
 
-    def columns(self, quantity, floor=DENOM_FLOOR):
+    def columns(self, quantity):
         """Named curve columns of one ``eval`` quantity, x excluded."""
         if quantity == "cdf_ratio":
-            return {"cdf_ratio_V_over_U": self.cdf_ratio(floor)}
+            return {"cdf_ratio_V_over_U": self.cdf_ratio()}
         if quantity == "pdf_ratio":
-            return {"pdf_ratio_V_over_U": self.pdf_ratio(floor)}
+            return {"pdf_ratio_V_over_U": self.pdf_ratio()}
         if quantity == "rhr_ratio":
-            return {"rhr_ratio_U_over_V": self.rhr_ratio(floor)}
+            return {"rhr_ratio_U_over_V": self.rhr_ratio()}
         if quantity == "rhr":
-            pair = self.rhr(floor)
+            pair = self.rhr()
         elif quantity == "sf":
             pair = (1.0 - self.cdf_u, 1.0 - self.cdf_v)
         else:
@@ -329,23 +331,23 @@ def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curve_u, curve_
     )
 
 
-def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
+def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     """Classify F_V/F_U on the part of the grid where F_U exceeds the floor.
 
     A nondecreasing ratio means U <=rh V. The pointwise dual (reversed
     hazard rates compared directly where both CDFs are positive) is
     evaluated as well and its agreement is recorded.
     """
-    keep = sample.rh_domain(floor)
+    keep = sample.rh_domain()
     verdict = _ratio_verdict(
-        OrderKind.RH, sample, keep, sample.cdf_ratio(floor), rel_tol, pair_id,
+        OrderKind.RH, sample, keep, sample.cdf_ratio(), rel_tol, pair_id,
         sample.u.cdf, sample.v.cdf,
     )
     # pointwise dual: h_U <= h_V where both CDFs are usable
-    both = keep & (sample.cdf_v > floor)
+    both = keep & (sample.cdf_v > DENOM_FLOOR)
     if int(np.count_nonzero(both)) < 3:
         return verdict
-    hu, hv = (h[both] for h in sample.rhr(floor))
+    hu, hv = (h[both] for h in sample.rhr())
     # pointwise-relative slack: a global scale would be inflated by
     # the divergence at a later support start and mask genuine flips
     h_tol = rel_tol * np.maximum(np.abs(hu), np.abs(hv))
@@ -364,15 +366,15 @@ def _directions_compatible(a, b):
     return Direction.BOTH in (a, b) and Direction.NEITHER not in (a, b)
 
 
-def check_likelihood_ratio(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
+def check_likelihood_ratio(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     """Classify f_V/f_U where f_U exceeds the floor; nondecreasing means U <=lr V."""
     return _ratio_verdict(
-        OrderKind.LR, sample, sample.lr_domain(floor), sample.pdf_ratio(floor), rel_tol,
+        OrderKind.LR, sample, sample.lr_domain(), sample.pdf_ratio(), rel_tol,
         pair_id, sample.u.pdf, sample.v.pdf,
     )
 
 
-def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, pair_id=""):
+def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     """Classify the RHRF ratio h_U/h_V where both CDFs and PDFs are usable.
 
     The source definition declares U ages faster than V when the ratio is
@@ -381,7 +383,7 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, floor=DENOM_FLOOR, p
     are recorded; ``direction`` follows the definition.
     """
     verdict = _ratio_verdict(
-        OrderKind.R_RH, sample, sample.r_rh_domain(floor), sample.rhr_ratio(floor), rel_tol,
+        OrderKind.R_RH, sample, sample.r_rh_domain(), sample.rhr_ratio(), rel_tol,
         pair_id, sample.u.rhr, sample.v.rhr,
     )
     readings = {

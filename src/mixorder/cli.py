@@ -35,7 +35,7 @@ from .analysis import (
 from .conditions import THEOREM_EVALUATORS, check_majorization
 from .errors import MixorderError
 from .mixture import FiniteMixture, verify_normalization
-from .numerics import DENOM_FLOOR, central_difference
+from .numerics import central_difference
 from .reporting import dumps, to_jsonable, write_csv
 from .scenarios import (
     Expected,
@@ -67,32 +67,33 @@ def _resolve_scenario(source):
     return get_scenario(source) if source in catalog_ids() else load_scenario(source)
 
 
-def _parse_grid(args):
-    if args.grid:
-        try:
-            lo, hi, n = args.grid.split(":")
-            return Grid(float(lo), float(hi), int(n),
-                        "logarithmic" if args.log_grid else "linear")
-        except ValueError as exc:
-            raise MixorderError(f"bad --grid value {args.grid!r}: {exc}") from None
-    return None
+def _grid(args, auto):
+    """The ``--grid`` window, else ``auto(n_points)`` with ``--points``.
+
+    A grid flag that the chosen grid would ignore is an error.
+    """
+    if args.grid is None:
+        if args.log_grid:
+            raise MixorderError("--log-grid applies only to an explicit --grid")
+        return auto(DEFAULT_POINTS if args.points is None else args.points)
+    if args.points is not None:
+        raise MixorderError("--points sets the automatic grid; --grid gives its own count")
+    try:
+        lo, hi, n = args.grid.split(":")
+        return Grid(float(lo), float(hi), int(n), "logarithmic" if args.log_grid else "linear")
+    except ValueError as exc:
+        raise MixorderError(f"bad --grid value {args.grid!r}: {exc}") from None
 
 
 def _grid_for(scenario, args):
-    return _parse_grid(args) or scenario_grid(scenario, args.points)
+    return _grid(args, lambda n: scenario_grid(scenario, n))
 
 
 def _check_kwargs(args, order):
-    kwargs = {}
-    if order is OrderKind.ST:
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-    else:
-        if args.tol is not None:
-            kwargs["rel_tol"] = args.tol
-        if args.rh_floor is not None:
-            kwargs["floor"] = args.rh_floor
-    return kwargs
+    """``--tol`` as the checker's pointwise ``tol`` (st) or its ``rel_tol``."""
+    if args.tol is None:
+        return {}
+    return {"tol" if order is OrderKind.ST else "rel_tol": args.tol}
 
 
 # -------------------------------------------------------------- eval
@@ -101,9 +102,8 @@ def _check_kwargs(args, order):
 def cmd_eval(args):
     scenario = _resolve_scenario(args.source)
     sample = PairSample(*scenario.mixtures(), _grid_for(scenario, args))
-    floor = args.rh_floor if args.rh_floor is not None else DENOM_FLOOR
     q = args.quantity
-    columns = sample.columns(q, floor)
+    columns = sample.columns(q)
     header = ["x", *columns]
     cols = [sample.x, *columns.values()]
     if all(np.all(~np.isfinite(np.asarray(c, dtype=float))) for c in cols[1:]):
@@ -129,7 +129,7 @@ def cmd_check_order(args):
         pair_id = scenario.scenario_id
     elif len(args.source) == 2:
         u, v = (load_mixture(path) for path in args.source)
-        grid = _parse_grid(args) or auto_grid(u, v, args.points)
+        grid = _grid(args, lambda n: auto_grid(u, v, n))
         pair_id = f"{args.source[0]}|{args.source[1]}"
     else:
         raise MixorderError("check-order takes one scenario or two mixture files")
@@ -141,7 +141,7 @@ def cmd_check_order(args):
         "order": order.value,
         "asked_direction": args.direction,
         "grid": grid.signature(),
-        "tolerances": {"tol": args.tol, "rh_floor": args.rh_floor},
+        "tolerances": {"tol": args.tol},
         "verdict": to_jsonable(verdict),
     }
     if order in (OrderKind.RH, OrderKind.LR):
@@ -345,8 +345,8 @@ def cmd_validate(args):
         def audit_pair(u, v, pair_id):
             sample = PairSample(u, v, auto_grid(u, v))
             st = check_usual_stochastic(sample, tol=1e-9, pair_id=pair_id)
-            rh = check_reversed_hazard(sample, rel_tol=1e-9, pair_id=pair_id)
-            lr = check_likelihood_ratio(sample, rel_tol=1e-9, pair_id=pair_id)
+            rh = check_reversed_hazard(sample, pair_id=pair_id)
+            lr = check_likelihood_ratio(sample, pair_id=pair_id)
             return implication_audit(st, rh, lr)
 
         bad = []
@@ -503,17 +503,18 @@ def cmd_experiment(args):
 # -------------------------------------------------------------- parser
 
 
-def _add_common(p, grid=True):
-    if grid:
-        p.add_argument("--grid", help="explicit grid lo:hi:n")
-        p.add_argument("--log-grid", action="store_true",
-                       help="logarithmic spacing for --grid")
-        p.add_argument("--points", type=int, default=DEFAULT_POINTS,
-                       help="auto-grid point count")
-    p.add_argument("--tol", type=float, default=None,
+def _add_grid(p):
+    p.add_argument("--grid", help="explicit grid lo:hi:n")
+    p.add_argument("--log-grid", action="store_true",
+                   help="logarithmic spacing for --grid")
+    p.add_argument("--points", type=int,
+                   help=f"auto-grid point count (default {DEFAULT_POINTS})")
+
+
+def _add_check(p):
+    _add_grid(p)
+    p.add_argument("--tol", type=float,
                    help="dominance tolerance (st) or ratio tolerance (others)")
-    p.add_argument("--rh-floor", type=float, default=None,
-                   help="denominator floor for restricted domains")
 
 
 def build_parser():
@@ -528,7 +529,7 @@ def build_parser():
     p.add_argument("source", help="catalog id or scenario file")
     p.add_argument("quantity", choices=_QUANTITIES)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check-order", help="run one stochastic-order check")
@@ -537,13 +538,13 @@ def build_parser():
     p.add_argument("--order", required=True, choices=[k.value for k in OrderKind])
     p.add_argument("--direction", choices=["UleqV", "VleqU"], default="UleqV",
                    help="direction whose holding sets the exit code")
-    _add_common(p)
+    _add_check(p)
     p.set_defaults(fn=cmd_check_order)
 
     p = sub.add_parser("check-theorem", help="evaluate a theorem's conditions")
     p.add_argument("source", help="catalog id or scenario file")
     p.add_argument("--theorem", required=True, choices=sorted(THEOREM_EVALUATORS))
-    _add_common(p)
+    _add_check(p)
     p.set_defaults(fn=cmd_check_theorem)
 
     p = sub.add_parser("reproduce", help="run built-in scenarios and compare "

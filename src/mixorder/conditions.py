@@ -3,8 +3,8 @@
 Every hypothesis becomes one named pass/fail item; a report never claims
 more than "all hypotheses hold numerically". Monotonicity hypotheses on
 the baseline (t*rhr decreasing, density log-slope behaviour) are sampled
-on a grid from just above the support bound to the 1 - 1e-6 quantile and
-recorded as numerically supported, not proved.
+on a grid from just above the support bound to the ``UPPER_QUANTILE``
+level of ``analysis`` and recorded as numerically supported, not proved.
 
 Failed hypotheses are meaningful output, so vector-shape problems inside
 a hypothesis (for instance majorization of unequal-sum vectors) mark the
@@ -21,6 +21,8 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_POINTS,
+    DEFAULT_REL_TOL,
+    UPPER_QUANTILE,
     Direction,
     Grid,
     Monotonicity,
@@ -88,22 +90,21 @@ def majorizes(x, y, tol=MAJORIZATION_TOL):
     return check_majorization(x, y, tol=tol).y_majorized_by_x
 
 
-def _baseline_grid(model, n_points=DEFAULT_POINTS, quantile=1.0 - 1e-6):
+def _baseline_grid(model):
     c = model.support_low
     # keep the low end where F is representable, else t*f/F is undefined
     lo = max(c + 1e-9 * (1.0 + abs(c)), model.quantile(1e-9))
-    hi = model.quantile(quantile)
-    return Grid(lo, hi, n_points)
+    return Grid(lo, model.quantile(UPPER_QUANTILE), DEFAULT_POINTS)
 
 
-def check_t_rhr_decreasing(model, grid=None, rel_tol=1e-9):
+def check_t_rhr_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify t * f(t)/F(t) on a grid of the baseline support."""
     grid = grid or _baseline_grid(model)
     t = grid.points()
     return classify_monotonicity(t, t * np.asarray(model.rhr(t)), rel_tol=rel_tol)
 
 
-def check_t_logpdf_slope_decreasing(model, grid=None, rel_tol=1e-9):
+def check_t_logpdf_slope_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify t * f'(t)/f(t) on a grid of the baseline support."""
     grid = grid or _baseline_grid(model)
     t = grid.points()
@@ -113,7 +114,7 @@ def check_t_logpdf_slope_decreasing(model, grid=None, rel_tol=1e-9):
     )
 
 
-def check_logpdf_slope_increasing(model, grid=None, rel_tol=1e-9):
+def check_logpdf_slope_increasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify f'(t)/f(t) on a grid of the baseline support."""
     grid = grid or _baseline_grid(model)
     t = grid.points()
@@ -134,6 +135,16 @@ class ConditionItem:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _t_rhr_item(baseline, grid=None):
+    """The ``t_rhr_decreasing`` hypothesis item on the baseline."""
+    mono = check_t_rhr_decreasing(baseline, grid)
+    return ConditionItem(
+        "t_rhr_decreasing",
+        _is_nonincreasing(mono),
+        f"t*rhr classified {mono.classification.value} (numerically supported)",
+    )
 
 
 @dataclass(frozen=True)
@@ -162,12 +173,10 @@ def _vectors(mixture):
     return alphas, sigmas, lams
 
 
-def _shared_baseline(u, v):
-    models = {c.baseline for c in u.components} | {c.baseline for c in v.components}
+def _shared_baseline(*components):
+    models = {c.baseline for c in components}
     if len(models) != 1:
-        raise TheoremShapeError(
-            "theorem evaluators require one common baseline across both mixtures"
-        )
+        raise TheoremShapeError("theorem evaluators require one baseline shared by all components")
     return next(iter(models))
 
 
@@ -189,7 +198,7 @@ def eval_theorem_3_1(u, v):
     must share a cone, either all nondecreasing-nonnegative or all
     nonincreasing-nonnegative.
     """
-    baseline = _shared_baseline(u, v)
+    baseline = _shared_baseline(*u.components, *v.components)
     if len(u) != len(v):
         raise TheoremShapeError("mixtures must have equal length")
     alphas, sigmas, lams = _vectors(u)
@@ -240,13 +249,12 @@ def eval_theorem_3_1(u, v):
     )
 
 
-def eval_theorem_3_2(u, v, grid=None):
+def eval_theorem_3_2(u, v):
     """Block-separation conditions (max of U's vector below min of V's) for
     the reversed hazard rate order, valid where t*rhr(t) decreases."""
-    baseline = _shared_baseline(u, v)
+    baseline = _shared_baseline(*u.components, *v.components)
     alphas, sigmas, lams = _vectors(u)
     betas, mus, thetas = _vectors(v)
-    rhr_mono = check_t_rhr_decreasing(baseline, grid)
     m1 = float(min(c.support_start for c in u.components))
     m2 = float(min(c.support_start for c in v.components))
     items = (
@@ -265,11 +273,7 @@ def eval_theorem_3_2(u, v, grid=None):
             bool(np.max(lams) <= np.min(thetas)),
             f"max lambda={np.max(lams):g}, min theta={np.min(thetas):g}",
         ),
-        ConditionItem(
-            "t_rhr_decreasing",
-            _is_nonincreasing(rhr_mono),
-            f"t*rhr classified {rhr_mono.classification.value} (numerically supported)",
-        ),
+        _t_rhr_item(baseline),
     )
     return ConditionReport(
         theorem_id="T3.2",
@@ -283,7 +287,7 @@ def eval_theorem_3_2(u, v, grid=None):
 def eval_theorem_3_3(u, v):
     """Shape-separation condition for the likelihood ratio order under a
     common location and scale shared by every component of both mixtures."""
-    baseline = _shared_baseline(u, v)
+    baseline = _shared_baseline(*u.components, *v.components)
     alphas, sigmas, lams = _vectors(u)
     betas, mus, thetas = _vectors(v)
     sigma = _common_scalar(np.concatenate([sigmas, mus]), "location")
@@ -313,7 +317,7 @@ def eval_theorem_3_3(u, v):
 def eval_theorem_3_4(u, v):
     """Majorization conditions (weights and shapes) for the usual
     stochastic order with per-mixture scalar location and scale."""
-    baseline = _shared_baseline(u, v)
+    baseline = _shared_baseline(*u.components, *v.components)
     alphas, sigmas, lams = _vectors(u)
     betas, mus, thetas = _vectors(v)
     sigma = _common_scalar(sigmas, "location of U")
@@ -348,14 +352,14 @@ def eval_theorem_3_4(u, v):
     )
 
 
-def _component_pair(spec):
-    return (spec.comp1, spec.comp2)
-
-
-def _outlier_common(spec_u, spec_v):
-    if _component_pair(spec_u) != _component_pair(spec_v):
-        return False
-    return True
+def _shared_pair(spec_u, spec_v):
+    """The component pair both outlier specs share."""
+    pair = (spec_u.comp1, spec_u.comp2)
+    if pair != (spec_v.comp1, spec_v.comp2):
+        raise TheoremShapeError(
+            "outlier comparison requires identical component pairs in both mixtures"
+        )
+    return pair
 
 
 def _outlier_products(spec_u, spec_v):
@@ -366,19 +370,14 @@ def _outlier_products(spec_u, spec_v):
     return float(lhs), float(rhs)
 
 
-def eval_theorem_4_1(spec_u, spec_v, grid=None):
+def eval_theorem_4_1(spec_u, spec_v):
     """Outlier-mixture conditions for the reversed hazard rate order.
 
     Ascending parameter pairs require the product inequality lhs >= rhs;
     descending pairs flip it. Both product sides are reported.
     """
-    shared = _outlier_common(spec_u, spec_v)
-    if not shared:
-        raise TheoremShapeError(
-            "outlier comparison requires identical component pairs in both mixtures"
-        )
-    comp1, comp2 = _component_pair(spec_u)
-    baseline = _shared_baseline_pair(comp1, comp2)
+    comp1, comp2 = _shared_pair(spec_u, spec_v)
+    baseline = _shared_baseline(comp1, comp2)
     alphas = (comp1.alpha, comp2.alpha)
     sigmas = (comp1.sigma, comp2.sigma)
     lams = (comp1.lam, comp2.lam)
@@ -394,7 +393,6 @@ def eval_theorem_4_1(spec_u, spec_v, grid=None):
     else:
         product_ok, rel = lhs >= rhs, ">="
         branch = "none"
-    rhr_mono = check_t_rhr_decreasing(baseline, grid)
     items = (
         ConditionItem("shared_components", True, "component pairs are distribution-equal"),
         ConditionItem(
@@ -403,11 +401,7 @@ def eval_theorem_4_1(spec_u, spec_v, grid=None):
             f"alpha={_fmt_vec(alphas)}, lambda={_fmt_vec(lams)}, "
             f"sigma={_fmt_vec(sigmas)} jointly in {branch}",
         ),
-        ConditionItem(
-            "t_rhr_decreasing",
-            _is_nonincreasing(rhr_mono),
-            f"t*rhr classified {rhr_mono.classification.value} (numerically supported)",
-        ),
+        _t_rhr_item(baseline),
         ConditionItem(
             "weight_product",
             product_ok,
@@ -428,20 +422,17 @@ def eval_theorem_4_1(spec_u, spec_v, grid=None):
     )
 
 
-def eval_theorem_4_2(spec_u, spec_v, grid=None):
+def eval_theorem_4_2(spec_u, spec_v):
     """Outlier-mixture conditions for the (reversed-direction) likelihood
     ratio order: ascending pairs, shapes at least one, product <=."""
-    if not _outlier_common(spec_u, spec_v):
-        raise TheoremShapeError(
-            "outlier comparison requires identical component pairs in both mixtures"
-        )
-    comp1, comp2 = _component_pair(spec_u)
-    baseline = _shared_baseline_pair(comp1, comp2)
+    comp1, comp2 = _shared_pair(spec_u, spec_v)
+    baseline = _shared_baseline(comp1, comp2)
     alphas = (comp1.alpha, comp2.alpha)
     sigmas = (comp1.sigma, comp2.sigma)
     lams = (comp1.lam, comp2.lam)
     lhs, rhs = _outlier_products(spec_u, spec_v)
-    rhr_mono = check_t_rhr_decreasing(baseline, grid)
+    grid = _baseline_grid(baseline)
+    rhr_item = _t_rhr_item(baseline, grid)
     slope_mono = check_t_logpdf_slope_decreasing(baseline, grid)
     items = (
         ConditionItem("shared_components", True, "component pairs are distribution-equal"),
@@ -460,11 +451,7 @@ def eval_theorem_4_2(spec_u, spec_v, grid=None):
             lhs <= rhs,
             f"n1*r1*n2'*s2 = {lhs:.17g} <= {rhs:.17g} = n2*r2*n1'*s1",
         ),
-        ConditionItem(
-            "t_rhr_decreasing",
-            _is_nonincreasing(rhr_mono),
-            f"t*rhr classified {rhr_mono.classification.value} (numerically supported)",
-        ),
+        rhr_item,
         ConditionItem(
             "t_logpdf_slope_decreasing",
             _is_nonincreasing(slope_mono),
@@ -480,19 +467,20 @@ def eval_theorem_4_2(spec_u, spec_v, grid=None):
     )
 
 
-def eval_theorem_4_3(spec_u, spec_v, grid=None):
+def eval_theorem_4_3(spec_u, spec_v):
     """Ageing-faster conditions: zero support bound, one shared shape in
     (0, 1], U located above V, U's scales above V's."""
-    comp_u = _component_pair(spec_u)
-    comp_v = _component_pair(spec_v)
-    baseline = _shared_baseline_pair(*comp_u, *comp_v)
+    comp_u = (spec_u.comp1, spec_u.comp2)
+    comp_v = (spec_v.comp1, spec_v.comp2)
+    baseline = _shared_baseline(*comp_u, *comp_v)
     alphas = [c.alpha for c in comp_u + comp_v]
     alpha = _common_scalar(alphas, "shape")
     sigma = _common_scalar([c.sigma for c in comp_u], "location of U")
     mu = _common_scalar([c.sigma for c in comp_v], "location of V")
     lams = tuple(c.lam for c in comp_u)
     thetas = tuple(c.lam for c in comp_v)
-    rhr_mono = check_t_rhr_decreasing(baseline, grid)
+    grid = _baseline_grid(baseline)
+    rhr_item = _t_rhr_item(baseline, grid)
     slope_mono = check_logpdf_slope_increasing(baseline, grid)
     items = (
         ConditionItem(
@@ -512,11 +500,7 @@ def eval_theorem_4_3(spec_u, spec_v, grid=None):
             _is_nondecreasing(slope_mono),
             f"f'/f classified {slope_mono.classification.value} (numerically supported)",
         ),
-        ConditionItem(
-            "t_rhr_decreasing",
-            _is_nonincreasing(rhr_mono),
-            f"t*rhr classified {rhr_mono.classification.value} (numerically supported)",
-        ),
+        rhr_item,
     )
     return ConditionReport(
         theorem_id="T4.3",
@@ -533,13 +517,6 @@ def eval_theorem_4_3(spec_u, spec_v, grid=None):
             "predicted_ratio": Monotonicity.NON_INCREASING.value,
         },
     )
-
-
-def _shared_baseline_pair(*components):
-    models = {c.baseline for c in components}
-    if len(models) != 1:
-        raise TheoremShapeError("components must share one baseline model")
-    return next(iter(models))
 
 
 THEOREM_EVALUATORS = {

@@ -113,6 +113,3 @@ class ELSComponent:
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {p}")
         return self.sigma + self.lam * self.baseline.quantile_log(math.log(p) / self.alpha)
-
-    def spec(self):
-        return {"alpha": self.alpha, "sigma": self.sigma, "lambda": self.lam}

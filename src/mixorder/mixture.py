@@ -45,6 +45,10 @@ _LOG_XTOL = 1e-10
 #: largest double below one; a CDF that rounds to one is clamped to it
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
+#: absolute panel tolerance and bisection depth of the normalization quadrature
+_PANEL_TOL = 1e-9
+_MAX_DEPTH = 40
+
 
 class WeightPolicy(str, Enum):
     STRICT_UNIT = "strict"
@@ -125,14 +129,14 @@ class FiniteMixture:
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def rhr(self, x, floor=DENOM_FLOOR):
+    def rhr(self, x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         F = np.asarray(self.cdf(arr))
-        if np.any(F <= floor):
-            bad = np.asarray(arr)[np.asarray(F <= floor)]
+        if np.any(F <= DENOM_FLOOR):
+            bad = np.asarray(arr)[np.asarray(F <= DENOM_FLOOR)]
             raise UndefinedPointError(
-                f"mixture cdf below floor {floor} at x={bad.flat[0]}",
+                f"mixture cdf below floor {DENOM_FLOOR} at x={bad.flat[0]}",
                 x=float(bad.flat[0]),
             )
         vals = np.asarray(self.pdf(arr)) / F
@@ -204,7 +208,7 @@ class NormalizationReport:
     x_hi: float
 
 
-def verify_normalization(mix, tol=1e-6, panel_tol=1e-9, max_depth=40):
+def verify_normalization(mix, tol=1e-6):
     """Quadrature check that the mixture density integrates to one.
 
     Integrates the density between consecutive support breaks up to the
@@ -229,7 +233,7 @@ def verify_normalization(mix, tol=1e-6, panel_tol=1e-9, max_depth=40):
             out[pos] = mix.pdf_at_offset(a, width * up**g) * width * g * up ** (g - 1.0)
             return out
 
-        res = adaptive_simpson(transformed, 0.0, 1.0, abs_tol=panel_tol, max_depth=max_depth)
+        res = adaptive_simpson(transformed, 0.0, 1.0, abs_tol=_PANEL_TOL, max_depth=_MAX_DEPTH)
         if not res.converged:
             raise QuadratureError(
                 f"normalization quadrature did not converge on [{a}, {b}]",

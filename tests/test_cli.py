@@ -14,11 +14,13 @@ from mixorder import (
     OrderKind,
     check_order,
     classify_monotonicity,
+    get_scenario,
     run_scenario,
     scenario_grid,
 )
 from mixorder.analysis import DEFAULT_POINTS, MAX_POINTS
 from mixorder.cli import main
+from mixorder.reporting import dumps
 
 
 def run_cli(capsys, *argv):
@@ -272,18 +274,69 @@ def test_eval_oversized_grid_exits_2(capsys, grid):
     assert f"grid needs 3 to {MAX_POINTS} points, got {10**12}" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "EX4.1", "cdf"),
-    ("check-order", "EX4.1", "--order", "st"),
-    ("check-theorem", "EX4.1", "--theorem", "T3.1"),
-], ids=["eval", "check-order", "check-theorem"])
-@pytest.mark.parametrize("option", [("--seed", "1"), ("--policy", "autonorm")],
-                         ids=["seed", "policy"])
+_SUBCOMMANDS = {
+    "eval": ("eval", "EX4.1", "cdf"),
+    "check-order": ("check-order", "EX4.1", "--order", "st"),
+    "check-theorem": ("check-theorem", "EX4.1", "--theorem", "T3.1"),
+}
+_REMOVED_OPTIONS = {
+    "seed": ("--seed", "1"),
+    "policy": ("--policy", "autonorm"),
+    "rh-floor": ("--rh-floor", "1e-9"),
+}
+
+
+@pytest.mark.parametrize("argv, option", [
+    *(pytest.param(argv, option, id=f"{name}-{cmd}")
+      for name, option in _REMOVED_OPTIONS.items() for cmd, argv in _SUBCOMMANDS.items()),
+    # check-order and check-theorem keep --tol; eval reads no tolerance
+    pytest.param(_SUBCOMMANDS["eval"], ("--tol", "1e-6"), id="tol-eval"),
+])
 def test_removed_options_are_rejected(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *option])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS.values(), ids=_SUBCOMMANDS.keys())
+def test_log_grid_without_grid_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--log-grid")
+    assert (code, out) == (2, "")
+    assert "--log-grid applies only to an explicit --grid" in err
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS.values(), ids=_SUBCOMMANDS.keys())
+def test_points_with_grid_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--grid", "6:600:3", "--points", "7")
+    assert (code, out) == (2, "")
+    assert "--points sets the automatic grid" in err
+
+
+def test_eval_log_grid_abscissae(capsys):
+    code, out, _ = run_cli(capsys, "eval", "EX4.1", "cdf", "--grid", "6:600:5", "--log-grid")
+    assert code == 0
+    x = np.array([float(line.split(",")[0]) for line in out.strip().split("\n")[1:]])
+    assert np.array_equal(x, np.geomspace(6.0, 600.0, 5))
+
+
+@pytest.mark.parametrize("scenario_id, order, keyword, tol", [
+    # CE5.9's density ratio is non-monotone at the default 1e-9 only
+    ("CE5.9", "lr", "rel_tol", "1e-6"),
+    # st takes --tol as the pointwise CDF slack, which lifts CE4.1's crossing
+    ("CE4.1", "st", "tol", "0.5"),
+])
+def test_check_order_tol_reaches_checker(capsys, scenario_id, order, keyword, tol):
+    scenario = get_scenario(scenario_id)
+    u, v = scenario.mixtures()
+    grid = scenario_grid(scenario)
+    expected = check_order(order, u, v, grid, pair_id=scenario_id, **{keyword: float(tol)})
+    assert expected.direction != check_order(order, u, v, grid).direction
+    code, out, _ = run_cli(capsys, "check-order", scenario_id, "--order", order, "--tol", tol)
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert doc["tolerances"] == {"tol": float(tol)}
+    assert doc["verdict"] == json.loads(dumps(expected))
 
 
 @pytest.mark.parametrize("order", ["rh", "lr"])

@@ -129,7 +129,9 @@ def test_normalization_catalog_spot_checks():
         assert rep.passed, rep
 
 
-@pytest.mark.xfail(strict=True, reason="adaptive Simpson accepts a wrong panel at panel_tol=1e-9")
+@pytest.mark.xfail(
+    strict=True, reason="adaptive Simpson accepts a wrong panel at its 1e-9 panel tolerance"
+)
 @pytest.mark.parametrize("index", [0, 1])
 def test_normalization_of_false_convergence_mixtures(false_convergence_mixtures, index):
     # integrals 0.9999983 and 0.9999909 for valid mixtures; passes once fixed
