@@ -4,6 +4,9 @@ Six closed-form families plus a tabulated escape hatch. Each model exposes
 the CDF F, the density f, the density derivative f', and the reversed
 hazard rate f/F. The lower support bound ``support_low`` is the constant
 that shifts an exponentiated location-scale component's start point.
+``cdf`` and ``pdf`` run the closed forms through ``numerics.on_support``:
+zero on t <= c, a float for a scalar (with the bits of the same point in a
+grid), and a DomainError when the float range overflows.
 
 Closed forms:
 
@@ -38,6 +41,7 @@ from .numerics import (  # noqa: F401
     brent_root,
     central_difference,
     expand_upper_bracket,
+    on_support,
 )
 
 #: absolute x tolerance of the bracketed quantile root (Benktander-II, tabulated)
@@ -88,15 +92,10 @@ class BaselineModel:
 
     def _above(self, closed_form, t, name):
         """``closed_form`` on t > c and zero elsewhere; float overflow is a DomainError."""
-        arr, scalar = _as_array(t)
-        out = np.zeros(arr.shape)
-        mask = arr > self._c
-        if mask.any():
-            try:
-                out[mask] = closed_form(arr[mask])
-            except OverflowError:
-                raise DomainError(f"{self.family} {name} overflows the float range") from None
-        return _finish(out, scalar)
+        try:
+            return on_support(t, self._c, closed_form)
+        except OverflowError:
+            raise DomainError(f"{self.family} {name} overflows the float range") from None
 
     def cdf(self, t):
         return self._above(self._cdf_above, t, "cdf")

@@ -145,16 +145,17 @@ def cmd_check_order(args):
         "verdict": to_jsonable(verdict),
     }
     if order in (OrderKind.RH, OrderKind.LR):
+        # the other ratio check shares --tol; the st check keeps its pointwise default
         st = check_usual_stochastic(sample, pair_id=pair_id)
         rh = (
             verdict
             if order is OrderKind.RH
-            else check_reversed_hazard(sample, pair_id=pair_id)
+            else check_reversed_hazard(sample, pair_id=pair_id, **_check_kwargs(args, order))
         )
         lr = (
             verdict
             if order is OrderKind.LR
-            else check_likelihood_ratio(sample, pair_id=pair_id)
+            else check_likelihood_ratio(sample, pair_id=pair_id, **_check_kwargs(args, order))
         )
         audit = implication_audit(st, rh, lr)
         report["implication_audit"] = to_jsonable(audit)
@@ -270,7 +271,6 @@ def cmd_reproduce(args):
     doc = {
         "command": "reproduce",
         "points": args.points,
-        "seed": args.seed,
         "scenarios": len(rows),
         "contradictions": contradictions,
         "rows": rows,
@@ -552,7 +552,6 @@ def build_parser():
     p.add_argument("ids", nargs="*", help="scenario ids (default: all)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--points", type=int, default=DEFAULT_POINTS)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--results-dir", default=None,
                    help="record directory (or env STOCHORDER_RESULTS_DIR)")
     p.add_argument("--no-records", action="store_true",

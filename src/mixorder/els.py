@@ -3,7 +3,9 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself.
+start point itself. ``cdf``, ``pdf`` and ``pdf_at_offset`` share that mask
+rule with the baseline through ``numerics.on_support``, so a scalar takes
+the same array arithmetic, and gives the same bits, as a grid point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .baseline import BaselineModel
 from .errors import DomainError, ParameterError
 # perfbench/tracing.py wraps both root helpers by their names in this module
 from .numerics import bisect_nondecreasing, expand_upper_bracket  # noqa: F401
+from .numerics import on_support
 
 
 @dataclass(frozen=True)
@@ -46,24 +49,21 @@ class ELSComponent:
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.sigma) / self.lam
 
-    def _above(self, x, of_z):
-        """``of_z`` at the standardized points of x above the start point, zero elsewhere."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = np.zeros(arr.shape)
-        mask = arr > self.support_start
-        if mask.any():
-            out[mask] = of_z(self._z(arr[mask]))
-        return float(out) if scalar else out
-
     def cdf(self, x):
-        return self._above(x, lambda z: np.asarray(self.baseline.cdf(z)) ** self.alpha)
+        return on_support(x, self.support_start, self._cdf_at)
+
+    def _cdf_at(self, x):
+        return self.baseline.cdf(self._z(x)) ** self.alpha
 
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
     def pdf(self, x):
-        return self._above(x, lambda z: self._density(self.baseline.cdf(z), self.baseline.pdf(z)))
+        return on_support(x, self.support_start, self._density_at)
+
+    def _density_at(self, x):
+        z = self._z(x)
+        return self._density(self.baseline.cdf(z), self.baseline.pdf(z))
 
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.
@@ -71,24 +71,21 @@ class ELSComponent:
         Keeps the near-edge mass of alpha < 1 components reachable by
         quadrature even when support_start + dx is not representable.
         """
-        dx = np.asarray(dx, dtype=float)
-        scalar = dx.ndim == 0
-        out = np.zeros(dx.shape)
-        mask = dx > 0.0
-        if mask.any():
-            dz = dx[mask] / self.lam
-            out[mask] = self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
-        return float(out) if scalar else out
+        return on_support(dx, 0.0, self._density_at_offset)
+
+    def _density_at_offset(self, dx):
+        dz = dx / self.lam
+        return self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
 
     def _density(self, F, f):
-        """Component density from baseline F and f at the same standardized points."""
-        F = np.asarray(F)
-        f = np.asarray(f)
+        """Component density from baseline F and f arrays at the same standardized points."""
         if self.alpha == 1.0:
             return f / self.lam
         # F == 0 just above the start point means underflow; the
         # alpha < 1 divergence would otherwise produce inf * 0.
         pos = F > 0.0
+        if pos.all():
+            return (self.alpha / self.lam) * F ** (self.alpha - 1.0) * f
         vals = np.zeros_like(F)
         vals[pos] = (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
         return vals

@@ -31,6 +31,7 @@ from .numerics import (  # noqa: F401
     brent_root,
     expand_upper_bracket,
     kahan_add,
+    on_support,
 )
 
 #: exponent of the left-edge power substitution used by the normalization
@@ -113,12 +114,12 @@ class FiniteMixture:
 
     def _weighted_sum(self, x, attr):
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        total = np.zeros(arr.shape)
-        comp = np.zeros(arr.shape)
-        for w, component in zip(self.weights, self.components):
+        # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
+        weights = self.weights.tolist() if arr.ndim == 0 else self.weights
+        total = comp = 0.0 if arr.ndim == 0 else np.zeros(arr.shape)
+        for w, component in zip(weights, self.components):
             total, comp = kahan_add(total, comp, w * getattr(component, attr)(arr))
-        return float(total) if scalar else total
+        return total
 
     def cdf(self, x):
         return self._weighted_sum(x, "cdf")
@@ -227,11 +228,10 @@ def verify_normalization(mix, tol=1e-6):
         g = _EDGE_POWER
 
         def transformed(u, a=a, width=width, g=g):
-            out = np.zeros(u.shape)
-            pos = u > 0.0
-            up = u[pos]
-            out[pos] = mix.pdf_at_offset(a, width * up**g) * width * g * up ** (g - 1.0)
-            return out
+            def above(up):
+                return mix.pdf_at_offset(a, width * up**g) * width * g * up ** (g - 1.0)
+
+            return on_support(u, 0.0, above)
 
         res = adaptive_simpson(transformed, 0.0, 1.0, abs_tol=_PANEL_TOL, max_depth=_MAX_DEPTH)
         if not res.converged:

@@ -1,6 +1,8 @@
-"""Small numerical kernels: compensated sums, quadrature, bracketed roots.
+"""Small numerical kernels: the support mask, compensated sums, quadrature, roots.
 
-Everything here is deterministic and stateless. The adaptive Simpson rule
+Everything here is deterministic and stateless. ``on_support`` is the one
+mask rule of every baseline, component and mixture ``cdf``/``pdf``, and it
+gives a scalar the bits of a grid point. The adaptive Simpson rule
 uses interval halving with a per-panel absolute tolerance, so the total
 error scales with the number of accepted panels. Its integrand maps a 1-D
 float array to a 1-D float array and is called once per bisection depth.
@@ -20,6 +22,27 @@ DENOM_FLOOR = 1e-12
 
 #: relative x tolerance and iteration cap of ``brent_root``, as in scipy's brentq
 _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
+
+
+def on_support(x, start, fn):
+    """``fn`` at the points of ``x`` above ``start``, zero elsewhere (NaN included).
+
+    A scalar gives a float, computed by ``fn`` on a length-1 array view, so it
+    takes the same vector arithmetic as an array point; numpy's scalar power
+    rounds differently from its vector loop. ``fn`` gets the whole array when
+    every point lies above ``start``, only a mixed array is scattered, and
+    ``fn`` is not called when no point lies above ``start``.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return float(fn(arr.reshape(1))[0]) if arr > start else 0.0
+    mask = arr > start
+    if mask.all() and arr.size:
+        return fn(arr)
+    out = np.zeros(arr.shape)
+    if mask.any():
+        out[mask] = fn(arr[mask])
+    return out
 
 
 def kahan_add(total, comp, term):

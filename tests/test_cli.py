@@ -291,6 +291,8 @@ _REMOVED_OPTIONS = {
       for name, option in _REMOVED_OPTIONS.items() for cmd, argv in _SUBCOMMANDS.items()),
     # check-order and check-theorem keep --tol; eval reads no tolerance
     pytest.param(_SUBCOMMANDS["eval"], ("--tol", "1e-6"), id="tol-eval"),
+    # reproduce draws nothing at random; validate and the experiment keep --seed
+    pytest.param(("reproduce", "EX4.1", "--no-records"), ("--seed", "1"), id="seed-reproduce"),
 ])
 def test_removed_options_are_rejected(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
@@ -337,6 +339,17 @@ def test_check_order_tol_reaches_checker(capsys, scenario_id, order, keyword, to
     doc = json.loads(out)
     assert doc["tolerances"] == {"tol": float(tol)}
     assert doc["verdict"] == json.loads(dumps(expected))
+
+
+@pytest.mark.parametrize("order", ["rh", "lr"])
+def test_check_order_tol_reaches_audit(capsys, order):
+    # the audit runs its other ratio check at --tol as well: at 1e-3 lr holds
+    # on EX5.7 and rh does not, which a default-tolerance partner hid
+    code, out, _ = run_cli(capsys, "check-order", "EX5.7", "--order", order, "--tol", "1e-3")
+    assert code in (0, 1)
+    audit = json.loads(out)["implication_audit"]
+    assert audit["consistent"] is False
+    assert audit["failures"] == ["lr UleqV holds but rh does not"]
 
 
 @pytest.mark.parametrize("order", ["rh", "lr"])
@@ -440,8 +453,8 @@ def test_reproduce_selection_and_exit(capsys, tmp_path, monkeypatch):
 
 
 def test_reproduce_all_deterministic_stdout(capsys):
-    code1, out1, _ = run_cli(capsys, "reproduce", "--all", "--no-records", "--seed", "42")
-    code2, out2, _ = run_cli(capsys, "reproduce", "--all", "--no-records", "--seed", "42")
+    code1, out1, _ = run_cli(capsys, "reproduce", "--all", "--no-records")
+    code2, out2, _ = run_cli(capsys, "reproduce", "--all", "--no-records")
     assert code1 == code2 == 0
     assert out1 == out2
     doc = json.loads(out1)
