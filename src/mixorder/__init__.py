@@ -53,7 +53,6 @@ from .conditions import (
     eval_theorem_4_1,
     eval_theorem_4_2,
     eval_theorem_4_3,
-    majorizes,
 )
 from .els import ELSComponent
 from .errors import (
@@ -66,7 +65,6 @@ from .errors import (
     QuadratureError,
     ScenarioFormatError,
     TheoremShapeError,
-    UndefinedPointError,
     WeightError,
 )
 from .mixture import (

@@ -382,9 +382,10 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     treat a decreasing ratio as the validated conclusion. Both readings
     are recorded; ``direction`` follows the definition.
     """
+    u, v = sample.u, sample.v
     verdict = _ratio_verdict(
         OrderKind.R_RH, sample, sample.r_rh_domain(), sample.rhr_ratio(), rel_tol,
-        pair_id, sample.u.rhr, sample.v.rhr,
+        pair_id, lambda x: u.pdf(x) / u.cdf(x), lambda x: v.pdf(x) / v.cdf(x),
     )
     readings = {
         "definition": f"ratio increasing means U ages faster (direction {verdict.direction.value})",

@@ -1,9 +1,9 @@
 """Baseline lifetime distributions with support (c, infinity).
 
 Six closed-form families plus a tabulated escape hatch. Each model exposes
-the CDF F, the density f, the density derivative f', and the reversed
-hazard rate f/F. The lower support bound ``support_low`` is the constant
-that shifts an exponentiated location-scale component's start point.
+the CDF F, the density f and the density derivative f'. The lower
+support bound ``support_low`` is the constant that shifts an
+exponentiated location-scale component's start point.
 ``cdf`` and ``pdf`` run the closed forms through ``numerics.on_support``:
 zero on t <= c, a float for a scalar (with the bits of the same point in a
 grid), and a DomainError when the float range overflows.
@@ -33,10 +33,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UndefinedPointError
+from .errors import DomainError, ParameterError
 # perfbench/tracing.py wraps both root helpers by their names in this module
 from .numerics import (  # noqa: F401
-    DENOM_FLOOR,
     bisect_nondecreasing,
     brent_root,
     central_difference,
@@ -46,15 +45,6 @@ from .numerics import (  # noqa: F401
 
 #: absolute x tolerance of the bracketed quantile root (Benktander-II, tabulated)
 _ROOT_XTOL = 1e-10
-
-
-def _as_array(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _finish(values, scalar):
-    return float(values) if scalar else values
 
 
 def _log_survival(log_q):
@@ -105,15 +95,17 @@ class BaselineModel:
 
     def pdf_prime(self, t):
         """Density derivative f'(t); analytic when the family provides one."""
-        arr, scalar = _as_array(t)
+        arr = np.asarray(t, dtype=float)
         if np.any(arr <= self._c):
             raise DomainError(
                 f"pdf derivative requires t > support_low={self._c}"
             )
         if self.has_analytic_derivative:
-            out = self._pdf_prime_above(arr if arr.ndim else arr.reshape(()))
-            return _finish(np.asarray(out, dtype=float), scalar)
-        return _finish(np.asarray(central_difference(self.pdf, arr), dtype=float), scalar)
+            out = self._pdf_prime_above(arr)
+        else:
+            out = central_difference(self.pdf, arr)
+        out = np.asarray(out, dtype=float)
+        return float(out) if arr.ndim == 0 else out
 
     def cdf_offset(self, dz):
         """F(c + dz) for dz >= 0, accurate for offsets below one ulp of c.
@@ -128,19 +120,6 @@ class BaselineModel:
     def pdf_offset(self, dz):
         """f(c + dz) for dz >= 0; see ``cdf_offset``."""
         return self.pdf(self._c + np.asarray(dz, dtype=float))
-
-    def rhr(self, t):
-        """Reversed hazard rate f(t)/F(t) for t > c."""
-        arr, scalar = _as_array(t)
-        if np.any(arr <= self._c):
-            raise DomainError(f"reversed hazard rate requires t > support_low={self._c}")
-        F = np.asarray(self.cdf(arr))
-        if np.any(F <= DENOM_FLOOR):
-            bad = np.asarray(arr)[F <= DENOM_FLOOR]
-            raise UndefinedPointError(
-                f"cdf below floor {DENOM_FLOOR} at t={bad.flat[0]}", x=float(bad.flat[0])
-            )
-        return _finish(np.asarray(self.pdf(arr)) / F, scalar)
 
     def quantile(self, p):
         """Inverse CDF: the t > c with F(t) = p."""

@@ -59,8 +59,7 @@ def _err(msg):
 
 
 def _results_dir(args):
-    d = os.environ.get("STOCHORDER_RESULTS_DIR") or getattr(args, "results_dir", None)
-    return d or "results"
+    return args.results_dir or os.environ.get("STOCHORDER_RESULTS_DIR") or "results"
 
 
 def _resolve_scenario(source):
@@ -553,7 +552,8 @@ def build_parser():
     p.add_argument("--all", action="store_true")
     p.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p.add_argument("--results-dir", default=None,
-                   help="record directory (or env STOCHORDER_RESULTS_DIR)")
+                   help="record directory (default: env STOCHORDER_RESULTS_DIR, "
+                        "else ./results)")
     p.add_argument("--no-records", action="store_true",
                    help="skip writing per-run record files")
     p.set_defaults(fn=cmd_reproduce)

@@ -85,11 +85,6 @@ def check_majorization(x, y, tol=MAJORIZATION_TOL):
     )
 
 
-def majorizes(x, y, tol=MAJORIZATION_TOL):
-    """True when x majorizes y (y is majorized by x)."""
-    return check_majorization(x, y, tol=tol).y_majorized_by_x
-
-
 def _baseline_grid(model):
     c = model.support_low
     # keep the low end where F is representable, else t*f/F is undefined
@@ -101,7 +96,7 @@ def check_t_rhr_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify t * f(t)/F(t) on a grid of the baseline support."""
     grid = grid or _baseline_grid(model)
     t = grid.points()
-    return classify_monotonicity(t, t * np.asarray(model.rhr(t)), rel_tol=rel_tol)
+    return classify_monotonicity(t, t * (model.pdf(t) / model.cdf(t)), rel_tol=rel_tol)
 
 
 def check_t_logpdf_slope_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):

@@ -55,9 +55,6 @@ class ELSComponent:
     def _cdf_at(self, x):
         return self.baseline.cdf(self._z(x)) ** self.alpha
 
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
     def pdf(self, x):
         return on_support(x, self.support_start, self._density_at)
 
@@ -89,17 +86,6 @@ class ELSComponent:
         vals = np.zeros_like(F)
         vals[pos] = (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
         return vals
-
-    def rhr(self, x):
-        """Reversed hazard rate (alpha/lambda) * f(z)/F(z); needs x above support."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        if np.any(arr <= self.support_start):
-            raise DomainError(
-                f"reversed hazard rate requires x > {self.support_start}"
-            )
-        vals = (self.alpha / self.lam) * np.asarray(self.baseline.rhr(self._z(arr)))
-        return float(vals) if scalar else vals
 
     def quantile(self, p):
         """Inverse CDF sigma + lam * F^{-1}(p^(1/alpha)).

@@ -17,17 +17,6 @@ class DomainError(MixorderError):
     """An operation was evaluated outside its domain."""
 
 
-class UndefinedPointError(MixorderError):
-    """A quotient was requested where the denominator sits below the floor.
-
-    Carries the offending evaluation point in ``x``.
-    """
-
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
-
-
 class InvalidSampleError(MixorderError):
     """A NaN or infinite sample reached the monotonicity classifier."""
 

@@ -1,6 +1,6 @@
 """Finite mixtures of exponentiated location-scale components.
 
-The mixture CDF/PDF/SF are weighted sums of the component functions, with
+The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
 magnitude. Also provides the two-block multiple-outlier construction and a
@@ -20,12 +20,10 @@ from .errors import (
     DomainError,
     ParameterError,
     QuadratureError,
-    UndefinedPointError,
     WeightError,
 )
 # perfbench/tracing.py wraps both root helpers by their names in this module
 from .numerics import (  # noqa: F401
-    DENOM_FLOOR,
     adaptive_simpson,
     bisect_nondecreasing,
     brent_root,
@@ -116,9 +114,12 @@ class FiniteMixture:
         arr = np.asarray(x, dtype=float)
         # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
         weights = self.weights.tolist() if arr.ndim == 0 else self.weights
-        total = comp = 0.0 if arr.ndim == 0 else np.zeros(arr.shape)
-        for w, component in zip(weights, self.components):
-            total, comp = kahan_add(total, comp, w * getattr(component, attr)(arr))
+        terms = (w * getattr(c, attr)(arr) for w, c in zip(weights, self.components))
+        total = next(terms)
+        # what a sum started from zero compensates after this term: 0, or NaN for inf
+        comp = total - total
+        for term in terms:
+            total, comp = kahan_add(total, comp, term)
         return total
 
     def cdf(self, x):
@@ -126,22 +127,6 @@ class FiniteMixture:
 
     def pdf(self, x):
         return self._weighted_sum(x, "pdf")
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def rhr(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        F = np.asarray(self.cdf(arr))
-        if np.any(F <= DENOM_FLOOR):
-            bad = np.asarray(arr)[np.asarray(F <= DENOM_FLOOR)]
-            raise UndefinedPointError(
-                f"mixture cdf below floor {DENOM_FLOOR} at x={bad.flat[0]}",
-                x=float(bad.flat[0]),
-            )
-        vals = np.asarray(self.pdf(arr)) / F
-        return float(vals) if scalar else vals
 
     def quantile(self, p):
         """Inverse CDF by a root bracketed by the component quantiles.
@@ -275,10 +260,6 @@ class OutlierMixtureSpec:
     def block_weights(self):
         return (self.n1 * self.r1, self.n2 * self.r2)
 
-    @property
-    def raw_weight_sum(self):
-        return math.fsum(self.block_weights)
-
 
 def build_outlier_mixture(spec, policy=WeightPolicy.STRICT_UNIT):
     """Collapse an outlier spec into its two-term mixture.
@@ -292,6 +273,6 @@ def build_outlier_mixture(spec, policy=WeightPolicy.STRICT_UNIT):
         )
     except WeightError as exc:
         raise WeightError(
-            f"outlier weights n1*r1 + n2*r2 = {spec.raw_weight_sum!r} violate the "
+            f"outlier weights n1*r1 + n2*r2 = {math.fsum(spec.block_weights)!r} violate the "
             f"unit-sum requirement; {exc}"
         ) from None

@@ -65,7 +65,8 @@ def _escape(s):
 
 def dumps(obj, indent=0, _level=0):
     """JSON emitter with fixed float formatting; non-finite floats -> null."""
-    obj = to_jsonable(obj)
+    if _level == 0:
+        obj = to_jsonable(obj)
     pad = " " * (indent * (_level + 1)) if indent else ""
     end_pad = " " * (indent * _level) if indent else ""
     sep = ",\n" if indent else ", "

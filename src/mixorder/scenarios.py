@@ -79,10 +79,6 @@ class Scenario:
         """The (U, V) mixtures."""
         return self.u, self.v
 
-    def outlier_specs(self):
-        """(spec_U, spec_V) for two-block scenarios, else None."""
-        return self.specs
-
 
 # --------------------------------------------------------------------------
 # built-in catalog

@@ -116,7 +116,7 @@ def test_criterion_2_product_condition_arithmetic():
     failures = []
     for sid, lhs, rhs in cases:
         scenario = get_scenario(sid)
-        rep = THEOREM_EVALUATORS[scenario.theorem_id](*scenario.outlier_specs())
+        rep = THEOREM_EVALUATORS[scenario.theorem_id](*scenario.specs)
         if abs(rep.notes["product_lhs"] - lhs) > 1e-12:
             failures.append(f"{sid} lhs {rep.notes['product_lhs']!r} != {lhs}")
         if abs(rep.notes["product_rhs"] - rhs) > 1e-12:
@@ -153,9 +153,10 @@ def test_criterion_3_normalization():
 
 def _audit(u, v, pair_id):
     grid = auto_grid(u, v)
-    st = check_usual_stochastic(PairSample(u, v, grid), tol=1e-9, pair_id=pair_id)
-    rh = check_reversed_hazard(PairSample(u, v, grid), rel_tol=1e-9, pair_id=pair_id)
-    lr = check_likelihood_ratio(PairSample(u, v, grid), rel_tol=1e-9, pair_id=pair_id)
+    sample = PairSample(u, v, grid)
+    st = check_usual_stochastic(sample, tol=1e-9, pair_id=pair_id)
+    rh = check_reversed_hazard(sample, rel_tol=1e-9, pair_id=pair_id)
+    lr = check_likelihood_ratio(sample, rel_tol=1e-9, pair_id=pair_id)
     return implication_audit(st, rh, lr)
 
 
@@ -236,7 +237,7 @@ def test_criterion_5_theorem_soundness_sweep():
                  if not failures else "; ".join(failures + lines))
     assert ok, (
         "the two-block likelihood-ratio sufficient conditions do not imply "
-        "their stated conclusion on wide grids; see ROADMAP item 1 "
+        "their stated conclusion on wide grids; see ROADMAP item 2 "
         f"for the oracle-verified counterexample analysis. {failures}"
     )
 

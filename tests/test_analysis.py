@@ -184,7 +184,7 @@ def test_swap_mirrors_st_direction(seed):
     strict=True, raises=AssertionError,
     reason="classify_monotonicity weighs every step against rel_tol * max|ratio|, so "
            "where the ratio spans orders of magnitude one orientation passes rises "
-           "that the other flags (ROADMAP item 6)",
+           "that the other flags (ROADMAP item 1)",
 )
 # lt_exponential: f_V/f_U climbs 0.05 near its tail, which the (U, V) check
 # passes as non-increasing because the ratio reaches 5e9 at the support start
@@ -240,6 +240,10 @@ def test_aging_faster_catalog_and_readings():
     u, v, grid = _pair("CE5.9")
     verdict = check_aging_faster_rhr(PairSample(u, v, grid))
     assert verdict.ratio_classification.classification is Monotonicity.NON_MONOTONE
+    # the witness carries each mixture's reversed hazard rate f/F at its point
+    w = verdict.violation_witness
+    assert w.value_u == u.pdf(w.x) / u.cdf(w.x)
+    assert w.value_v == v.pdf(w.x) / v.cdf(w.x)
 
 
 def test_insufficient_domain():
@@ -290,9 +294,10 @@ def test_auto_grid_window():
 
 def test_audit_consistent_on_catalog_chain():
     u, v, grid = _pair("EX4.3")
-    st = check_usual_stochastic(PairSample(u, v, grid), pair_id="EX4.3")
-    rh = check_reversed_hazard(PairSample(u, v, grid), pair_id="EX4.3")
-    lr = check_likelihood_ratio(PairSample(u, v, grid), pair_id="EX4.3")
+    sample = PairSample(u, v, grid)
+    st = check_usual_stochastic(sample, pair_id="EX4.3")
+    rh = check_reversed_hazard(sample, pair_id="EX4.3")
+    lr = check_likelihood_ratio(sample, pair_id="EX4.3")
     audit = implication_audit(st, rh, lr)
     assert audit.consistent
 

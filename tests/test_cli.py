@@ -452,6 +452,15 @@ def test_reproduce_selection_and_exit(capsys, tmp_path, monkeypatch):
     assert curve.exists()
 
 
+def test_reproduce_results_dir_flag_beats_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("STOCHORDER_RESULTS_DIR", str(tmp_path / "envdir"))
+    flag_dir = tmp_path / "flagdir"
+    code, _, _ = run_cli(capsys, "reproduce", "EX4.1", "--results-dir", str(flag_dir))
+    assert code == 0
+    assert len(list(flag_dir.glob("*.json"))) == 1
+    assert not (tmp_path / "envdir").exists()
+
+
 def test_reproduce_all_deterministic_stdout(capsys):
     code1, out1, _ = run_cli(capsys, "reproduce", "--all", "--no-records")
     code2, out2, _ = run_cli(capsys, "reproduce", "--all", "--no-records")

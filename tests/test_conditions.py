@@ -23,7 +23,6 @@ from mixorder import (
     eval_theorem_4_2,
     eval_theorem_4_3,
     get_scenario,
-    majorizes,
     make_baseline,
     scenario_grid,
 )
@@ -40,8 +39,8 @@ def test_majorization_reflexive():
 
 def test_majorization_published_weight_vectors():
     # r = (0.6, 0.3, 0.1) majorizes s = (0.4, 0.4, 0.2)
-    assert majorizes([0.6, 0.3, 0.1], [0.4, 0.4, 0.2])
-    assert not majorizes([0.4, 0.4, 0.2], [0.6, 0.3, 0.1])
+    assert check_majorization([0.6, 0.3, 0.1], [0.4, 0.4, 0.2]).y_majorized_by_x
+    assert not check_majorization([0.4, 0.4, 0.2], [0.6, 0.3, 0.1]).y_majorized_by_x
 
 
 def test_majorization_unequal_sums_is_neither():
@@ -268,13 +267,13 @@ def test_theorem_3_4_catalog():
 
 
 def test_theorem_4_1_catalog_product_sides():
-    su, sv = get_scenario("EX5.5").outlier_specs()
+    su, sv = get_scenario("EX5.5").specs
     rep = eval_theorem_4_1(su, sv)
     assert rep.all_pass
     assert rep.notes["product_lhs"] == pytest.approx(0.56, abs=1e-12)
     assert rep.notes["product_rhs"] == pytest.approx(0.06, abs=1e-12)
 
-    su, sv = get_scenario("CE5.7").outlier_specs()
+    su, sv = get_scenario("CE5.7").specs
     rep = eval_theorem_4_1(su, sv)
     failed = {i.name for i in rep.items if not i.passed}
     assert failed == {"parameter_cones", "weight_product"}
@@ -283,7 +282,7 @@ def test_theorem_4_1_catalog_product_sides():
 
 
 def test_theorem_4_1_equal_specs_boundary():
-    su, _ = get_scenario("EX5.5").outlier_specs()
+    su, _ = get_scenario("EX5.5").specs
     rep = eval_theorem_4_1(su, su)
     assert rep.all_pass  # product sides equal, inequality inclusive
 
@@ -307,21 +306,21 @@ def test_theorem_4_1_descending_branch_flips_product_inequality():
 
 
 def test_theorem_4_1_component_mismatch():
-    su, _ = get_scenario("EX5.5").outlier_specs()
-    other, _ = get_scenario("CE5.7").outlier_specs()
+    su, _ = get_scenario("EX5.5").specs
+    other, _ = get_scenario("CE5.7").specs
     with pytest.raises(TheoremShapeError):
         eval_theorem_4_1(su, other)
 
 
 def test_theorem_4_2_catalog():
-    su, sv = get_scenario("EX5.6").outlier_specs()
+    su, sv = get_scenario("EX5.6").specs
     rep = eval_theorem_4_2(su, sv)
     assert rep.all_pass
     assert rep.notes["product_lhs"] == pytest.approx(0.12, abs=1e-12)
     assert rep.notes["product_rhs"] == pytest.approx(0.32, abs=1e-12)
     assert rep.predicted_direction is Direction.V_LEQ_U
 
-    su, sv = get_scenario("CE5.8").outlier_specs()
+    su, sv = get_scenario("CE5.8").specs
     rep = eval_theorem_4_2(su, sv)
     assert [i.name for i in rep.items if not i.passed] == ["alpha_at_least_one"]
     assert rep.notes["product_lhs"] == pytest.approx(0.015, abs=1e-12)
@@ -340,12 +339,12 @@ def test_theorem_4_2_alpha_boundary_inclusive():
 
 
 def test_theorem_4_3_catalog():
-    su, sv = get_scenario("EX5.7").outlier_specs()
+    su, sv = get_scenario("EX5.7").specs
     rep = eval_theorem_4_3(su, sv)
     assert rep.all_pass
     assert "direction_caveat" in rep.notes
 
-    su, sv = get_scenario("CE5.9").outlier_specs()
+    su, sv = get_scenario("CE5.9").specs
     rep = eval_theorem_4_3(su, sv)
     assert [i.name for i in rep.items if not i.passed] == ["logpdf_slope_increasing"]
 
@@ -383,7 +382,7 @@ def test_soundness_on_catalog(catalog):
     # wherever conditions all pass, the predicted conclusion is confirmed
     for s in catalog:
         if s.theorem_id in OUTLIER_THEOREMS:
-            rep = THEOREM_EVALUATORS[s.theorem_id](*s.outlier_specs())
+            rep = THEOREM_EVALUATORS[s.theorem_id](*s.specs)
         else:
             rep = THEOREM_EVALUATORS[s.theorem_id](*s.mixtures())
         if not rep.all_pass:
