@@ -3,8 +3,9 @@
 The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
-magnitude. Also provides the two-block multiple-outlier construction and a
-quadrature check that the mixture density integrates to one.
+magnitude. A grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of
+the same elementwise arithmetic, so it gives the same bits. Also provides
+the two-block outlier construction and a normalization quadrature check.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 #: absolute panel tolerance and bisection depth of the normalization quadrature
 _PANEL_TOL = 1e-9
 _MAX_DEPTH = 40
+
+#: points per slice of a long 1-d grid in ``cdf``/``pdf``; 64 KB temporaries
+EVAL_BLOCK = 8192
+
+
+def _kahan_sum(terms):
+    """Compensated sum of ``terms`` in their order, started from the first."""
+    total, comp = terms[0], 0.0
+    for term in terms[1:]:
+        total, comp = kahan_add(total, comp, term)
+    return total
 
 
 class WeightPolicy(str, Enum):
@@ -111,15 +123,28 @@ class FiniteMixture:
         return sorted({c.support_start for c in self.components})
 
     def _weighted_sum(self, x, attr):
+        """Kahan sum of the weighted component values; a 1-d array longer than
+        ``EVAL_BLOCK`` is summed slice by slice into one output. Where an infinite
+        term makes the compensated sum NaN, the plain sum of the nonnegative
+        terms is taken: +inf in any component order, NaN only from a NaN term."""
         arr = np.asarray(x, dtype=float)
-        # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
-        weights = self.weights.tolist() if arr.ndim == 0 else self.weights
-        terms = (w * getattr(c, attr)(arr) for w, c in zip(weights, self.components))
-        total = next(terms)
-        # what a sum started from zero compensates after this term: 0, or NaN for inf
-        comp = total - total
-        for term in terms:
-            total, comp = kahan_add(total, comp, term)
+        if arr.ndim == 0:
+            # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
+            weights = self.weights.tolist()
+            terms = [w * getattr(c, attr)(arr) for w, c in zip(weights, self.components)]
+            total = _kahan_sum(terms)
+            return sum(terms) if math.isnan(total) else total
+        if arr.ndim == 1 and arr.size > EVAL_BLOCK:
+            out = np.empty(arr.size)
+            for i in range(0, arr.size, EVAL_BLOCK):
+                out[i:i + EVAL_BLOCK] = self._weighted_sum(arr[i:i + EVAL_BLOCK], attr)
+            return out
+        terms = [w * getattr(c, attr)(arr) for w, c in zip(self.weights, self.components)]
+        with np.errstate(invalid="ignore"):
+            total = _kahan_sum(terms)
+        bad = np.isnan(total)
+        if bad.any():
+            total[bad] = sum(term[bad] for term in terms)
         return total
 
     def cdf(self, x):

@@ -4,17 +4,31 @@ Every ``cdf``/``pdf`` runs its closed form through ``numerics.on_support``,
 which hands a scalar to the closed form as a length-1 array. These tests
 compare the bits of each scalar result with the matching point of an
 array result, on arrays wholly above a support start, straddling it,
-wholly below it and holding a NaN.
+wholly below it and holding a NaN. A mixture grid longer than
+``mixture.EVAL_BLOCK`` is summed slice by slice; it must give the bits of
+one whole-array pass, of its slices and of its points.
 """
 
+import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixorder import DomainError, ELSComponent, Tabulated, make_baseline
+from mixorder import (
+    DomainError,
+    ELSComponent,
+    FiniteMixture,
+    Tabulated,
+    get_scenario,
+    make_baseline,
+    mixture,
+    scenario_grid,
+)
 from mixorder._sampling import random_mixture
 from mixorder.numerics import on_support
 
@@ -154,3 +168,98 @@ def test_quantile_of_cdf_round_trip(family, data, q, alpha, sigma, lam):
     for model, p in ((base, q), (comp, q**alpha)):
         x = model.quantile(p)
         assert model.quantile(model.cdf(x)) == pytest.approx(x, rel=_ROUND_TRIP_RTOL, abs=0)
+
+
+#: eight ``random_mixture`` draws of one to three components and two
+#: catalog mixtures
+_BLOCK_MIXTURES = [random_mixture(np.random.default_rng(seed)) for seed in range(8)] + [
+    get_scenario("CE4.2").u, get_scenario("EX4.1").v]
+
+
+@st.composite
+def blocked_grids(draw):
+    """(block, x): a grid of block - 1, block, block + 1 or 2 * block + 3
+    points that straddles the support start, holds NaN or +-inf, or lies
+    wholly below the start (the start itself included)."""
+    block = draw(st.integers(2, 9))
+    n = draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 3]))
+    u = np.array(draw(st.lists(st.floats(-3.0, 30.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["straddle", "nonfinite", "below"]))
+    if kind == "straddle":
+        u[0], u[-1] = -1.0, 1.0
+    elif kind == "nonfinite":
+        for value in (math.nan, math.inf, -math.inf):
+            u[draw(st.integers(0, n - 1))] = value
+    else:
+        u = -np.abs(u)
+    return block, u
+
+
+# the closed forms meet inf/inf and inf * 0 at the infinite points
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(grid=blocked_grids(), which=st.integers(0, len(_BLOCK_MIXTURES) - 1),
+       scale=st.floats(0.1, 5.0))
+def test_blocked_evaluation_matches_unblocked_bit_for_bit(grid, which, scale):
+    block, u = grid
+    mix = _BLOCK_MIXTURES[which]
+    x = mix.support_start + scale * u
+    for fn in (mix.cdf, mix.pdf):
+        with mock.patch.object(mixture, "EVAL_BLOCK", block):
+            blocked = fn(x)
+            slices = np.concatenate([fn(x[i:i + block]) for i in range(0, x.size, block)])
+        with mock.patch.object(mixture, "EVAL_BLOCK", x.size):
+            whole = fn(x)
+        points = [fn(float(t)) for t in x]
+        assert blocked.shape == x.shape and blocked.dtype == np.float64
+        for other in (whole, slices, points):
+            assert np.array_equal(_bits(blocked), _bits(other)), (fn, x, blocked, other)
+
+
+def test_blocked_evaluation_at_the_block_size():
+    scenario = get_scenario("CE4.2")
+    x = scenario_grid(scenario, 100_001).points()
+    assert x.size > mixture.EVAL_BLOCK
+    for mix in (scenario.u, scenario.v):
+        for fn in (mix.cdf, mix.pdf):
+            blocked = fn(x)
+            with mock.patch.object(mixture, "EVAL_BLOCK", x.size):
+                whole = fn(x)
+            assert blocked.shape == x.shape and blocked.dtype == np.float64
+            assert np.array_equal(_bits(blocked), _bits(whole))
+
+
+def _infinite_density_mixtures(n_components):
+    """Every order of components whose density at 1e-322 is +inf for
+    alpha = 0.001 (F**(alpha - 1) overflows at a subnormal F) and finite
+    otherwise; the weights follow their components."""
+    base = make_baseline("loglogistic", b=1.0)
+    parts = [(ELSComponent(base, alpha, 0.0, 1.0), w)
+             for alpha, w in zip((0.001, 2.0, 1.0), (0.25, 0.25, 0.5))][:n_components]
+    if n_components == 2:
+        parts = [(c, 0.5) for c, _ in parts]
+    return [FiniteMixture(*zip(*order)) for order in itertools.permutations(parts)]
+
+
+@pytest.mark.parametrize("n_components", [2, 3])
+def test_infinite_term_gives_inf_in_every_component_order(n_components):
+    x = np.array([0.5, 1.0, 2.0, 1e-322, 3.0, 4.0, 5.0])
+    # the components' own power overflows (numpy's overflow flag, silenced
+    # here); the mixture sum must add no warning of its own
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mix in _infinite_density_mixtures(n_components):
+            assert mix.pdf(1e-322) == math.inf
+            for block in (3, 4):  # the inf point starts, then ends, a block
+                with mock.patch.object(mixture, "EVAL_BLOCK", block):
+                    grid = mix.pdf(x)
+                assert grid[3] == math.inf and np.isfinite(np.delete(grid, 3)).all()
+                if n_components == 2:  # a + b is b + a: the orders agree bit for bit
+                    assert np.array_equal(_bits(grid), _bits(_infinite_density_mixtures(2)[0].pdf(x)))
+
+
+def test_nan_term_stays_nan():
+    # the log-logistic CDF at +inf is inf/inf; the plain-sum fallback keeps the NaN
+    mix = _infinite_density_mixtures(2)[0]
+    with np.errstate(invalid="ignore"):
+        assert all(math.isnan(c.cdf(math.inf)) for c in mix.components)
+        assert math.isnan(mix.cdf(math.inf)) and np.isnan(mix.cdf(np.array([1.0, math.inf]))[1])
