@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -190,23 +190,39 @@ def _direction_from_monotone(cls):
 
 def _masked_div(num, den, keep):
     """num / den where keep holds, NaN elsewhere."""
-    return np.where(keep, num / np.where(keep, den, 1.0), np.nan)
+    return np.divide(num, den, out=np.full(np.shape(keep), np.nan), where=keep)
+
+
+def _once(method):
+    """A method of no arguments whose first result is kept and returned again."""
+    name = method.__name__
+
+    @wraps(method)
+    def kept(self):
+        if name not in self._kept:
+            self._kept[name] = method(self)
+        return self._kept[name]
+
+    return kept
 
 
 class PairSample:
     """One mixture pair sampled on one grid.
 
-    Each curve is evaluated on first use and at most once, so every
-    checker, the curve writer and ``eval`` read the same arrays. Each
-    ratio is NaN outside the domain its checker classifies on; the domain
-    masks are exposed separately so a NaN inside a domain still reaches
-    the classifier as an invalid sample.
+    Each curve, domain mask and ratio is computed on first use and at
+    most once, so every checker, the curve writer and ``eval`` read the
+    same arrays. A checker that reads both curves of each mixture asks
+    for them together first, and each mixture then gives both in one pass.
+    Each ratio is NaN outside the domain its checker classifies on; the
+    domain masks are exposed separately so a NaN inside a domain still
+    reaches the classifier as an invalid sample.
     """
 
     def __init__(self, u, v, grid):
         self.u = u
         self.v = v
         self.grid = grid
+        self._kept = {}
 
     @cached_property
     def x(self):
@@ -228,26 +244,41 @@ class PairSample:
     def pdf_v(self):
         return np.asarray(self.v.pdf(self.x))
 
+    def sample_cdf_pdf(self):
+        """Evaluate each mixture's CDF and PDF that are not held yet; a
+        mixture missing both gives them in one pass."""
+        held = vars(self)
+        for side, mix in (("u", self.u), ("v", self.v)):
+            cdf, pdf = f"cdf_{side}", f"pdf_{side}"
+            if cdf not in held and pdf not in held:
+                held[cdf], held[pdf] = (np.asarray(c) for c in mix.cdf_pdf(self.x))
+
+    @_once
     def rh_domain(self):
         return self.cdf_u > DENOM_FLOOR
 
+    @_once
     def lr_domain(self):
         return (self.pdf_u > DENOM_FLOOR) & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
 
+    @_once
     def r_rh_domain(self):
         return (
             (self.cdf_u > DENOM_FLOOR) & (self.cdf_v > DENOM_FLOOR) & (self.pdf_v > DENOM_FLOOR)
             & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
         )
 
+    @_once
     def cdf_ratio(self):
         """F_V / F_U on the rh domain."""
         return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain())
 
+    @_once
     def pdf_ratio(self):
         """f_V / f_U on the lr domain."""
         return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain())
 
+    @_once
     def rhr(self):
         """(h_U, h_V), each where its own CDF exceeds the floor."""
         return (
@@ -255,6 +286,7 @@ class PairSample:
             _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > DENOM_FLOOR),
         )
 
+    @_once
     def rhr_ratio(self):
         """h_U / h_V on the r_rh domain."""
         hu, hv = self.rhr()
@@ -338,6 +370,7 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     hazard rates compared directly where both CDFs are positive) is
     evaluated as well and its agreement is recorded.
     """
+    sample.sample_cdf_pdf()
     keep = sample.rh_domain()
     verdict = _ratio_verdict(
         OrderKind.RH, sample, keep, sample.cdf_ratio(), rel_tol, pair_id,
@@ -383,6 +416,7 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     are recorded; ``direction`` follows the definition.
     """
     u, v = sample.u, sample.v
+    sample.sample_cdf_pdf()
     verdict = _ratio_verdict(
         OrderKind.R_RH, sample, sample.r_rh_domain(), sample.rhr_ratio(), rel_tol,
         pair_id, lambda x: u.pdf(x) / u.cdf(x), lambda x: v.pdf(x) / v.cdf(x),

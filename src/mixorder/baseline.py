@@ -30,6 +30,7 @@ tabulated baseline imports scipy, for its monotone cubic interpolant.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -45,6 +46,11 @@ from .numerics import (  # noqa: F401
 
 #: absolute x tolerance of the bracketed quantile root (Benktander-II, tabulated)
 _ROOT_XTOL = 1e-10
+
+#: largest double. A closed form whose factors meet as inf/inf or inf * 0 at
+#: t = inf caps its growing factor here, which gives the limit (F = 1, f = 0)
+#: there and leaves every finite factor, and so every finite value, as it is.
+_MAX = sys.float_info.max
 
 
 def _log_survival(log_q):
@@ -254,7 +260,7 @@ class BenktanderII(BaselineModel):
 
     def _pdf_above(self, t):
         a, b = self.a, self.b
-        return self._expfac(t) * t ** (b - 2.0) * ((1.0 - b) + a * t**b)
+        return self._expfac(t) * t ** (b - 2.0) * np.minimum((1.0 - b) + a * t**b, _MAX)
 
     def _pdf_prime_above(self, t):
         a, b = self.a, self.b
@@ -298,7 +304,7 @@ class LeftTruncatedBurrXII(BaselineModel):
 
     def _pdf_above(self, t):
         k, m = self.k, self.m
-        return m * k * t ** (k - 1.0) * (1.0 + t**k) ** (-m - 1.0) / self._s0
+        return np.minimum(m * k * t ** (k - 1.0), _MAX) * (1.0 + t**k) ** (-m - 1.0) / self._s0
 
     def _pdf_prime_above(self, t):
         k, m = self.k, self.m
@@ -375,13 +381,13 @@ class LogLogistic(BaselineModel):
         self._c = 0.0
 
     def _cdf_above(self, t):
-        tb = t**self.b
+        tb = np.minimum(t**self.b, _MAX)
         return tb / (1.0 + tb)
 
     def _pdf_above(self, t):
         b = self.b
         tb = t**b
-        return b * t ** (b - 1.0) / (1.0 + tb) ** 2
+        return np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2
 
     def _pdf_prime_above(self, t):
         b = self.b

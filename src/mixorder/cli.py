@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 import warnings
@@ -516,7 +517,10 @@ def _add_check(p):
                    help="dominance tolerance (st) or ratio tolerance (others)")
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process; every ``parse_args`` call
+    starts from a fresh namespace, so no option value carries over."""
     parser = argparse.ArgumentParser(
         prog="mixorder",
         description="Construct exponentiated location-scale mixtures and "
@@ -576,8 +580,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except MixorderError as exc:

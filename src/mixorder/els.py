@@ -3,9 +3,10 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself. ``cdf``, ``pdf`` and ``pdf_at_offset`` share that mask
-rule with the baseline through ``numerics.on_support``, so a scalar takes
-the same array arithmetic, and gives the same bits, as a grid point.
+start point itself. ``cdf``, ``pdf``, ``cdf_pdf`` and ``pdf_at_offset``
+share that mask rule with the baseline through ``numerics.on_support``, so
+a scalar takes the same array arithmetic, and gives the same bits, as a
+grid point. ``cdf_pdf`` gives both curves from one baseline CDF array.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ class ELSComponent:
         z = self._z(x)
         return self._density(self.baseline.cdf(z), self.baseline.pdf(z))
 
+    def cdf_pdf(self, x):
+        """``(cdf(x), pdf(x))`` from one pass, which evaluates the baseline CDF once."""
+        return on_support(x, self.support_start, self._cdf_pdf_at, curves=2)
+
+    def _cdf_pdf_at(self, x):
+        z = self._z(x)
+        F = self.baseline.cdf(z)
+        return F ** self.alpha, self._density(F, self.baseline.pdf(z))
+
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.
 
@@ -91,8 +101,12 @@ class ELSComponent:
         """Inverse CDF sigma + lam * F^{-1}(p^(1/alpha)).
 
         The baseline level is handed over as its logarithm log(p)/alpha, so
-        its survival 1 - p^(1/alpha) keeps full precision near p = 1.
+        its survival 1 - p^(1/alpha) keeps full precision near p = 1. A
+        level low enough to round the quantile onto the support start, where
+        the CDF is 0, gives the next double above the start instead.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {p}")
-        return self.sigma + self.lam * self.baseline.quantile_log(math.log(p) / self.alpha)
+        x = self.sigma + self.lam * self.baseline.quantile_log(math.log(p) / self.alpha)
+        start = self.support_start
+        return x if x > start else math.nextafter(start, math.inf)

@@ -3,7 +3,8 @@
 The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
-magnitude. A grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of
+magnitude. ``cdf``, ``pdf`` and the one-pass pair ``cdf_pdf`` share one
+kernel. A grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of
 the same elementwise arithmetic, so it gives the same bits. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
@@ -49,8 +50,11 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 _PANEL_TOL = 1e-9
 _MAX_DEPTH = 40
 
-#: points per slice of a long 1-d grid in ``cdf``/``pdf``; 64 KB temporaries
+#: points per slice of a long 1-d grid in ``cdf``/``pdf``/``cdf_pdf``; 64 KB temporaries
 EVAL_BLOCK = 8192
+
+#: number of curves that each component evaluation method returns
+_CURVES = {"cdf": 1, "pdf": 1, "cdf_pdf": 2}
 
 
 def _kahan_sum(terms):
@@ -58,6 +62,21 @@ def _kahan_sum(terms):
     total, comp = terms[0], 0.0
     for term in terms[1:]:
         total, comp = kahan_add(total, comp, term)
+    return total
+
+
+def _compensated_sum(terms, scalar):
+    """Kahan sum of the weighted component ``terms``. Where an infinite term
+    makes it NaN, the plain sum of the nonnegative terms is taken: +inf in
+    any component order, NaN only from a NaN term."""
+    if scalar:
+        total = _kahan_sum(terms)
+        return sum(terms) if math.isnan(total) else total
+    with np.errstate(invalid="ignore"):
+        total = _kahan_sum(terms)
+    bad = np.isnan(total)
+    if bad.any():
+        total[bad] = sum(term[bad] for term in terms)
     return total
 
 
@@ -122,36 +141,37 @@ class FiniteMixture:
         """Sorted distinct component start points (the CDF's kink locations)."""
         return sorted({c.support_start for c in self.components})
 
-    def _weighted_sum(self, x, attr):
-        """Kahan sum of the weighted component values; a 1-d array longer than
-        ``EVAL_BLOCK`` is summed slice by slice into one output. Where an infinite
-        term makes the compensated sum NaN, the plain sum of the nonnegative
-        terms is taken: +inf in any component order, NaN only from a NaN term."""
+    def _weighted_sums(self, x, attr):
+        """Kahan sums of the weighted component curves that the component
+        method ``attr`` returns: one for "cdf" or "pdf", two for "cdf_pdf",
+        in a list. A 1-d array longer than ``EVAL_BLOCK`` is summed slice by
+        slice into preallocated outputs."""
         arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
-            weights = self.weights.tolist()
-            terms = [w * getattr(c, attr)(arr) for w, c in zip(weights, self.components)]
-            total = _kahan_sum(terms)
-            return sum(terms) if math.isnan(total) else total
         if arr.ndim == 1 and arr.size > EVAL_BLOCK:
-            out = np.empty(arr.size)
+            outs = [np.empty(arr.size) for _ in range(_CURVES[attr])]
             for i in range(0, arr.size, EVAL_BLOCK):
-                out[i:i + EVAL_BLOCK] = self._weighted_sum(arr[i:i + EVAL_BLOCK], attr)
-            return out
-        terms = [w * getattr(c, attr)(arr) for w, c in zip(self.weights, self.components)]
-        with np.errstate(invalid="ignore"):
-            total = _kahan_sum(terms)
-        bad = np.isnan(total)
-        if bad.any():
-            total[bad] = sum(term[bad] for term in terms)
-        return total
+                for out, part in zip(outs, self._weighted_sums(arr[i:i + EVAL_BLOCK], attr)):
+                    out[i:i + EVAL_BLOCK] = part
+            return outs
+        # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
+        scalar = arr.ndim == 0
+        weights = self.weights.tolist() if scalar else self.weights
+        if _CURVES[attr] == 1:
+            return [_compensated_sum([w * getattr(c, attr)(arr)
+                                      for w, c in zip(weights, self.components)], scalar)]
+        columns = zip(*[getattr(c, attr)(arr) for c in self.components])
+        return [_compensated_sum([w * v for w, v in zip(weights, column)], scalar)
+                for column in columns]
 
     def cdf(self, x):
-        return self._weighted_sum(x, "cdf")
+        return self._weighted_sums(x, "cdf")[0]
 
     def pdf(self, x):
-        return self._weighted_sum(x, "pdf")
+        return self._weighted_sums(x, "pdf")[0]
+
+    def cdf_pdf(self, x):
+        """``(cdf(x), pdf(x))`` from one pass over the components and the grid."""
+        return tuple(self._weighted_sums(x, "cdf_pdf"))
 
     def quantile(self, p):
         """Inverse CDF by a root bracketed by the component quantiles.
@@ -178,9 +198,8 @@ class FiniteMixture:
             F = self.cdf(origin + math.exp(u))
             return math.log1p(-min(F, _BELOW_ONE)) - target
 
-        u_hi = math.log(hi - origin)
-        # lo sits on the support start only if p rounds a component quantile there
-        u_lo = math.log(lo - origin) if lo > origin else u_hi - 1.0
+        # every component quantile lies above its own start, so lo > origin
+        u_lo, u_hi = math.log(lo - origin), math.log(hi - origin)
         try:  # an unbounded search ends when u or e^u leaves the float range
             while (f_lo := excess(u_lo)) <= 0.0:
                 u_lo -= 1.0

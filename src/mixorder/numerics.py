@@ -24,25 +24,32 @@ DENOM_FLOOR = 1e-12
 _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
-def on_support(x, start, fn):
+def on_support(x, start, fn, curves=0):
     """``fn`` at the points of ``x`` above ``start``, zero elsewhere (NaN included).
 
     A scalar gives a float, computed by ``fn`` on a length-1 array view, so it
     takes the same vector arithmetic as an array point; numpy's scalar power
     rounds differently from its vector loop. ``fn`` gets the whole array when
     every point lies above ``start``, only a mixed array is scattered, and
-    ``fn`` is not called when no point lies above ``start``.
+    ``fn`` is not called when no point lies above ``start``. With ``curves``
+    > 0, ``fn`` returns a tuple of that many arrays, and so does this (of
+    floats for a scalar), each masked the same way.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        return float(fn(arr.reshape(1))[0]) if arr > start else 0.0
+        if not arr > start:
+            return (0.0,) * curves if curves else 0.0
+        values = fn(arr.reshape(1))
+        return tuple(float(v[0]) for v in values) if curves else float(values[0])
     mask = arr > start
     if mask.all() and arr.size:
         return fn(arr)
-    out = np.zeros(arr.shape)
+    outs = tuple(np.zeros(arr.shape) for _ in range(curves or 1))
     if mask.any():
-        out[mask] = fn(arr[mask])
-    return out
+        values = fn(arr[mask])
+        for out, value in zip(outs, values if curves else (values,)):
+            out[mask] = value
+    return outs if curves else outs[0]
 
 
 def kahan_add(total, comp, term):

@@ -19,7 +19,7 @@ from mixorder import (
     scenario_grid,
 )
 from mixorder.analysis import DEFAULT_POINTS, MAX_POINTS
-from mixorder.cli import main
+from mixorder.cli import build_parser, main
 from mixorder.reporting import dumps
 
 
@@ -352,11 +352,12 @@ def test_check_order_tol_reaches_audit(capsys, order):
     assert audit["failures"] == ["lr UleqV holds but rh does not"]
 
 
-@pytest.mark.parametrize("order", ["rh", "lr"])
+@pytest.mark.parametrize("order", ["rh", "lr", "r_rh"])
 def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
-    # the verdict and the st/rh/lr audit share one sample of the pair
+    # the verdict and the st/rh/lr audit share one sample of the pair; rh and
+    # r_rh read both curves of each mixture and take them from one cdf_pdf pass
     calls = collections.Counter()
-    for name in ("cdf", "pdf"):
+    for name in ("cdf", "pdf", "cdf_pdf"):
         original = getattr(FiniteMixture, name)
 
         def counting(self, x, name=name, original=original):
@@ -365,11 +366,27 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
             return original(self, x)
 
         monkeypatch.setattr(FiniteMixture, name, counting)
+    passes = ["cdf_pdf"] if order in ("rh", "r_rh") else ["cdf", "pdf"]
     for s in catalog:
         calls.clear()
         code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
         assert code in (0, 1), s.scenario_id
-        assert sorted(calls.values()) == [1, 1, 1, 1], (s.scenario_id, calls)
+        mixtures = {key[0] for key in calls}
+        assert len(mixtures) == 2, (s.scenario_id, calls)
+        expected = {(m, name): 1 for m in mixtures for name in passes}
+        assert calls == expected, (s.scenario_id, calls)
+
+
+def test_parser_is_built_once_and_keeps_no_option_values(capsys):
+    argv = ["check-order", "CE5.9", "--order", "lr"]
+    build_parser.cache_clear()
+    fresh = run_cli(capsys, *argv)
+    with_tol = run_cli(capsys, *argv, "--tol", "1e-6")
+    again = run_cli(capsys, *argv)
+    assert build_parser.cache_info().misses == 1  # one parser for all three calls
+    assert json.loads(with_tol[1])["tolerances"] == {"tol": 1e-6}
+    # --tol of the call before does not reach this one
+    assert again == fresh and again[1] != with_tol[1]
 
 
 def _eval_columns(capsys, scenario_id, quantity):

@@ -16,13 +16,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mixorder import (
     DomainError,
     ELSComponent,
     FiniteMixture,
+    LogLogistic,
     Tabulated,
     get_scenario,
     make_baseline,
@@ -137,6 +138,17 @@ def test_on_support_paths():
     assert np.array_equal(on_support(x, 3.0, twice), np.zeros(3))
     assert on_support(np.empty(0), 0.0, twice).shape == (0,) and len(calls) == n
 
+    def pair(a):
+        return 2.0 * a, -a
+
+    # two curves: a tuple of floats or arrays, each masked the same way
+    assert on_support(2.0, 0.5, pair, curves=2) == (4.0, -2.0)
+    assert on_support(0.5, 0.5, pair, curves=2) == (0.0, 0.0)
+    outs = on_support(x, 1.5, pair, curves=2)
+    for out, expected in zip(outs, ([0.0, 4.0, 6.0], [0.0, -2.0, -3.0])):
+        assert np.array_equal(out, expected)
+    assert all(np.array_equal(out, np.zeros(3)) for out in on_support(x, 3.0, pair, curves=2))
+
 
 #: parameters of the closed-form families, kept to tail indices of 1/2 or more
 _CLOSED_FORM_PARAMS = {
@@ -160,13 +172,26 @@ _ROUND_TRIP_RTOL = 1e-8
 @pytest.mark.parametrize("family", sorted(_CLOSED_FORM_PARAMS))
 @given(data=st.data(), q=st.floats(1e-6, 1.0 - 1e-6), alpha=st.floats(0.2, 5.0),
        sigma=st.floats(0.0, 4.0), lam=st.floats(0.5, 4.0))
+@example(data=None, q=1e-6, alpha=0.2, sigma=0.0, lam=1.0)
 def test_quantile_of_cdf_round_trip(family, data, q, alpha, sigma, lam):
-    base = make_baseline(family, **data.draw(st.fixed_dictionaries(_CLOSED_FORM_PARAMS[family])))
+    if data is None:
+        # the explicit example: at alpha = 0.2 the component level 1e-6 is the
+        # baseline level 1e-30, whose Pareto(a=2, k=1) quantile rounds onto the
+        # support start, where the CDF is 0
+        if family != "pareto":
+            return
+        params = {"a": 2.0, "k": 1.0}
+    else:
+        params = data.draw(st.fixed_dictionaries(_CLOSED_FORM_PARAMS[family]))
+    base = make_baseline(family, **params)
     comp = ELSComponent(base, alpha, sigma, lam)
     # the component is taken at q**alpha, whose baseline level is q again:
-    # a lower baseline level puts the quantile within rounding of the start
-    for model, p in ((base, q), (comp, q**alpha)):
+    # a lower baseline level puts the quantile within rounding of the start,
+    # which only the explicit example takes, at the component level q itself
+    cases = [(base, q), (comp, q**alpha)] + ([(comp, q)] if data is None else [])
+    for model, p in cases:
         x = model.quantile(p)
+        assert model.cdf(x) > 0.0
         assert model.quantile(model.cdf(x)) == pytest.approx(x, rel=_ROUND_TRIP_RTOL, abs=0)
 
 
@@ -195,15 +220,17 @@ def blocked_grids(draw):
     return block, u
 
 
-# the closed forms meet inf/inf and inf * 0 at the infinite points
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(grid=blocked_grids(), which=st.integers(0, len(_BLOCK_MIXTURES) - 1),
        scale=st.floats(0.1, 5.0))
 def test_blocked_evaluation_matches_unblocked_bit_for_bit(grid, which, scale):
     block, u = grid
     mix = _BLOCK_MIXTURES[which]
     x = mix.support_start + scale * u
-    for fn in (mix.cdf, mix.pdf):
+    # each output of the one-pass pair is one more input, held to the bits of
+    # the separate cdf/pdf as well
+    separate = {}
+    for name, fn in (("cdf", mix.cdf), ("pdf", mix.pdf),
+                     ("cdf", lambda t: mix.cdf_pdf(t)[0]), ("pdf", lambda t: mix.cdf_pdf(t)[1])):
         with mock.patch.object(mixture, "EVAL_BLOCK", block):
             blocked = fn(x)
             slices = np.concatenate([fn(x[i:i + block]) for i in range(0, x.size, block)])
@@ -211,8 +238,9 @@ def test_blocked_evaluation_matches_unblocked_bit_for_bit(grid, which, scale):
             whole = fn(x)
         points = [fn(float(t)) for t in x]
         assert blocked.shape == x.shape and blocked.dtype == np.float64
-        for other in (whole, slices, points):
-            assert np.array_equal(_bits(blocked), _bits(other)), (fn, x, blocked, other)
+        assert all(type(p) is float for p in points)
+        for other in (whole, slices, points, separate.setdefault(name, blocked)):
+            assert np.array_equal(_bits(blocked), _bits(other)), (name, x, blocked, other)
 
 
 def test_blocked_evaluation_at_the_block_size():
@@ -257,9 +285,35 @@ def test_infinite_term_gives_inf_in_every_component_order(n_components):
                     assert np.array_equal(_bits(grid), _bits(_infinite_density_mixtures(2)[0].pdf(x)))
 
 
+class _NanAboveTen(LogLogistic):
+    """A log-logistic baseline whose CDF is NaN above t = 10."""
+
+    def _cdf_above(self, t):
+        return np.where(t > 10.0, np.nan, super()._cdf_above(t))
+
+
 def test_nan_term_stays_nan():
-    # the log-logistic CDF at +inf is inf/inf; the plain-sum fallback keeps the NaN
-    mix = _infinite_density_mixtures(2)[0]
-    with np.errstate(invalid="ignore"):
-        assert all(math.isnan(c.cdf(math.inf)) for c in mix.components)
-        assert math.isnan(mix.cdf(math.inf)) and np.isnan(mix.cdf(np.array([1.0, math.inf]))[1])
+    # the plain-sum fallback keeps the NaN of one term in either component order
+    nan_comp = ELSComponent(_NanAboveTen(1.0), 2.0, 0.0, 1.0)
+    plain = ELSComponent(make_baseline("loglogistic", b=1.0), 1.0, 0.0, 1.0)
+    for comps in ((nan_comp, plain), (plain, nan_comp)):
+        mix = FiniteMixture(comps, (0.5, 0.5))
+        assert math.isnan(mix.cdf(20.0)) and math.isnan(mix.cdf_pdf(20.0)[0])
+        for values in (mix.cdf(np.array([1.0, 20.0])), mix.cdf_pdf(np.array([1.0, 20.0]))[0]):
+            assert np.isfinite(values[0]) and np.isnan(values[1])
+
+
+@pytest.mark.parametrize("family", sorted(set(BASELINES) - {"tabulated"}))
+def test_closed_forms_reach_their_limits_at_infinity(family):
+    # inf/inf and inf * 0 in a closed form must give the limit, without a warning
+    base = BASELINES[family]
+    mix = FiniteMixture([ELSComponent(base, 0.3, 1.5, 2.0), ELSComponent(base, 2.5, 0.5, 1.0)],
+                        (0.25, 0.75))
+    x = np.array([base.support_low + 1.0, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (base, *mix.components, mix):
+            cdf, pdf = model.cdf(x), model.pdf(x)
+            assert (model.cdf(math.inf), model.pdf(math.inf)) == (1.0, 0.0), model
+            assert (cdf[1], pdf[1]) == (1.0, 0.0) and np.isfinite(cdf[0]) and np.isfinite(pdf[0])
+        assert mix.cdf_pdf(math.inf) == (1.0, 0.0)

@@ -15,6 +15,7 @@ from mixorder import (
     load_scenario,
     run_scenario,
 )
+from mixorder import analysis
 from mixorder.scenarios import judge_agreement
 
 
@@ -148,6 +149,24 @@ def test_run_scenario_builds_no_mixture(monkeypatch, catalog):
     for s in catalog:
         run_scenario(s, n_points=101)
     assert built == []
+
+
+def test_run_scenario_forms_each_ratio_once(monkeypatch, catalog):
+    # the curve column reuses the checker's ratio: one quotient per ratio,
+    # and the reversed hazard rates h_U, h_V are two
+    quotients = {OrderKind.ST: 0, OrderKind.RH: 3, OrderKind.LR: 1, OrderKind.R_RH: 3}
+    calls = []
+    original = analysis._masked_div
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_masked_div", counting)
+    for s in catalog:
+        calls.clear()
+        run_scenario(s, n_points=101)
+        assert len(calls) == quotients[s.order], s.scenario_id
 
 
 def test_run_scenario_warns_on_autonormalized_weights():
