@@ -6,6 +6,11 @@ likelihood ratio (density-ratio monotonicity) and ageing-faster in
 reversed hazard rate (RHRF-ratio monotonicity, both sign conventions
 reported).
 
+A ``PairSample`` holds one pair's curves, domain masks and ratios on one
+grid, each computed once; every checker reads it, and ``QUANTITIES`` names
+its columns for ``eval`` and the scenario records. ``OrderVerdict.holds``
+is the one rule for an order holding in a direction.
+
 A grid pass is a semi-decision: it certifies the order on the sampled
 points only. Verdicts carry the evaluated range and point count so callers
 can demand refinement stability.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +112,10 @@ class MonotonicityVerdict:
     rel_tol: float
     scale: float
 
+    def follows(self, trend):
+        """The sequence is classified as ``trend`` or as constant."""
+        return self.classification in (trend, Monotonicity.CONSTANT)
+
 
 def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
     """Classify a sampled sequence as monotone, constant, or neither.
@@ -178,6 +187,10 @@ class OrderVerdict:
     pointwise_agrees: bool | None = None
     readings: dict = field(default_factory=dict)
 
+    def holds(self, direction):
+        """The order holds in ``direction``: the verdict is that direction or Both."""
+        return self.direction in (direction, Direction.BOTH)
+
 
 def _direction_from_monotone(cls):
     return {
@@ -193,36 +206,23 @@ def _masked_div(num, den, keep):
     return np.divide(num, den, out=np.full(np.shape(keep), np.nan), where=keep)
 
 
-def _once(method):
-    """A method of no arguments whose first result is kept and returned again."""
-    name = method.__name__
-
-    @wraps(method)
-    def kept(self):
-        if name not in self._kept:
-            self._kept[name] = method(self)
-        return self._kept[name]
-
-    return kept
-
-
 class PairSample:
     """One mixture pair sampled on one grid.
 
-    Each curve, domain mask and ratio is computed on first use and at
-    most once, so every checker, the curve writer and ``eval`` read the
-    same arrays. A checker that reads both curves of each mixture asks
-    for them together first, and each mixture then gives both in one pass.
-    Each ratio is NaN outside the domain its checker classifies on; the
-    domain masks are exposed separately so a NaN inside a domain still
-    reaches the classifier as an invalid sample.
+    Every curve, domain mask and ratio is a ``cached_property``: computed on
+    first read and kept in the instance, so every checker, the curve writer
+    and ``eval`` read the same arrays. A checker that reads both curves of
+    each mixture calls ``sample_cdf_pdf`` first, which fills the CDF and
+    PDF slots of each mixture from one pass. Each ratio is NaN outside the
+    domain its checker classifies on; the domain masks are exposed
+    separately so a NaN inside a domain still reaches the classifier as an
+    invalid sample.
     """
 
     def __init__(self, u, v, grid):
         self.u = u
         self.v = v
         self.grid = grid
-        self._kept = {}
 
     @cached_property
     def x(self):
@@ -245,40 +245,40 @@ class PairSample:
         return np.asarray(self.v.pdf(self.x))
 
     def sample_cdf_pdf(self):
-        """Evaluate each mixture's CDF and PDF that are not held yet; a
-        mixture missing both gives them in one pass."""
-        held = vars(self)
+        """Fill the CDF and PDF slots of each mixture missing both from one
+        ``cdf_pdf`` pass; a slot already held is kept."""
+        held = vars(self)  # where cached_property keeps its values
         for side, mix in (("u", self.u), ("v", self.v)):
             cdf, pdf = f"cdf_{side}", f"pdf_{side}"
             if cdf not in held and pdf not in held:
                 held[cdf], held[pdf] = (np.asarray(c) for c in mix.cdf_pdf(self.x))
 
-    @_once
+    @cached_property
     def rh_domain(self):
         return self.cdf_u > DENOM_FLOOR
 
-    @_once
+    @cached_property
     def lr_domain(self):
         return (self.pdf_u > DENOM_FLOOR) & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
 
-    @_once
+    @cached_property
     def r_rh_domain(self):
         return (
             (self.cdf_u > DENOM_FLOOR) & (self.cdf_v > DENOM_FLOOR) & (self.pdf_v > DENOM_FLOOR)
             & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
         )
 
-    @_once
+    @cached_property
     def cdf_ratio(self):
         """F_V / F_U on the rh domain."""
-        return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain())
+        return _masked_div(self.cdf_v, self.cdf_u, self.rh_domain)
 
-    @_once
+    @cached_property
     def pdf_ratio(self):
         """f_V / f_U on the lr domain."""
-        return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain())
+        return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain)
 
-    @_once
+    @cached_property
     def rhr(self):
         """(h_U, h_V), each where its own CDF exceeds the floor."""
         return (
@@ -286,27 +286,23 @@ class PairSample:
             _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > DENOM_FLOOR),
         )
 
-    @_once
+    @cached_property
     def rhr_ratio(self):
         """h_U / h_V on the r_rh domain."""
-        hu, hv = self.rhr()
-        return _masked_div(hu, hv, self.r_rh_domain())
+        hu, hv = self.rhr
+        return _masked_div(hu, hv, self.r_rh_domain)
 
-    def columns(self, quantity):
-        """Named curve columns of one ``eval`` quantity, x excluded."""
-        if quantity == "cdf_ratio":
-            return {"cdf_ratio_V_over_U": self.cdf_ratio()}
-        if quantity == "pdf_ratio":
-            return {"pdf_ratio_V_over_U": self.pdf_ratio()}
-        if quantity == "rhr_ratio":
-            return {"rhr_ratio_U_over_V": self.rhr_ratio()}
-        if quantity == "rhr":
-            pair = self.rhr()
-        elif quantity == "sf":
-            pair = (1.0 - self.cdf_u, 1.0 - self.cdf_v)
-        else:
-            pair = (getattr(self, f"{quantity}_u"), getattr(self, f"{quantity}_v"))
-        return {f"{quantity}_U": pair[0], f"{quantity}_V": pair[1]}
+
+#: each ``eval`` quantity and the named columns, x excluded, that a sample gives for it
+QUANTITIES = {
+    "cdf": lambda s: {"cdf_U": s.cdf_u, "cdf_V": s.cdf_v},
+    "pdf": lambda s: {"pdf_U": s.pdf_u, "pdf_V": s.pdf_v},
+    "sf": lambda s: {"sf_U": 1.0 - s.cdf_u, "sf_V": 1.0 - s.cdf_v},
+    "rhr": lambda s: dict(zip(("rhr_U", "rhr_V"), s.rhr)),
+    "cdf_ratio": lambda s: {"cdf_ratio_V_over_U": s.cdf_ratio},
+    "pdf_ratio": lambda s: {"pdf_ratio_V_over_U": s.pdf_ratio},
+    "rhr_ratio": lambda s: {"rhr_ratio_U_over_V": s.rhr_ratio},
+}
 
 
 def _pointwise_direction(le_uv, le_vu):
@@ -371,16 +367,16 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     evaluated as well and its agreement is recorded.
     """
     sample.sample_cdf_pdf()
-    keep = sample.rh_domain()
+    keep = sample.rh_domain
     verdict = _ratio_verdict(
-        OrderKind.RH, sample, keep, sample.cdf_ratio(), rel_tol, pair_id,
+        OrderKind.RH, sample, keep, sample.cdf_ratio, rel_tol, pair_id,
         sample.u.cdf, sample.v.cdf,
     )
     # pointwise dual: h_U <= h_V where both CDFs are usable
     both = keep & (sample.cdf_v > DENOM_FLOOR)
     if int(np.count_nonzero(both)) < 3:
         return verdict
-    hu, hv = (h[both] for h in sample.rhr())
+    hu, hv = (h[both] for h in sample.rhr)
     # pointwise-relative slack: a global scale would be inflated by
     # the divergence at a later support start and mask genuine flips
     h_tol = rel_tol * np.maximum(np.abs(hu), np.abs(hv))
@@ -402,7 +398,7 @@ def _directions_compatible(a, b):
 def check_likelihood_ratio(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     """Classify f_V/f_U where f_U exceeds the floor; nondecreasing means U <=lr V."""
     return _ratio_verdict(
-        OrderKind.LR, sample, sample.lr_domain(), sample.pdf_ratio(), rel_tol,
+        OrderKind.LR, sample, sample.lr_domain, sample.pdf_ratio, rel_tol,
         pair_id, sample.u.pdf, sample.v.pdf,
     )
 
@@ -418,7 +414,7 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     u, v = sample.u, sample.v
     sample.sample_cdf_pdf()
     verdict = _ratio_verdict(
-        OrderKind.R_RH, sample, sample.r_rh_domain(), sample.rhr_ratio(), rel_tol,
+        OrderKind.R_RH, sample, sample.r_rh_domain, sample.rhr_ratio, rel_tol,
         pair_id, lambda x: u.pdf(x) / u.cdf(x), lambda x: v.pdf(x) / v.cdf(x),
     )
     readings = {
@@ -434,10 +430,6 @@ class ImplicationAudit:
     consistent: bool
     failures: tuple
     detail: str
-
-
-def _holds(verdict, direction):
-    return verdict.direction in (direction, Direction.BOTH)
 
 
 def implication_audit(st, rh, lr):
@@ -462,9 +454,9 @@ def implication_audit(st, rh, lr):
         raise AuditError("verdicts come from different grids")
     failures = []
     direction = Direction.U_LEQ_V
-    if _holds(lr, direction) and not _holds(rh, direction):
+    if lr.holds(direction) and not rh.holds(direction):
         failures.append(f"lr {direction.value} holds but rh does not")
-    if _holds(rh, direction) and not _holds(st, direction):
+    if rh.holds(direction) and not st.holds(direction):
         failures.append(f"rh {direction.value} holds but st does not")
     return ImplicationAudit(
         consistent=not failures,

@@ -119,7 +119,8 @@ class BaselineModel:
         Families with power-law mass near the support bound concentrate a
         visible fraction of probability inside the last representable x,
         so quadrature needs the offset itself as the working variable.
-        Closed-form families override with cancellation-free forms.
+        Closed-form families with c > 0 override with cancellation-free
+        forms; at c = 0 the offset is the abscissa, and this is exact.
         """
         return self.cdf(self._c + np.asarray(dz, dtype=float))
 
@@ -279,8 +280,8 @@ class BenktanderII(BaselineModel):
     def pdf_offset(self, dz):
         a, b = self.a, self.b
         w = np.log1p(np.asarray(dz, dtype=float))
-        return np.exp(-(a / b) * np.expm1(b * w) + (b - 2.0) * w) * (
-            (1.0 - b) + a * np.exp(b * w)
+        return np.exp(-(a / b) * np.expm1(b * w) + (b - 2.0) * w) * np.minimum(
+            (1.0 - b) + a * np.exp(b * w), _MAX
         )
 
     def params(self):
@@ -394,16 +395,6 @@ class LogLogistic(BaselineModel):
         tb = t**b
         return b * t ** (b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / (1.0 + tb) ** 3
 
-    def cdf_offset(self, dz):
-        # c = 0, so the offset is the abscissa itself and the closed form
-        # has no cancellation near the bound
-        dz = np.asarray(dz, dtype=float)
-        return np.where(dz > 0.0, self._cdf_above(np.maximum(dz, 1e-320)), 0.0)
-
-    def pdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
-        return np.where(dz > 0.0, self._pdf_above(np.maximum(dz, 1e-320)), 0.0)
-
     def _quantile_above(self, log_q, log_s):
         # t^b = F / (1 - F)
         return math.exp((log_q - log_s) / self.b)
@@ -461,13 +452,11 @@ class Tabulated(BaselineModel):
 
 
 FAMILIES = {
-    "pareto": Pareto,
-    "lt_exponential": LeftTruncatedExponential,
-    "benktander2": BenktanderII,
-    "lt_burr12": LeftTruncatedBurrXII,
-    "lt_lomax": LeftTruncatedLomax,
-    "loglogistic": LogLogistic,
-    "tabulated": Tabulated,
+    cls.family: cls
+    for cls in (
+        Pareto, LeftTruncatedExponential, BenktanderII, LeftTruncatedBurrXII,
+        LeftTruncatedLomax, LogLogistic, Tabulated,
+    )
 }
 
 

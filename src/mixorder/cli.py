@@ -13,7 +13,6 @@ import datetime
 import functools
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .analysis import (
     Monotonicity,
     OrderKind,
     PairSample,
+    QUANTITIES,
     auto_grid,
     check_likelihood_ratio,
     check_order,
@@ -50,9 +50,6 @@ from .scenarios import (
     run_scenario,
     scenario_grid,
 )
-
-_QUANTITIES = ("cdf", "pdf", "sf", "rhr", "cdf_ratio", "pdf_ratio", "rhr_ratio")
-
 
 def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
@@ -103,7 +100,7 @@ def cmd_eval(args):
     scenario = _resolve_scenario(args.source)
     sample = PairSample(*scenario.mixtures(), _grid_for(scenario, args))
     q = args.quantity
-    columns = sample.columns(q)
+    columns = QUANTITIES[q](sample)
     header = ["x", *columns]
     cols = [sample.x, *columns.values()]
     if all(np.all(~np.isfinite(np.asarray(c, dtype=float))) for c in cols[1:]):
@@ -145,22 +142,17 @@ def cmd_check_order(args):
         "verdict": to_jsonable(verdict),
     }
     if order in (OrderKind.RH, OrderKind.LR):
-        # the other ratio check shares --tol; the st check keeps its pointwise default
-        st = check_usual_stochastic(sample, pair_id=pair_id)
-        rh = (
-            verdict
-            if order is OrderKind.RH
-            else check_reversed_hazard(sample, pair_id=pair_id, **_check_kwargs(args, order))
+        # both ratio checks take --tol; the st check keeps its pointwise default.
+        # The sample keeps its curves and ratios, so nothing is sampled twice.
+        tol = _check_kwargs(args, order)
+        audit = implication_audit(
+            check_usual_stochastic(sample, pair_id=pair_id),
+            check_reversed_hazard(sample, pair_id=pair_id, **tol),
+            check_likelihood_ratio(sample, pair_id=pair_id, **tol),
         )
-        lr = (
-            verdict
-            if order is OrderKind.LR
-            else check_likelihood_ratio(sample, pair_id=pair_id, **_check_kwargs(args, order))
-        )
-        audit = implication_audit(st, rh, lr)
         report["implication_audit"] = to_jsonable(audit)
     print(dumps(report, indent=2))
-    holds = verdict.direction in (Direction(args.direction), Direction.BOTH)
+    holds = verdict.holds(Direction(args.direction))
     print(
         f"{pair_id}: {order.value} direction {verdict.direction.value} "
         f"({'holds' if holds else 'does not hold'} as asked)",
@@ -324,122 +316,120 @@ def cmd_validate(args):
     def add(name, passed, detail):
         items.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # density normalization across the catalog
-        bad = []
-        count = 0
-        for s in builtin_catalog():
+    # density normalization across the catalog
+    bad = []
+    count = 0
+    for s in builtin_catalog():
+        for label, mix in zip(("U", "V"), s.mixtures()):
+            count += 1
+            rep = verify_normalization(mix, tol=1e-6)
+            if not rep.passed:
+                bad.append(f"{s.scenario_id}/{label}: {rep.integral!r}")
+    add(
+        "normalization_catalog",
+        not bad,
+        f"{count} integrals within 1e-6 of 1" if not bad else "; ".join(bad),
+    )
+
+    # implication chain on the catalog and on random pairs
+    def audit_pair(u, v, pair_id):
+        sample = PairSample(u, v, auto_grid(u, v))
+        st = check_usual_stochastic(sample, tol=1e-9, pair_id=pair_id)
+        rh = check_reversed_hazard(sample, pair_id=pair_id)
+        lr = check_likelihood_ratio(sample, pair_id=pair_id)
+        return implication_audit(st, rh, lr)
+
+    bad = []
+    for s in builtin_catalog():
+        audit = audit_pair(*s.mixtures(), s.scenario_id)
+        if not audit.consistent:
+            bad.append(f"{s.scenario_id}: {audit.detail}")
+    add("chain_audit_catalog", not bad, "16 scenario chains consistent"
+        if not bad else "; ".join(bad))
+
+    bad = []
+    done = 0
+    while done < args.pairs:
+        u, v = _sampling.random_pair(rng)
+        try:
+            audit = audit_pair(u, v, f"random-{done}")
+        except MixorderError:
+            continue
+        if not audit.consistent:
+            bad.append(f"pair {done}: {audit.detail}")
+        done += 1
+    add("chain_audit_random", not bad, f"{args.pairs} random chains consistent"
+        if not bad else "; ".join(bad))
+
+    # majorization axioms against a brute-force oracle
+    bad = 0
+    trials = 300
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        x = rng.uniform(0.0, 5.0, size=n)
+        res = check_majorization(x, np.asarray(rng.permutation(x)))
+        if not (res.x_majorized_by_y and res.y_majorized_by_x):
+            bad += 1
+        z = rng.uniform(0.0, 5.0, size=max(n, 2))
+        y2 = _robin_hood(rng, z)
+        x2 = _robin_hood(rng, y2)
+        if not (
+            check_majorization(x2, y2).x_majorized_by_y
+            and check_majorization(y2, z).x_majorized_by_y
+            and check_majorization(x2, z).x_majorized_by_y
+        ):
+            bad += 1
+        a = rng.uniform(0.0, 5.0, size=n)
+        b = rng.uniform(0.0, 5.0, size=n)
+        res = check_majorization(a, b)
+        if res.x_majorized_by_y != _brute_majorization(a, b) or (
+            res.y_majorized_by_x != _brute_majorization(b, a)
+        ):
+            bad += 1
+    add("majorization_axioms", bad == 0,
+        f"{trials} reflexivity/transitivity/oracle trials" if bad == 0
+        else f"{bad} trials failed")
+
+    # derivative consistency on catalog mixtures
+    worst = 0.0
+    for s in builtin_catalog():
+        u, v = s.mixtures()
+        for mix in (u, v):
+            lo = mix.support_start
+            hi = mix.quantile(0.999)
+            breaks = np.asarray(mix.support_breaks)
+            picked = 0
+            while picked < 20:
+                t = rng.uniform(lo, hi)
+                h = 1e-5 * max(1.0, abs(t))
+                # density curvature scales like (shape-1)(shape-2)/d^2
+                # near a support kink at distance d; 1e4*h bounds the
+                # second-order term below 3e-7 for shapes up to 14
+                if np.min(np.abs(breaks - t)) < 1e4 * h:
+                    continue
+                picked += 1
+                num = float(central_difference(mix.cdf, t))
+                den = float(mix.pdf(t))
+                if den > 1e-300:
+                    worst = max(worst, abs(num - den) / den)
+    add("derivative_consistency", worst < 1e-6,
+        f"worst relative mismatch {worst:.3e}")
+
+    # user scenarios, if any
+    for path in args.scenario or []:
+        try:
+            s = load_scenario(path)
             for label, mix in zip(("U", "V"), s.mixtures()):
-                count += 1
                 rep = verify_normalization(mix, tol=1e-6)
                 if not rep.passed:
-                    bad.append(f"{s.scenario_id}/{label}: {rep.integral!r}")
-        add(
-            "normalization_catalog",
-            not bad,
-            f"{count} integrals within 1e-6 of 1" if not bad else "; ".join(bad),
-        )
-
-        # implication chain on the catalog and on random pairs
-        def audit_pair(u, v, pair_id):
-            sample = PairSample(u, v, auto_grid(u, v))
-            st = check_usual_stochastic(sample, tol=1e-9, pair_id=pair_id)
-            rh = check_reversed_hazard(sample, pair_id=pair_id)
-            lr = check_likelihood_ratio(sample, pair_id=pair_id)
-            return implication_audit(st, rh, lr)
-
-        bad = []
-        for s in builtin_catalog():
-            audit = audit_pair(*s.mixtures(), s.scenario_id)
-            if not audit.consistent:
-                bad.append(f"{s.scenario_id}: {audit.detail}")
-        add("chain_audit_catalog", not bad, "16 scenario chains consistent"
-            if not bad else "; ".join(bad))
-
-        bad = []
-        done = 0
-        while done < args.pairs:
-            u, v = _sampling.random_pair(rng)
-            try:
-                audit = audit_pair(u, v, f"random-{done}")
-            except MixorderError:
-                continue
-            if not audit.consistent:
-                bad.append(f"pair {done}: {audit.detail}")
-            done += 1
-        add("chain_audit_random", not bad, f"{args.pairs} random chains consistent"
-            if not bad else "; ".join(bad))
-
-        # majorization axioms against a brute-force oracle
-        bad = 0
-        trials = 300
-        for _ in range(trials):
-            n = int(rng.integers(1, 9))
-            x = rng.uniform(0.0, 5.0, size=n)
-            res = check_majorization(x, np.asarray(rng.permutation(x)))
-            if not (res.x_majorized_by_y and res.y_majorized_by_x):
-                bad += 1
-            z = rng.uniform(0.0, 5.0, size=max(n, 2))
-            y2 = _robin_hood(rng, z)
-            x2 = _robin_hood(rng, y2)
-            if not (
-                check_majorization(x2, y2).x_majorized_by_y
-                and check_majorization(y2, z).x_majorized_by_y
-                and check_majorization(x2, z).x_majorized_by_y
-            ):
-                bad += 1
-            a = rng.uniform(0.0, 5.0, size=n)
-            b = rng.uniform(0.0, 5.0, size=n)
-            res = check_majorization(a, b)
-            if res.x_majorized_by_y != _brute_majorization(a, b) or (
-                res.y_majorized_by_x != _brute_majorization(b, a)
-            ):
-                bad += 1
-        add("majorization_axioms", bad == 0,
-            f"{trials} reflexivity/transitivity/oracle trials" if bad == 0
-            else f"{bad} trials failed")
-
-        # derivative consistency on catalog mixtures
-        worst = 0.0
-        for s in builtin_catalog():
-            u, v = s.mixtures()
-            for mix in (u, v):
-                lo = mix.support_start
-                hi = mix.quantile(0.999)
-                breaks = np.asarray(mix.support_breaks)
-                picked = 0
-                while picked < 20:
-                    t = rng.uniform(lo, hi)
-                    h = 1e-5 * max(1.0, abs(t))
-                    # density curvature scales like (shape-1)(shape-2)/d^2
-                    # near a support kink at distance d; 1e4*h bounds the
-                    # second-order term below 3e-7 for shapes up to 14
-                    if np.min(np.abs(breaks - t)) < 1e4 * h:
-                        continue
-                    picked += 1
-                    num = float(central_difference(mix.cdf, t))
-                    den = float(mix.pdf(t))
-                    if den > 1e-300:
-                        worst = max(worst, abs(num - den) / den)
-        add("derivative_consistency", worst < 1e-6,
-            f"worst relative mismatch {worst:.3e}")
-
-        # user scenarios, if any
-        for path in args.scenario or []:
-            try:
-                s = load_scenario(path)
-                for label, mix in zip(("U", "V"), s.mixtures()):
-                    rep = verify_normalization(mix, tol=1e-6)
-                    if not rep.passed:
-                        raise MixorderError(
-                            f"mixture {label} density integrates to {rep.integral!r}"
-                        )
-                record = run_scenario(s)
-                add(f"scenario:{path}", True,
-                    f"loaded, normalized, order check ran ({record.agreement})")
-            except MixorderError as exc:
-                add(f"scenario:{path}", False, str(exc))
+                    raise MixorderError(
+                        f"mixture {label} density integrates to {rep.integral!r}"
+                    )
+            record = run_scenario(s)
+            add(f"scenario:{path}", True,
+                f"loaded, normalized, order check ran ({record.agreement})")
+        except MixorderError as exc:
+            add(f"scenario:{path}", False, str(exc))
 
     failed = [i for i in items if not i["passed"]]
     doc = {
@@ -469,23 +459,20 @@ def cmd_experiment(args):
     rng = np.random.default_rng(args.seed)
     held = 0
     trials = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i in range(args.trials):
-            u, v = _sampling.pair_t3_1(rng)
-            n = len(u)
-            w_u = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
-            w_u = w_u / w_u.sum()
-            # prefixwise smaller weights for the dominating mixture
-            shrink = rng.uniform(0.5, 1.0, size=n - 1)
-            w_v = np.concatenate([w_u[:-1] * shrink, [0.0]])
-            w_v[-1] = 1.0 - w_v[:-1].sum()
-            u = FiniteMixture(u.components, w_u)
-            v = FiniteMixture(v.components, w_v)
-            verdict = check_order(OrderKind.ST, u, v, auto_grid(u, v), pair_id=f"exp-{i}")
-            ok = verdict.direction in (Direction.U_LEQ_V, Direction.BOTH)
-            held += ok
-            trials.append({"trial": i, "direction": verdict.direction.value})
+    for i in range(args.trials):
+        u, v = _sampling.pair_t3_1(rng)
+        n = len(u)
+        w_u = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
+        w_u = w_u / w_u.sum()
+        # prefixwise smaller weights for the dominating mixture
+        shrink = rng.uniform(0.5, 1.0, size=n - 1)
+        w_v = np.concatenate([w_u[:-1] * shrink, [0.0]])
+        w_v[-1] = 1.0 - w_v[:-1].sum()
+        u = FiniteMixture(u.components, w_u)
+        v = FiniteMixture(v.components, w_v)
+        verdict = check_order(OrderKind.ST, u, v, auto_grid(u, v), pair_id=f"exp-{i}")
+        held += verdict.holds(Direction.U_LEQ_V)
+        trials.append({"trial": i, "direction": verdict.direction.value})
     doc = {
         "command": "experiment-unequal-weights",
         "seed": args.seed,
@@ -530,7 +517,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="emit curve data as CSV")
     p.add_argument("source", help="catalog id or scenario file")
-    p.add_argument("quantity", choices=_QUANTITIES)
+    p.add_argument("quantity", choices=list(QUANTITIES))
     p.add_argument("--out", help="write CSV here instead of stdout")
     _add_grid(p)
     p.set_defaults(fn=cmd_eval)

@@ -117,14 +117,6 @@ def check_logpdf_slope_increasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     return classify_monotonicity(t, np.asarray(model.pdf_prime(t)) / f, rel_tol=rel_tol)
 
 
-def _is_nonincreasing(verdict):
-    return verdict.classification in (Monotonicity.NON_INCREASING, Monotonicity.CONSTANT)
-
-
-def _is_nondecreasing(verdict):
-    return verdict.classification in (Monotonicity.NON_DECREASING, Monotonicity.CONSTANT)
-
-
 @dataclass(frozen=True)
 class ConditionItem:
     name: str
@@ -137,7 +129,7 @@ def _t_rhr_item(baseline, grid=None):
     mono = check_t_rhr_decreasing(baseline, grid)
     return ConditionItem(
         "t_rhr_decreasing",
-        _is_nonincreasing(mono),
+        mono.follows(Monotonicity.NON_INCREASING),
         f"t*rhr classified {mono.classification.value} (numerically supported)",
     )
 
@@ -449,7 +441,7 @@ def eval_theorem_4_2(spec_u, spec_v):
         rhr_item,
         ConditionItem(
             "t_logpdf_slope_decreasing",
-            _is_nonincreasing(slope_mono),
+            slope_mono.follows(Monotonicity.NON_INCREASING),
             f"t*f'/f classified {slope_mono.classification.value} (numerically supported)",
         ),
     )
@@ -492,7 +484,7 @@ def eval_theorem_4_3(spec_u, spec_v):
         ),
         ConditionItem(
             "logpdf_slope_increasing",
-            _is_nondecreasing(slope_mono),
+            slope_mono.follows(Monotonicity.NON_DECREASING),
             f"f'/f classified {slope_mono.classification.value} (numerically supported)",
         ),
         rhr_item,

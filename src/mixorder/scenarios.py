@@ -19,7 +19,6 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
@@ -32,6 +31,7 @@ from .analysis import (
     CHECKERS,
     OrderKind,
     PairSample,
+    QUANTITIES,
     auto_grid,
 )
 from .baseline import make_baseline
@@ -335,14 +335,13 @@ def judge_agreement(expected, verdict):
     """AsExpected when the verdict matches every stated expectation."""
     ok = True
     if expected.ratio is not None:
-        got = verdict.ratio_classification.classification
+        got = verdict.ratio_classification
         if expected.ratio in (Monotonicity.NON_DECREASING, Monotonicity.NON_INCREASING):
-            ok &= got in (expected.ratio, Monotonicity.CONSTANT)
+            ok &= got.follows(expected.ratio)
         else:
-            ok &= got is expected.ratio
+            ok &= got.classification is expected.ratio
     if expected.holds is not None and expected.direction is not None:
-        holds = verdict.direction in (expected.direction, Direction.BOTH)
-        ok &= holds if expected.holds else not holds
+        ok &= verdict.holds(expected.direction) == expected.holds
     return "AsExpected" if ok else "Contradiction"
 
 
@@ -359,13 +358,11 @@ def evaluate_theorem(scenario, theorem_id):
 
 def run_scenario(scenario, n_points=DEFAULT_POINTS):
     """Evaluate conditions and the designated order check for one scenario."""
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        grid = scenario_grid(scenario, n_points)
-        report = evaluate_theorem(scenario, scenario.theorem_id)
-        sample = PairSample(scenario.u, scenario.v, grid)
-        verdict = CHECKERS[scenario.order](sample, pair_id=scenario.scenario_id)
-        curves = {"x": sample.x, **sample.columns(_CURVE_QUANTITY[scenario.order])}
+    grid = scenario_grid(scenario, n_points)
+    report = evaluate_theorem(scenario, scenario.theorem_id)
+    sample = PairSample(scenario.u, scenario.v, grid)
+    verdict = CHECKERS[scenario.order](sample, pair_id=scenario.scenario_id)
+    curves = {"x": sample.x, **QUANTITIES[_CURVE_QUANTITY[scenario.order]](sample)}
     return ScenarioRecord(
         scenario_id=scenario.scenario_id,
         condition_report=report,

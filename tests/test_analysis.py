@@ -196,10 +196,9 @@ def test_swap_mirrors_ratio_directions(seed):
     the same grid points; each checker keeps only the points where its own
     denominator clears the floor."""
     uv, vu = _generated_pair(seed)
-    for check, domain in ((check_reversed_hazard, PairSample.rh_domain),
-                          (check_likelihood_ratio, PairSample.lr_domain)):
-        keep = domain(uv)
-        if np.array_equal(keep, domain(vu)) and np.count_nonzero(keep) >= 3:
+    for check, keep, keep_vu in ((check_reversed_hazard, uv.rh_domain, vu.rh_domain),
+                                 (check_likelihood_ratio, uv.lr_domain, vu.lr_domain)):
+        if np.array_equal(keep, keep_vu) and np.count_nonzero(keep) >= 3:
             assert check(vu).direction is _MIRROR[check(uv).direction], check.__name__
 
 

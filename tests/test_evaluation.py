@@ -317,3 +317,7 @@ def test_closed_forms_reach_their_limits_at_infinity(family):
             assert (model.cdf(math.inf), model.pdf(math.inf)) == (1.0, 0.0), model
             assert (cdf[1], pdf[1]) == (1.0, 0.0) and np.isfinite(cdf[0]) and np.isfinite(pdf[0])
         assert mix.cdf_pdf(math.inf) == (1.0, 0.0)
+        # the offset forms that quadrature integrates reach the same limits
+        assert (float(base.cdf_offset(math.inf)), float(base.pdf_offset(math.inf))) == (1.0, 0.0)
+        for comp in mix.components:
+            assert comp.pdf_at_offset(math.inf) == 0.0, comp
