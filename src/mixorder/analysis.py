@@ -18,6 +18,7 @@ can demand refinement stability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -30,6 +31,7 @@ from .errors import (
     InvalidSampleError,
     ParameterError,
 )
+from .mixture import sample_curves
 from .numerics import DENOM_FLOOR
 
 DEFAULT_POINTS = 2001
@@ -91,14 +93,24 @@ class Grid:
 
 
 def auto_grid(u, v, n_points=DEFAULT_POINTS):
-    """Default evaluation window for a mixture pair.
+    """Default evaluation window for a mixture pair: from just above the later
+    support start to max(u.quantile(p), v.quantile(p)) at ``UPPER_QUANTILE``.
 
-    Starts just above the later of the two support starts and ends at the
-    larger of the two upper quantiles, so heavy tails stay bounded.
+    The mixture with the larger largest component quantile is rooted first.
+    The other's root solves log S(x) - log(1 - p) = 0 by Brent's method in
+    w = log(x - start), which stops within xtol + 4 eps |w| (< 2e-10) of a
+    sign change. So where that excess is below -1e-6 (far above its rounding
+    noise) at 1e-9 below the first root in w, every sign change lies lower,
+    the other root rounds to at most the first, and it is skipped.
     """
     lo = max(u.support_start, v.support_start)
     lo = lo + 1e-9 * (1.0 + abs(lo))
-    hi = max(u.quantile(UPPER_QUANTILE), v.quantile(UPPER_QUANTILE))
+    p = UPPER_QUANTILE
+    first, other = sorted((u, v), key=lambda m: -max(c.quantile(p) for c in m.components))
+    hi, start = first.quantile(p), other.support_start
+    if not (hi > start and other.log_survival_excess(
+            start + math.exp(math.log(hi - start) - 1e-9), p) < -1e-6):
+        hi = max(hi, other.quantile(p))
     return Grid(lo, hi, n_points)
 
 
@@ -211,9 +223,9 @@ class PairSample:
 
     Every curve, domain mask and ratio is a ``cached_property``: computed on
     first read and kept in the instance, so every checker, the curve writer
-    and ``eval`` read the same arrays. A checker that reads both curves of
-    each mixture calls ``sample_cdf_pdf`` first, which fills the CDF and
-    PDF slots of each mixture from one pass. Each ratio is NaN outside the
+    and ``eval`` read the same arrays. ``fill`` samples curves for both
+    mixtures in one pass; a checker that reads both curves fills them
+    together first. Each ratio is NaN outside the
     domain its checker classifies on; the domain masks are exposed
     separately so a NaN inside a domain still reaches the classifier as an
     invalid sample.
@@ -230,28 +242,28 @@ class PairSample:
 
     @cached_property
     def cdf_u(self):
-        return np.asarray(self.u.cdf(self.x))
+        return self.fill("cdf")["cdf_u"]
 
     @cached_property
     def cdf_v(self):
-        return np.asarray(self.v.cdf(self.x))
+        return self.fill("cdf")["cdf_v"]
 
     @cached_property
     def pdf_u(self):
-        return np.asarray(self.u.pdf(self.x))
+        return self.fill("pdf")["pdf_u"]
 
     @cached_property
     def pdf_v(self):
-        return np.asarray(self.v.pdf(self.x))
+        return self.fill("pdf")["pdf_v"]
 
-    def sample_cdf_pdf(self):
-        """Fill the CDF and PDF slots of each mixture missing both from one
-        ``cdf_pdf`` pass; a slot already held is kept."""
+    def fill(self, *curves):
+        """Fill the slots of ``curves`` not held yet, for both mixtures, from
+        one ``sample_curves`` pass over the pair; return the held slots."""
         held = vars(self)  # where cached_property keeps its values
-        for side, mix in (("u", self.u), ("v", self.v)):
-            cdf, pdf = f"cdf_{side}", f"pdf_{side}"
-            if cdf not in held and pdf not in held:
-                held[cdf], held[pdf] = (np.asarray(c) for c in mix.cdf_pdf(self.x))
+        if missing := [c for c in curves if f"{c}_u" not in held]:
+            for side, values in zip("uv", sample_curves((self.u, self.v), self.x, missing)):
+                held.update((f"{c}_{side}", value) for c, value in zip(missing, values))
+        return held
 
     @cached_property
     def rh_domain(self):
@@ -366,7 +378,7 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     hazard rates compared directly where both CDFs are positive) is
     evaluated as well and its agreement is recorded.
     """
-    sample.sample_cdf_pdf()
+    sample.fill("cdf", "pdf")
     keep = sample.rh_domain
     verdict = _ratio_verdict(
         OrderKind.RH, sample, keep, sample.cdf_ratio, rel_tol, pair_id,
@@ -412,7 +424,7 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     are recorded; ``direction`` follows the definition.
     """
     u, v = sample.u, sample.v
-    sample.sample_cdf_pdf()
+    sample.fill("cdf", "pdf")
     verdict = _ratio_verdict(
         OrderKind.R_RH, sample, sample.r_rh_domain, sample.rhr_ratio, rel_tol,
         pair_id, lambda x: u.pdf(x) / u.cdf(x), lambda x: v.pdf(x) / v.cdf(x),

@@ -73,7 +73,7 @@ def check_majorization(x, y, tol=MAJORIZATION_TOL):
         raise TheoremShapeError("majorization needs two equal-length vectors")
     px = np.cumsum(np.sort(x))
     py = np.cumsum(np.sort(y))
-    sums_equal = abs(px[-1] - py[-1]) <= tol
+    sums_equal = bool(abs(px[-1] - py[-1]) <= tol)
     x_by_y = sums_equal and bool(np.all(px[:-1] >= py[:-1] - tol))
     y_by_x = sums_equal and bool(np.all(py[:-1] >= px[:-1] - tol))
     return MajorizationResult(

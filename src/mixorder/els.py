@@ -3,10 +3,10 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself. ``cdf``, ``pdf``, ``cdf_pdf`` and ``pdf_at_offset``
-share that mask rule with the baseline through ``numerics.on_support``, so
-a scalar takes the same array arithmetic, and gives the same bits, as a
-grid point. ``cdf_pdf`` gives both curves from one baseline CDF array.
+start point itself. ``cdf``, ``pdf`` and ``pdf_at_offset`` share that mask
+rule with the baseline through ``numerics.on_support``, so a scalar takes
+the same array arithmetic, and gives the same bits, as a grid point.
+``cdf`` and ``pdf`` are the one-component case of ``group_curves``.
 """
 
 from __future__ import annotations
@@ -47,30 +47,11 @@ class ELSComponent:
         """First point of positive mass: sigma + c * lambda."""
         return self.sigma + self.baseline.support_low * self.lam
 
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.sigma) / self.lam
-
     def cdf(self, x):
-        return on_support(x, self.support_start, self._cdf_at)
-
-    def _cdf_at(self, x):
-        return self.baseline.cdf(self._z(x)) ** self.alpha
+        return group_curves((self,), x, ("cdf",))[0][0]
 
     def pdf(self, x):
-        return on_support(x, self.support_start, self._density_at)
-
-    def _density_at(self, x):
-        z = self._z(x)
-        return self._density(self.baseline.cdf(z), self.baseline.pdf(z))
-
-    def cdf_pdf(self, x):
-        """``(cdf(x), pdf(x))`` from one pass, which evaluates the baseline CDF once."""
-        return on_support(x, self.support_start, self._cdf_pdf_at, curves=2)
-
-    def _cdf_pdf_at(self, x):
-        z = self._z(x)
-        F = self.baseline.cdf(z)
-        return F ** self.alpha, self._density(F, self.baseline.pdf(z))
+        return group_curves((self,), x, ("pdf",))[0][0]
 
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.
@@ -110,3 +91,27 @@ class ELSComponent:
         x = self.sigma + self.lam * self.baseline.quantile_log(math.log(p) / self.alpha)
         start = self.support_start
         return x if x > start else math.nextafter(start, math.inf)
+
+
+def group_curves(components, x, curves):
+    """``curves`` ("cdf", "pdf" or both, in that order) of each of
+    ``components``, which share one baseline object, sigma and lam, at x: one
+    sequence per component, of arrays (of floats for a scalar x). The support
+    start, z = (x - sigma)/lam, F(z) and f(z) are computed once; only F**alpha
+    and the density are formed per component, as for a component alone."""
+    first, k, cdf, pdf = components[0], len(curves), "cdf" in curves, "pdf" in curves
+
+    def above(t):
+        z = (t - first.sigma) / first.lam
+        F = first.baseline.cdf(z)
+        f = first.baseline.pdf(z) if pdf else None
+        out = []
+        for c in components:
+            if cdf:
+                out.append(F ** c.alpha)
+            if pdf:
+                out.append(c._density(F, f))
+        return out
+
+    flat = on_support(x, first.support_start, above, curves=k * len(components))
+    return [flat[i:i + k] for i in range(0, len(flat), k)]

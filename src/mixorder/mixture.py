@@ -3,9 +3,10 @@
 The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
-magnitude. ``cdf``, ``pdf`` and the one-pass pair ``cdf_pdf`` share one
-kernel. A grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of
-the same elementwise arithmetic, so it gives the same bits. Also provides
+magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
+``cdf``, ``pdf`` and the one-pass ``cdf_pdf`` are its one-mixture case. A
+grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of the same
+elementwise arithmetic, so it gives the same bits. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -14,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .els import ELSComponent
+from .els import ELSComponent, group_curves
 from .errors import (
     DomainError,
     ParameterError,
@@ -50,11 +53,8 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 _PANEL_TOL = 1e-9
 _MAX_DEPTH = 40
 
-#: points per slice of a long 1-d grid in ``cdf``/``pdf``/``cdf_pdf``; 64 KB temporaries
+#: points per slice of a long 1-d grid in ``sample_curves``; 64 KB temporaries
 EVAL_BLOCK = 8192
-
-#: number of curves that each component evaluation method returns
-_CURVES = {"cdf": 1, "pdf": 1, "cdf_pdf": 2}
 
 
 def _kahan_sum(terms):
@@ -78,6 +78,46 @@ def _compensated_sum(terms, scalar):
     if bad.any():
         total[bad] = sum(term[bad] for term in terms)
     return total
+
+
+def _plan(mixtures):
+    """The distinct components of ``mixtures`` in groups that share a baseline
+    object (an equal baseline of a subclass may compute otherwise), sigma and
+    lam, and for each mixture the places of its components among them."""
+    groups = {}
+    for c in chain(*(mix.components for mix in mixtures)):
+        groups.setdefault((id(c.baseline), c.sigma, c.lam), {}).setdefault(c.alpha, c)
+    keys = [(g, alpha) for g, members in groups.items() for alpha in members]
+    return ([tuple(members.values()) for members in groups.values()],
+            [[keys.index(((id(c.baseline), c.sigma, c.lam), c.alpha)) for c in mix.components]
+             for mix in mixtures])
+
+
+def sample_curves(mixtures, x, curves):
+    """``curves`` ("cdf", "pdf" or both, in that order) of each of ``mixtures``
+    at x: one list per mixture, of arrays (of floats for a scalar x). Each
+    group of ``_plan`` takes one ``els.group_curves`` pass; each mixture then
+    Kahan-sums its own terms in its own order, so it gets the bits it gets
+    alone. A 1-d array longer than ``EVAL_BLOCK`` runs slice by slice."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 1 and arr.size > EVAL_BLOCK:
+        outs = [[np.empty(arr.size) for _ in curves] for _ in mixtures]
+        for i in range(0, arr.size, EVAL_BLOCK):
+            parts = sample_curves(mixtures, arr[i:i + EVAL_BLOCK], curves)
+            for out, part in zip(chain(*outs), chain(*parts)):
+                out[i:i + EVAL_BLOCK] = part
+        return outs
+    groups, places = mixtures[0].own_plan if len(mixtures) == 1 else _plan(mixtures)
+    values = [v for members in groups for v in group_curves(members, arr, curves)]
+    # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
+    scalar = arr.ndim == 0
+    sums = []
+    for mix, place in zip(mixtures, places):
+        weights = mix.weights.tolist() if scalar else mix.weights
+        terms = [values[i] for i in place]
+        sums.append([_compensated_sum([w * t[j] for w, t in zip(weights, terms)], scalar)
+                     for j in range(len(curves))])
+    return sums
 
 
 class WeightPolicy(str, Enum):
@@ -121,6 +161,8 @@ class FiniteMixture:
         self.raw_sum = raw_sum
         self.policy = policy
 
+    own_plan = cached_property(lambda self: _plan((self,)))  # a root samples one mixture often
+
     def __len__(self):
         return len(self.components)
 
@@ -141,37 +183,15 @@ class FiniteMixture:
         """Sorted distinct component start points (the CDF's kink locations)."""
         return sorted({c.support_start for c in self.components})
 
-    def _weighted_sums(self, x, attr):
-        """Kahan sums of the weighted component curves that the component
-        method ``attr`` returns: one for "cdf" or "pdf", two for "cdf_pdf",
-        in a list. A 1-d array longer than ``EVAL_BLOCK`` is summed slice by
-        slice into preallocated outputs."""
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1 and arr.size > EVAL_BLOCK:
-            outs = [np.empty(arr.size) for _ in range(_CURVES[attr])]
-            for i in range(0, arr.size, EVAL_BLOCK):
-                for out, part in zip(outs, self._weighted_sums(arr[i:i + EVAL_BLOCK], attr)):
-                    out[i:i + EVAL_BLOCK] = part
-            return outs
-        # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
-        scalar = arr.ndim == 0
-        weights = self.weights.tolist() if scalar else self.weights
-        if _CURVES[attr] == 1:
-            return [_compensated_sum([w * getattr(c, attr)(arr)
-                                      for w, c in zip(weights, self.components)], scalar)]
-        columns = zip(*[getattr(c, attr)(arr) for c in self.components])
-        return [_compensated_sum([w * v for w, v in zip(weights, column)], scalar)
-                for column in columns]
-
     def cdf(self, x):
-        return self._weighted_sums(x, "cdf")[0]
+        return sample_curves((self,), x, ("cdf",))[0][0]
 
     def pdf(self, x):
-        return self._weighted_sums(x, "pdf")[0]
+        return sample_curves((self,), x, ("pdf",))[0][0]
 
     def cdf_pdf(self, x):
         """``(cdf(x), pdf(x))`` from one pass over the components and the grid."""
-        return tuple(self._weighted_sums(x, "cdf_pdf"))
+        return tuple(sample_curves((self,), x, ("cdf", "pdf"))[0])
 
     def quantile(self, p):
         """Inverse CDF by a root bracketed by the component quantiles.
@@ -191,12 +211,9 @@ class FiniteMixture:
         if lo == hi:
             return lo
         origin = self.support_start
-        target = math.log1p(-p)
 
         def excess(u):
-            # log S(x) - log(1 - p) at x = origin + e^u, decreasing in u
-            F = self.cdf(origin + math.exp(u))
-            return math.log1p(-min(F, _BELOW_ONE)) - target
+            return self.log_survival_excess(origin + math.exp(u), p)
 
         # every component quantile lies above its own start, so lo > origin
         u_lo, u_hi = math.log(lo - origin), math.log(hi - origin)
@@ -208,6 +225,10 @@ class FiniteMixture:
             return origin + math.exp(brent_root(excess, u_lo, u_hi, _LOG_XTOL, f_lo, f_hi))
         except (DomainError, OverflowError) as exc:
             raise DomainError(f"mixture quantile at level {p!r}: {exc}") from None
+
+    def log_survival_excess(self, x, p):
+        """log S(x) - log(1 - p) at a scalar x; negative above the p-quantile."""
+        return math.log1p(-min(self.cdf(x), _BELOW_ONE)) - math.log1p(-p)
 
     def pdf_at_offset(self, origin, dx):
         """Density at origin + dx, exact in the offset; ``dx`` is a scalar or an array.

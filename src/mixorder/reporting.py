@@ -27,6 +27,8 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

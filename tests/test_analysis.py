@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from mixorder import (
     AuditError,
     Direction,
+    ELSComponent,
+    FiniteMixture,
     Grid,
     InsufficientDomainError,
     InvalidSampleError,
@@ -14,6 +16,7 @@ from mixorder import (
     PairSample,
     ParameterError,
     auto_grid,
+    build_outlier_mixture,
     check_aging_faster_rhr,
     check_likelihood_ratio,
     check_order,
@@ -22,10 +25,11 @@ from mixorder import (
     classify_monotonicity,
     get_scenario,
     implication_audit,
+    make_baseline,
     scenario_grid,
 )
-from mixorder._sampling import random_baseline, random_mixture
-from mixorder.analysis import CHECKERS, OrderVerdict
+from mixorder._sampling import THEOREM_SAMPLERS, random_baseline, random_mixture, random_pair
+from mixorder.analysis import CHECKERS, UPPER_QUANTILE, OrderVerdict
 
 
 # ---------------------------------------------------------------- classifier
@@ -286,6 +290,65 @@ def test_auto_grid_window():
     assert grid.x_lo > max(u.support_start, v.support_start)
     assert u.cdf(grid.x_hi) >= 1.0 - 2e-6
     assert v.cdf(grid.x_hi) >= 1.0 - 2e-6
+
+
+def _upper_ends(u, v, monkeypatch):
+    """(auto_grid(u, v).x_hi, the max of both upper quantiles, the roots
+    auto_grid ran)."""
+    quantile = FiniteMixture.quantile
+    roots = []
+
+    def counting(self, p):
+        roots.append(self)
+        return quantile(self, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteMixture, "quantile", counting)
+        x_hi = auto_grid(u, v).x_hi
+    return x_hi, max(quantile(u, UPPER_QUANTILE), quantile(v, UPPER_QUANTILE)), roots
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_auto_grid_end_is_the_larger_quantile_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for u, v in ((random_mixture(rng), random_mixture(rng)), random_pair(rng)):
+            x_hi, expected, roots = _upper_ends(u, v, monkeypatch)
+            assert x_hi.hex() == expected.hex()
+            assert len(roots) in (1, 2)
+
+
+@pytest.mark.parametrize("theorem", ["T4.1", "T4.2"])
+def test_auto_grid_end_on_the_outlier_sweep_draws(monkeypatch, theorem):
+    # the draws of the soundness sweep, whose pairs share every component
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        u, v = (build_outlier_mixture(spec) for spec in THEOREM_SAMPLERS[theorem](rng))
+        x_hi, expected, _ = _upper_ends(u, v, monkeypatch)
+        assert x_hi.hex() == expected.hex()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_auto_grid_roots_a_tie_twice(seed):
+    u = random_mixture(np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        x_hi, expected, roots = _upper_ends(u, u, monkeypatch)
+    # the partner's excess at the first root is about 0: both are rooted
+    assert x_hi.hex() == expected.hex() and roots == [u, u]
+
+
+def test_auto_grid_roots_once_when_one_cdf_settles_the_order(monkeypatch):
+    # v is u moved right by 5, so v has the larger top component quantile
+    # and is rooted first; u's CDF there is far above the level, so u's
+    # root is skipped, whichever side u is on
+    base = make_baseline("lt_exponential", b=1.0, t0=1.0)
+    u = FiniteMixture([ELSComponent(base, 2.0, 0.0, 1.0), ELSComponent(base, 0.5, 1.0, 1.0)],
+                      (0.5, 0.5))
+    v = FiniteMixture([ELSComponent(c.baseline, c.alpha, c.sigma + 5.0, c.lam)
+                       for c in u.components], (0.5, 0.5))
+    for pair, rooted in (((u, v), v), ((v, u), v)):
+        x_hi, expected, roots = _upper_ends(*pair, monkeypatch)
+        assert x_hi.hex() == expected.hex() and roots == [rooted]
 
 
 # ---------------------------------------------------------------- audit

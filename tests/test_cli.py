@@ -10,7 +10,6 @@ import pytest
 
 import mixorder
 from mixorder import (
-    FiniteMixture,
     OrderKind,
     check_order,
     classify_monotonicity,
@@ -18,8 +17,11 @@ from mixorder import (
     run_scenario,
     scenario_grid,
 )
+from mixorder import analysis
 from mixorder.analysis import DEFAULT_POINTS, MAX_POINTS
+from mixorder.baseline import BaselineModel
 from mixorder.cli import build_parser, main
+from mixorder.conditions import THEOREM_EVALUATORS
 from mixorder.reporting import dumps
 
 
@@ -354,27 +356,50 @@ def test_check_order_tol_reaches_audit(capsys, order):
 
 @pytest.mark.parametrize("order", ["rh", "lr", "r_rh"])
 def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
-    # the verdict and the st/rh/lr audit share one sample of the pair; rh and
-    # r_rh read both curves of each mixture and take them from one cdf_pdf pass
-    calls = collections.Counter()
-    for name in ("cdf", "pdf", "cdf_pdf"):
-        original = getattr(FiniteMixture, name)
+    # the verdict and the st/rh/lr audit share one sample of the pair: each
+    # curve is sampled once, for both mixtures in one pass, and rh and r_rh
+    # take both curves from one pass. In a pass, each group of components
+    # sharing a baseline, sigma and lam evaluates its baseline once per slice
+    # (2001 points are one slice); every pass needs the baseline CDF.
+    passes, baseline_calls = [], collections.Counter()
+    sample_curves = analysis.sample_curves
 
-        def counting(self, x, name=name, original=original):
-            if np.size(x) == DEFAULT_POINTS:
-                calls[id(self), name] += 1
-            return original(self, x)
+    def counting_pass(mixtures, x, curves):
+        assert np.size(x) == DEFAULT_POINTS
+        passes.append((len(mixtures), tuple(curves)))
+        return sample_curves(mixtures, x, curves)
 
-        monkeypatch.setattr(FiniteMixture, name, counting)
-    passes = ["cdf_pdf"] if order in ("rh", "r_rh") else ["cdf", "pdf"]
+    monkeypatch.setattr(analysis, "sample_curves", counting_pass)
+    for name in ("cdf", "pdf"):
+        original = getattr(BaselineModel, name)
+
+        def counting(self, t, name=name, original=original):
+            if np.size(t) > 1:  # not a scalar root or witness evaluation
+                baseline_calls[name] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(BaselineModel, name, counting)
+    curves = [("cdf", "pdf")] if order in ("rh", "r_rh") else [("cdf",), ("pdf",)]
     for s in catalog:
-        calls.clear()
+        passes.clear()
+        baseline_calls.clear()
         code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
         assert code in (0, 1), s.scenario_id
-        mixtures = {key[0] for key in calls}
-        assert len(mixtures) == 2, (s.scenario_id, calls)
-        expected = {(m, name): 1 for m in mixtures for name in passes}
-        assert calls == expected, (s.scenario_id, calls)
+        assert sorted(passes) == [(2, c) for c in curves], (s.scenario_id, passes)
+        groups = {(id(c.baseline), c.sigma, c.lam) for c in s.u.components + s.v.components}
+        expected = {"cdf": len(groups) * len(curves), "pdf": len(groups)}
+        assert baseline_calls == expected, (s.scenario_id, baseline_calls)
+
+
+def test_check_theorem_condition_items_pass_as_json_booleans(capsys, catalog):
+    # a numpy bool from the majorization check once printed as "False"
+    items = []
+    for s in catalog:
+        for theorem in sorted(THEOREM_EVALUATORS):
+            code, out, _ = run_cli(capsys, "check-theorem", s.scenario_id, "--theorem", theorem)
+            if code != 2:  # 2: an outlier theorem on a scenario without blocks
+                items += json.loads(out)["conditions"]["items"]
+    assert items and all(type(item["passed"]) is bool for item in items)
 
 
 def test_parser_is_built_once_and_keeps_no_option_values(capsys):

@@ -6,7 +6,8 @@ compare the bits of each scalar result with the matching point of an
 array result, on arrays wholly above a support start, straddling it,
 wholly below it and holding a NaN. A mixture grid longer than
 ``mixture.EVAL_BLOCK`` is summed slice by slice; it must give the bits of
-one whole-array pass, of its slices and of its points.
+one whole-array pass, of its slices and of its points. A pair sampled in
+one ``mixture.sample_curves`` pass gets the bits of each mixture alone.
 """
 
 import itertools
@@ -241,6 +242,43 @@ def test_blocked_evaluation_matches_unblocked_bit_for_bit(grid, which, scale):
         assert all(type(p) is float for p in points)
         for other in (whole, slices, points, separate.setdefault(name, blocked)):
             assert np.array_equal(_bits(blocked), _bits(other)), (name, x, blocked, other)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """A mixture pair: the same components under other weights and in another
+    order, components sharing a baseline, sigma and lam with other alphas
+    (and one shared component), components differing only in sigma or only
+    in lam, or two unrelated mixtures."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_mixture(rng)
+    kind = draw(st.sampled_from(["same", "shared_baseline", "moved", "disjoint"]))
+    if kind == "disjoint":
+        return u, random_mixture(rng)
+    if kind == "same":
+        comps = u.components[::-1]
+    elif kind == "shared_baseline":
+        comps = [ELSComponent(c.baseline, c.alpha * rng.uniform(0.5, 2.0), c.sigma, c.lam)
+                 for c in u.components] + [u.components[0]]
+    else:
+        comps = [ELSComponent(c.baseline, c.alpha, c.sigma + d_sigma, c.lam * f_lam)
+                 for c in u.components for d_sigma, f_lam in ((1.0, 1.0), (0.0, 2.0))]
+    return u, FiniteMixture(comps, rng.dirichlet(np.ones(len(comps))), "autonorm")
+
+
+@given(grid=blocked_grids(), pair=kernel_pairs(), scale=st.floats(0.1, 5.0),
+       curves=st.sampled_from([("cdf",), ("pdf",), ("cdf", "pdf")]))
+def test_pair_kernel_matches_each_mixture_bit_for_bit(grid, pair, scale, curves):
+    block, t = grid
+    u, v = pair
+    x = min(u.support_start, v.support_start) + scale * t
+    with mock.patch.object(mixture, "EVAL_BLOCK", block):
+        sampled = mixture.sample_curves((u, v), x, curves)
+    for mix, values in zip((u, v), sampled):
+        for name, value in zip(curves, values):
+            alone = getattr(mix, name)(x)
+            assert value.shape == x.shape and value.dtype == np.float64
+            assert np.array_equal(_bits(value), _bits(alone)), (name, x, value, alone)
 
 
 def test_blocked_evaluation_at_the_block_size():

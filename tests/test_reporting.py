@@ -87,3 +87,8 @@ def test_write_csv_writes_once_per_block():
         write_csv(out, ["x"], [np.zeros(n_rows)])
         assert out.writes == 1 + blocks
         assert out.getvalue().count("\n") == 1 + n_rows
+
+
+def test_numpy_bool_is_a_json_boolean():
+    assert reporting.to_jsonable([np.True_, np.False_]) == [True, False]
+    assert reporting.dumps({"passed": np.False_}) == '{"passed": false}'
