@@ -4,14 +4,15 @@ Everything here is deterministic and stateless. ``on_support`` is the one
 mask rule of every baseline, component and mixture ``cdf``/``pdf``, and it
 gives a scalar the bits of a grid point. The adaptive Simpson rule
 uses interval halving with a per-panel absolute tolerance, so the total
-error scales with the number of accepted panels. Its integrand maps a 1-D
-float array to a 1-D float array and is called once per bisection depth.
+error scales with the number of accepted panels. It integrates several
+intervals in one pass and calls its integrand once per bisection depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,54 +70,61 @@ class QuadratureResult:
     converged: bool
     panels: int
     unconverged_panels: int
+    values: tuple
+    unconverged: tuple
 
 
-def _simpson(x, fx):
-    """Simpson estimates of panels whose last axis holds (a, m, b) and f there."""
-    return (x[..., 2] - x[..., 0]) / 6.0 * (fx[..., 0] + 4.0 * fx[..., 1] + fx[..., 2])
+#: row r of the half panels comes from rows _HALVES[r] (left, right) of a depth's table:
+#: open panels (a, m, b, f(a), f(m), f(b), coarse), quarter points, f there, fine estimates
+_HALVES = np.array([[0, 1], [7, 8], [1, 2], [3, 4], [9, 10], [4, 5], [11, 12]])
 
 
 def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
-    """Adaptive Simpson quadrature of the array integrand ``f`` on [a, b].
+    """Adaptive Simpson quadrature on the intervals [a[i], b[i]] (floats or k-sequences).
 
-    Each panel is halved until the classic Richardson estimate
-    |S(fine) - S(coarse)| <= 15 * abs_tol holds or ``max_depth`` is hit.
-    Panels that never meet the tolerance are counted but still contribute
-    their best fine estimate. All open panels of one depth are tested after
-    one call of ``f`` on their midpoints (at most ``max_depth + 2`` calls),
-    and accepted contributions are Kahan-summed right to left, as in a
-    depth-first recursion that splits the right half first.
+    Each panel is halved until |S(fine) - S(coarse)| <= 15 * abs_tol or
+    ``max_depth``; panels that never meet the tolerance are counted and give
+    their best fine estimate. ``f`` takes one argument, a pair of arrays
+    (interval index, x): one call on the starting nodes, then one per depth
+    on the midpoints of every open panel (at most ``max_depth + 2``). Each
+    interval's sum in ``values`` (0.0 for zero width) is Kahan-summed right to
+    left, as by a depth-first recursion splitting the right half first;
+    ``value`` adds them in order. ``perfbench/tracing.py`` wraps this function
+    where callers look it up, wraps ``f`` as a one-argument callable and reads
+    the int totals ``panels`` and ``unconverged_panels``.
     """
-    if a == b:
-        return QuadratureResult(0.0, True, 0, 0)
+    lo, hi = np.array([a, b], dtype=float).reshape(2, -1)
     tol = 15.0 * abs_tol
-    # open panels, left to right: rows (a, m, b), f there, coarse estimates
-    x = np.array([[a, 0.5 * (a + b), b]])
-    fx = f(x[0]).reshape(1, 3)
-    coarse = _simpson(x, fx)
-    # accepted contributions, left to right; open panel i lies just before done[slot[i]]
-    done, slot, bad = np.empty(0), np.zeros(1, dtype=np.intp), 0
-    for depth in range(max_depth + 1):
-        # halves of every panel, shape (n, 2, 3), last axis (a, m, b)
-        mid = 0.5 * (x[:, :2] + x[:, 1:])
-        xh = np.stack((x[:, :2], mid, x[:, 1:]), axis=-1)
-        fh = np.stack((fx[:, :2], f(mid.T.ravel()).reshape(2, -1).T, fx[:, 1:]), axis=-1)
-        fine = _simpson(xh, fh)
-        both = fine[:, 0] + fine[:, 1]
-        err = both - coarse
+    key = np.flatnonzero(lo != hi)  # the interval of each open panel
+    # per depth, of the accepted panels: interval, left end, contribution, unconverged
+    accepted = [(key[:0], lo[:0], lo[:0], np.zeros(0, dtype=bool))]
+    if key.size:
+        nodes = np.stack((lo[key], 0.5 * (lo[key] + hi[key]), hi[key]))
+        fx = f((np.concatenate([key] * 3), nodes.ravel())).reshape(3, -1)
+        coarse = (nodes[2] - nodes[0]) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
+        panel = np.concatenate((nodes, fx, [coarse]))
+    for depth in range(max_depth + 1 if key.size else 0):
+        quarter = 0.5 * (panel[0:2] + panel[1:3])
+        fq = f((np.concatenate([key] * 2), quarter.ravel())).reshape(2, -1)
+        fine = (panel[1:3] - panel[0:2]) / 6.0 * (panel[3:5] + 4.0 * fq + panel[4:6])
+        both = fine[0] + fine[1]
+        err = both - panel[6]
         accept = (np.abs(err) <= tol) | (depth >= max_depth)
-        bad += int(np.count_nonzero(accept & (np.abs(err) > tol)))
-        done = np.insert(done, slot[accept], (both + err / 15.0)[accept])
+        accepted.append((key[accept], panel[0, accept], (both + err / 15.0)[accept],
+                         np.abs(err[accept]) > tol))
         if accept.all():
             break
-        split = ~accept
-        slot = np.repeat((slot + np.cumsum(accept))[split], 2)
-        x, fx = xh[split].reshape(-1, 3), fh[split].reshape(-1, 3)
-        coarse = fine[split].ravel()
-    total = comp = 0.0
-    for term in done[::-1].tolist():
-        total, comp = kahan_add(total, comp, term)
-    return QuadratureResult(total, bad == 0, len(done), bad)
+        panel = np.concatenate((panel, quarter, fq, fine))[:, ~accept][_HALVES].reshape(7, -1)
+        key = np.concatenate([key[~accept]] * 2)
+    keys, lefts, terms, bad = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.lexsort((lefts, keys))[::-1]  # by interval, right to left in each
+    sums, comps = [0.0] * lo.size, [0.0] * lo.size
+    for i, term in zip(keys[order].tolist(), terms[order].tolist()):
+        sums[i], comps[i] = kahan_add(sums[i], comps[i], term)
+    *_, value = accumulate(sums, initial=0.0)  # plain sum in interval order
+    unconverged = np.bincount(keys[bad], minlength=lo.size)
+    return QuadratureResult(value, not bad.any(), keys.size, int(unconverged.sum()),
+                            tuple(sums), tuple(unconverged.tolist()))
 
 
 def bisect_nondecreasing(fn, target, lo, hi, xtol=1e-10, max_iter=200):

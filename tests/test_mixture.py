@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mixorder import (
     ELSComponent,
     FiniteMixture,
     OutlierMixtureSpec,
+    QuadratureError,
     WeightError,
     WeightPolicy,
     auto_grid,
@@ -132,11 +134,32 @@ def test_normalization_of_false_convergence_mixtures(false_convergence_mixtures,
 
 def test_pdf_at_offset_array_matches_scalar(catalog):
     dx = np.geomspace(1e-12, 20.0, 60)
+    rng = np.random.default_rng(3)
     for s in catalog:
         for mix in s.mixtures():
             for origin in mix.support_breaks:
                 vec = mix.pdf_at_offset(origin, dx)
                 assert np.array_equal(vec, [mix.pdf_at_offset(origin, d) for d in dx])
+            # per-point origins drawn from the support breaks
+            origins = rng.choice(mix.support_breaks, size=dx.size)
+            vec = mix.pdf_at_offset(origins, dx)
+            assert np.array_equal(vec, [mix.pdf_at_offset(o, d) for o, d in zip(origins, dx)])
+
+
+def test_normalization_error_names_the_first_unconverged_segment(monkeypatch):
+    # EX4.2 U (breaks 5, 8, 13; alpha = 0.1 from 8) is the deepest normalization
+    u, _ = get_scenario("EX4.2").mixtures()
+    # (depth cap, first unconverged segment, estimate recorded when each
+    # segment was integrated by its own quadrature)
+    cases = ((4, "[5.0, 8.0]", "0x1.64cc7ac206f9bp-4"),
+             (8, "[8.0, 13.0]", "0x1.cbb269065315ep-2"))
+    for depth, segment, estimate in cases:
+        monkeypatch.setattr(mixture, "_MAX_DEPTH", depth)
+        with pytest.raises(QuadratureError, match=re.escape(
+                f"normalization quadrature did not converge on {segment}")) as info:
+            verify_normalization(u, tol=1e-6)
+        assert math.isfinite(info.value.estimate)
+        assert info.value.estimate == float.fromhex(estimate)
 
 
 def test_normalization_autonormalized_weights():

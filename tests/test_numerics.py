@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from mixorder import get_scenario, mixture, verify_normalization
+from mixorder import mixture, verify_normalization
 from mixorder.errors import DomainError
 from mixorder.numerics import (
     QuadratureResult,
@@ -32,13 +32,13 @@ def test_kahan_add_compensates():
 
 
 def test_adaptive_simpson_polynomial_exact():
-    res = adaptive_simpson(lambda x: x**2, 0.0, 1.0)
+    res = adaptive_simpson(lambda point: point[1] ** 2, 0.0, 1.0)
     assert res.converged
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_adaptive_simpson_smooth():
-    res = adaptive_simpson(np.sin, 0.0, math.pi, abs_tol=1e-10)
+    res = adaptive_simpson(lambda point: np.sin(point[1]), 0.0, math.pi, abs_tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
@@ -47,7 +47,7 @@ def _reference_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     """Depth-first adaptive Simpson on a scalar integrand ``f``, splitting
     the right half first: the reference for the level-wise rule."""
     if a == b:
-        return QuadratureResult(0.0, True, 0, 0)
+        return QuadratureResult(0.0, True, 0, 0, (0.0,), (0,))
 
     def simpson(a, fa, b, fb, fm):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -74,23 +74,36 @@ def _reference_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
         else:
             stack.append((a0, fa0, m0, fm0, lm, flm, left, depth + 1))
             stack.append((m0, fm0, b0, fb0, rm, frm, right, depth + 1))
-    return QuadratureResult(total, bad == 0, panels, bad)
+    return QuadratureResult(total, bad == 0, panels, bad, (total,), (bad,))
 
 
-def _scalar(f):
-    """The array integrand ``f`` evaluated at one point."""
-    return lambda t: float(f(np.array([t]))[0])
+def _references(f, a, b, **kwargs):
+    """``_reference_simpson`` of the integrand ``f`` on each interval [a[i], b[i]]."""
+    return [_reference_simpson(_scalar(f, i), lo, hi, **kwargs)
+            for i, (lo, hi) in enumerate(zip(a, b))]
 
 
-def _pointwise(fn):
-    """Array integrand applying the scalar ``fn`` at each point."""
-    return lambda x: np.array([fn(t) for t in x.tolist()])
+def _scalar(f, interval=0):
+    """The integrand ``f`` of ``interval`` evaluated at one point."""
+    return lambda t: float(f((np.array([interval]), np.array([t])))[0])
 
 
-def _same_panels(new, ref):
-    return (new.panels, new.unconverged_panels, new.converged) == (
-        ref.panels, ref.unconverged_panels, ref.converged
-    )
+def _pointwise(fns):
+    """Integrand applying the scalar ``fns[i]`` at each point of interval i."""
+    return lambda point: np.array([fns[i](t) for i, t in zip(*(p.tolist() for p in point))])
+
+
+def _matches_in_order(new, refs):
+    """The merged result is the references' per-interval results, and their
+    values added in interval order, bit for bit."""
+    value = 0.0
+    for ref in refs:
+        value += ref.value
+    return (new.value, new.values, new.unconverged, new.panels, new.unconverged_panels,
+            new.converged) == (
+        value, tuple(r.value for r in refs), tuple(r.unconverged_panels for r in refs),
+        sum(r.panels for r in refs), sum(r.unconverged_panels for r in refs),
+        all(r.converged for r in refs))
 
 
 def _segment_integrands(monkeypatch, mixtures):
@@ -114,60 +127,86 @@ def test_level_wise_simpson_matches_depth_first_on_normalization(
 ):
     mixtures = [m for s in catalog for m in s.mixtures()] + list(false_convergence_mixtures)
     calls = _segment_integrands(monkeypatch, mixtures)
-    assert len(calls) >= len(mixtures)
+    # one quadrature per mixture, over all of its support segments
+    assert len(calls) == len(mixtures)
     for f, a, b, kwargs in calls:
         new = adaptive_simpson(f, a, b, **kwargs)
-        ref = _reference_simpson(_scalar(f), a, b, **kwargs)
-        assert _same_panels(new, ref)
-        assert abs(new.value - ref.value) <= 1e-15
+        refs = _references(f, a, b, **kwargs)
+        assert new.panels == sum(r.panels for r in refs)
+        assert new.unconverged == tuple(r.unconverged_panels for r in refs)
+        for value, ref in zip(new.values, refs):
+            assert abs(value - ref.value) <= 1e-15
 
 
 _TOLERANCES = st.sampled_from([1e-6, 1e-9, 1e-12])
+_WIDTHS = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
 
 
-@given(p=st.floats(0.0, 4.0), a=st.floats(0.0, 4.0), width=st.floats(1e-3, 4.0),
+@given(intervals=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0), _WIDTHS),
+                          min_size=1, max_size=4),
        abs_tol=_TOLERANCES, max_depth=st.integers(0, 12))
-def test_level_wise_simpson_matches_depth_first_power(p, a, width, abs_tol, max_depth):
+def test_level_wise_simpson_matches_depth_first_power(intervals, abs_tol, max_depth):
     # the same integrand values give the same arithmetic, hence the same bits
-    fn = lambda t: t**p
-    new = adaptive_simpson(_pointwise(fn), a, a + width, abs_tol=abs_tol, max_depth=max_depth)
-    ref = _reference_simpson(fn, a, a + width, abs_tol=abs_tol, max_depth=max_depth)
-    assert _same_panels(new, ref)
-    assert new.value == ref.value
+    fns = [lambda t, p=p: t**p for p, _, _ in intervals]
+    a = [lo for _, lo, _ in intervals]
+    b = [lo + width for _, lo, width in intervals]
+    new = adaptive_simpson(_pointwise(fns), a, b, abs_tol=abs_tol, max_depth=max_depth)
+    refs = [_reference_simpson(fn, lo, hi, abs_tol=abs_tol, max_depth=max_depth)
+            for fn, lo, hi in zip(fns, a, b)]
+    assert _matches_in_order(new, refs)
 
 
-@given(c=st.floats(-3.0, 3.0), a=st.floats(-2.0, 2.0), width=st.floats(1e-3, 2.0),
+@given(intervals=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), _WIDTHS),
+                          min_size=1, max_size=4),
        abs_tol=_TOLERANCES, max_depth=st.integers(0, 12))
 # three panels whose sum changes in the last bit when taken in another order
-@example(c=2.8531978705609227, a=-1.570091086455411, width=0.9047254878658898,
+@example(intervals=[(2.8531978705609227, -1.570091086455411, 0.9047254878658898)],
          abs_tol=1e-6, max_depth=2)
-def test_level_wise_simpson_matches_depth_first_exp(c, a, width, abs_tol, max_depth):
-    fn = lambda t: math.exp(c * t)
-    new = adaptive_simpson(_pointwise(fn), a, a + width, abs_tol=abs_tol, max_depth=max_depth)
-    ref = _reference_simpson(fn, a, a + width, abs_tol=abs_tol, max_depth=max_depth)
-    assert _same_panels(new, ref)
-    assert new.value == ref.value
+def test_level_wise_simpson_matches_depth_first_exp(intervals, abs_tol, max_depth):
+    fns = [lambda t, c=c: math.exp(c * t) for c, _, _ in intervals]
+    a = [lo for _, lo, _ in intervals]
+    b = [lo + width for _, lo, width in intervals]
+    new = adaptive_simpson(_pointwise(fns), a, b, abs_tol=abs_tol, max_depth=max_depth)
+    refs = [_reference_simpson(fn, lo, hi, abs_tol=abs_tol, max_depth=max_depth)
+            for fn, lo, hi in zip(fns, a, b)]
+    assert _matches_in_order(new, refs)
 
 
-def test_simpson_calls_integrand_once_per_level(monkeypatch):
-    # EX4.2 U holds the alpha = 0.1 component, the deepest normalization
-    u, _ = get_scenario("EX4.2").mixtures()
-    for f, a, b, kwargs in _segment_integrands(monkeypatch, [u]):
+def test_simpson_depth_zero_and_zero_width_intervals():
+    sizes = []
+
+    def cube(point):
+        sizes.append(point[1].size)
+        return point[1] ** 3
+
+    # max_depth = 0 accepts every starting panel after one split
+    res = adaptive_simpson(cube, [0.0, 2.0, 1.0], [1.0, 2.0, 3.0], max_depth=0)
+    assert (res.panels, res.unconverged, sizes) == (2, (0, 0, 0), [6, 4])
+    assert res.values == (pytest.approx(0.25), 0.0, pytest.approx(20.0))
+    # only zero-width intervals: nothing to evaluate
+    res = adaptive_simpson(cube, [1.0, 2.0], [1.0, 2.0])
+    assert res == QuadratureResult(0.0, True, 0, 0, (0.0, 0.0), (0, 0))
+    assert len(sizes) == 2
+
+
+def test_simpson_calls_integrand_once_per_level(monkeypatch, catalog):
+    mixtures = [m for s in catalog for m in s.mixtures()]
+    calls = _segment_integrands(monkeypatch, mixtures)
+    assert len(calls) == len(mixtures)
+    for f, a, b, kwargs in calls:
         sizes, nodes = [], []
 
-        def counted(x):
-            sizes.append(len(x))
-            return f(x)
-
-        def scalar_counted(t):
-            nodes.append(t)
-            return _scalar(f)(t)
+        def counted(point):
+            sizes.append(len(point[1]))
+            return f(point)
 
         res = adaptive_simpson(counted, a, b, **kwargs)
-        _reference_simpson(scalar_counted, a, b, **kwargs)
+        for i, (lo, hi) in enumerate(zip(a, b)):
+            _reference_simpson(lambda t: nodes.append(t) or _scalar(f, i)(t), lo, hi, **kwargs)
+        k = int(np.count_nonzero(a != b))
         assert len(sizes) <= kwargs["max_depth"] + 2
-        # three starting nodes, then two midpoints per examined panel
-        assert sum(sizes) == len(nodes) == 3 + 2 * (2 * res.panels - 1)
+        # three starting nodes per interval, then two midpoints per examined panel
+        assert sum(sizes) == len(nodes) == 3 * k + 2 * (2 * res.panels - k)
 
 
 def test_bisection_quantile_accuracy():
