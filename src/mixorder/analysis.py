@@ -76,6 +76,8 @@ class Grid:
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
             raise ParameterError(f"grid needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
+        if not math.isfinite(self.x_hi - self.x_lo):
+            raise ParameterError(f"grid needs a finite span, got [{self.x_lo}, {self.x_hi}]")
         if not 3 <= self.n_points <= MAX_POINTS:
             raise ParameterError(f"grid needs 3 to {MAX_POINTS} points, got {self.n_points}")
         if self.spacing not in ("linear", "logarithmic"):

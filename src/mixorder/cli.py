@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import math
 import os
 import sys
 
@@ -33,10 +34,9 @@ from .analysis import (
     check_usual_stochastic,
     implication_audit,
 )
-from .conditions import THEOREM_EVALUATORS, check_majorization
+from .conditions import THEOREM_EVALUATORS
 from .errors import MixorderError
 from .mixture import FiniteMixture, verify_normalization
-from .numerics import central_difference
 from .reporting import dumps, to_jsonable, write_csv
 from .scenarios import (
     Expected,
@@ -287,28 +287,6 @@ def cmd_reproduce(args):
 # -------------------------------------------------------------- validate
 
 
-def _robin_hood(rng, v):
-    """One rich-to-poor transfer; result is majorized by the input."""
-    v = np.sort(v)[::-1].copy()
-    d = rng.uniform(0.0, 0.45 * (v[0] - v[-1])) if v[0] > v[-1] else 0.0
-    v[0] -= d
-    v[-1] += d
-    return v
-
-
-def _brute_majorization(x, y, tol=1e-12):
-    xs, ys = sorted(x), sorted(y)
-    if abs(sum(xs) - sum(ys)) > tol:
-        return False
-    run_x = run_y = 0.0
-    for j in range(len(xs) - 1):
-        run_x += xs[j]
-        run_y += ys[j]
-        if run_x < run_y - tol:
-            return False
-    return True
-
-
 def cmd_validate(args):
     rng = np.random.default_rng(args.seed)
     items = []
@@ -360,60 +338,6 @@ def cmd_validate(args):
         done += 1
     add("chain_audit_random", not bad, f"{args.pairs} random chains consistent"
         if not bad else "; ".join(bad))
-
-    # majorization axioms against a brute-force oracle
-    bad = 0
-    trials = 300
-    for _ in range(trials):
-        n = int(rng.integers(1, 9))
-        x = rng.uniform(0.0, 5.0, size=n)
-        res = check_majorization(x, np.asarray(rng.permutation(x)))
-        if not (res.x_majorized_by_y and res.y_majorized_by_x):
-            bad += 1
-        z = rng.uniform(0.0, 5.0, size=max(n, 2))
-        y2 = _robin_hood(rng, z)
-        x2 = _robin_hood(rng, y2)
-        if not (
-            check_majorization(x2, y2).x_majorized_by_y
-            and check_majorization(y2, z).x_majorized_by_y
-            and check_majorization(x2, z).x_majorized_by_y
-        ):
-            bad += 1
-        a = rng.uniform(0.0, 5.0, size=n)
-        b = rng.uniform(0.0, 5.0, size=n)
-        res = check_majorization(a, b)
-        if res.x_majorized_by_y != _brute_majorization(a, b) or (
-            res.y_majorized_by_x != _brute_majorization(b, a)
-        ):
-            bad += 1
-    add("majorization_axioms", bad == 0,
-        f"{trials} reflexivity/transitivity/oracle trials" if bad == 0
-        else f"{bad} trials failed")
-
-    # derivative consistency on catalog mixtures
-    worst = 0.0
-    for s in builtin_catalog():
-        u, v = s.mixtures()
-        for mix in (u, v):
-            lo = mix.support_start
-            hi = mix.quantile(0.999)
-            breaks = np.asarray(mix.support_breaks)
-            picked = 0
-            while picked < 20:
-                t = rng.uniform(lo, hi)
-                h = 1e-5 * max(1.0, abs(t))
-                # density curvature scales like (shape-1)(shape-2)/d^2
-                # near a support kink at distance d; 1e4*h bounds the
-                # second-order term below 3e-7 for shapes up to 14
-                if np.min(np.abs(breaks - t)) < 1e4 * h:
-                    continue
-                picked += 1
-                num = float(central_difference(mix.cdf, t))
-                den = float(mix.pdf(t))
-                if den > 1e-300:
-                    worst = max(worst, abs(num - den) / den)
-    add("derivative_consistency", worst < 1e-6,
-        f"worst relative mismatch {worst:.3e}")
 
     # user scenarios, if any
     for path in args.scenario or []:
@@ -490,6 +414,17 @@ def cmd_experiment(args):
 # -------------------------------------------------------------- parser
 
 
+def _nonnegative(convert):
+    """An argparse ``type``: ``convert(text)``, which must be finite and >= 0."""
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
+    return parse
+
+
 def _add_grid(p):
     p.add_argument("--grid", help="explicit grid lo:hi:n")
     p.add_argument("--log-grid", action="store_true",
@@ -500,7 +435,7 @@ def _add_grid(p):
 
 def _add_check(p):
     _add_grid(p)
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_nonnegative(float),
                    help="dominance tolerance (st) or ratio tolerance (others)")
 
 
@@ -549,9 +484,10 @@ def build_parser():
                    help="skip writing per-run record files")
     p.set_defaults(fn=cmd_reproduce)
 
-    p = sub.add_parser("validate", help="run the property and invariant suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--pairs", type=int, default=50,
+    p = sub.add_parser("validate", help="check the catalog's normalization and "
+                                        "implication chains, and any --scenario files")
+    p.add_argument("--seed", type=_nonnegative(int), default=42)
+    p.add_argument("--pairs", type=_nonnegative(int), default=50,
                    help="random pairs for the implication audit")
     p.add_argument("--scenario", action="append",
                    help="also validate this scenario file (repeatable)")
@@ -559,8 +495,8 @@ def build_parser():
 
     p = sub.add_parser("experiment-unequal-weights",
                        help="exploratory runs for the open unequal-weights case")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=_nonnegative(int), default=50)
+    p.add_argument("--seed", type=_nonnegative(int), default=42)
     p.set_defaults(fn=cmd_experiment)
 
     return parser

@@ -4,9 +4,9 @@ The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
 magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
-``cdf``, ``pdf`` and the one-pass ``cdf_pdf`` are its one-mixture case. A
-grid longer than ``EVAL_BLOCK`` runs in cache-sized slices of the same
-elementwise arithmetic, so it gives the same bits. Also provides
+``cdf`` and ``pdf`` are its one-mixture case. A grid longer than
+``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
+arithmetic, so it gives the same bits. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -187,10 +187,6 @@ class FiniteMixture:
 
     def pdf(self, x):
         return sample_curves((self,), x, ("pdf",))[0][0]
-
-    def cdf_pdf(self, x):
-        """``(cdf(x), pdf(x))`` from one pass over the components and the grid."""
-        return tuple(sample_curves((self,), x, ("cdf", "pdf"))[0])
 
     def quantile(self, p):
         """Inverse CDF by a root bracketed by the component quantiles.

@@ -317,6 +317,31 @@ def test_points_with_grid_exits_2(capsys, argv):
     assert "--points sets the automatic grid" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    *(pytest.param(("check-order", "EX4.1", "--order", order, "--tol", tol), "--tol",
+                   id=f"tol-{tol}-{order}")
+      for order in ("rh", "lr", "r_rh", "st") for tol in ("nan", "-1", "inf")),
+    *(pytest.param(("check-theorem", "EX4.2", "--theorem", "T3.2", "--tol", tol), "--tol",
+                   id=f"tol-{tol}-theorem") for tol in ("nan", "-1", "inf")),
+    pytest.param(("eval", "EX4.1", "cdf", "--grid", "1:inf:10"), "grid needs a finite span",
+                 id="grid-infinite"),
+    pytest.param(("eval", "EX4.1", "cdf", "--grid=-1e308:1e308:5"), "grid needs a finite span",
+                 id="grid-overflowing-span"),
+    pytest.param(("validate", "--pairs", "-1"), "--pairs", id="pairs"),
+    pytest.param(("validate", "--seed", "-1"), "--seed", id="seed"),
+    pytest.param(("experiment-unequal-weights", "--trials", "-1"), "--trials", id="trials"),
+])
+def test_out_of_range_input_exits_2_naming_it(capsys, argv, named):
+    # rejected before any sampling, whether by the parser or by Grid
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert named in err and "Traceback" not in err
+
+
 def test_eval_log_grid_abscissae(capsys):
     code, out, _ = run_cli(capsys, "eval", "EX4.1", "cdf", "--grid", "6:600:5", "--log-grid")
     assert code == 0
@@ -520,6 +545,9 @@ def test_validate_deterministic_and_green(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["failed"] == 0
+    # the library's own invariants are Tier-1 tests, not validate items
+    assert [i["name"] for i in doc["items"]] == [
+        "normalization_catalog", "chain_audit_catalog", "chain_audit_random"]
     assert "PASS normalization_catalog" in err1
 
 
