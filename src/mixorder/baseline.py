@@ -86,18 +86,18 @@ class BaselineModel:
     def _pdf_prime_above(self, t):
         raise NotImplementedError
 
-    def _above(self, closed_form, t, name):
-        """``closed_form`` on t > c and zero elsewhere; float overflow is a DomainError."""
+    def _closed_form(self, name, t):
+        """Closed form ``name`` ("cdf"/"pdf") at t > c, unmasked; overflow is a DomainError."""
         try:
-            return on_support(t, self._c, closed_form)
+            return getattr(self, f"_{name}_above")(t)
         except OverflowError:
             raise DomainError(f"{self.family} {name} overflows the float range") from None
 
     def cdf(self, t):
-        return self._above(self._cdf_above, t, "cdf")
+        return on_support(t, self._c, lambda above: self._closed_form("cdf", above))
 
     def pdf(self, t):
-        return self._above(self._pdf_above, t, "pdf")
+        return on_support(t, self._c, lambda above: self._closed_form("pdf", above))
 
     def pdf_prime(self, t):
         """Density derivative f'(t); analytic when the family provides one."""

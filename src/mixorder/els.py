@@ -3,10 +3,10 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself. ``cdf``, ``pdf`` and ``pdf_at_offset`` share that mask
-rule with the baseline through ``numerics.on_support``, so a scalar takes
+start point itself. ``cdf`` and ``pdf`` are the one-component case of
+``group_curves``, which masks x > start and z > c in one ``numerics.on_support``
+pass and runs the baseline closed forms on the kept points; a scalar takes
 the same array arithmetic, and gives the same bits, as a grid point.
-``cdf`` and ``pdf`` are the one-component case of ``group_curves``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ class ELSComponent:
                 f"negative location sigma={self.sigma}; allowed but unusual",
                 stacklevel=3,
             )
-
-    @property
-    def support_start(self):
-        """First point of positive mass: sigma + c * lambda."""
-        return self.sigma + self.baseline.support_low * self.lam
+        # the first point of positive mass; not a field, so eq, hash and repr ignore it
+        start = self.sigma + self.baseline.support_low * self.lam
+        object.__setattr__(self, "support_start", start)
 
     def cdf(self, x):
         return group_curves((self,), x, ("cdf",))[0][0]
@@ -96,15 +94,16 @@ class ELSComponent:
 def group_curves(components, x, curves):
     """``curves`` ("cdf", "pdf" or both, in that order) of each of
     ``components``, which share one baseline object, sigma and lam, at x: one
-    sequence per component, of arrays (of floats for a scalar x). The support
-    start, z = (x - sigma)/lam, F(z) and f(z) are computed once; only F**alpha
-    and the density are formed per component, as for a component alone."""
+    sequence per component, of arrays (of floats for a scalar x). One mask
+    keeps x > support_start and z = (x - sigma)/lam > c; F(z) and f(z) come
+    from the baseline closed forms there, once, and only F**alpha and the
+    density are formed per component, as for a component alone."""
     first, k, cdf, pdf = components[0], len(curves), "cdf" in curves, "pdf" in curves
+    base = first.baseline
 
-    def above(t):
-        z = (t - first.sigma) / first.lam
-        F = first.baseline.cdf(z)
-        f = first.baseline.pdf(z) if pdf else None
+    def above(z):
+        F = base._closed_form("cdf", z)
+        f = base._closed_form("pdf", z) if pdf else None
         out = []
         for c in components:
             if cdf:
@@ -113,5 +112,6 @@ def group_curves(components, x, curves):
                 out.append(c._density(F, f))
         return out
 
-    flat = on_support(x, first.support_start, above, curves=k * len(components))
+    flat = on_support(x, first.support_start, above, curves=k * len(components),
+                      scale=(first.sigma, first.lam, base.support_low))
     return [flat[i:i + k] for i in range(0, len(flat), k)]

@@ -6,7 +6,8 @@ Sums are Kahan-compensated because catalog weights span two orders of
 magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
 ``cdf`` and ``pdf`` are its one-mixture case. A grid longer than
 ``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
-arithmetic, so it gives the same bits. Also provides
+arithmetic, so it gives the same bits. Each component group takes one
+masked ``els.group_curves`` pass. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -188,7 +189,7 @@ class FiniteMixture:
     def pdf(self, x):
         return sample_curves((self,), x, ("pdf",))[0][0]
 
-    def quantile(self, p):
+    def quantile(self, p, component_quantiles=None):
         """Inverse CDF by a root bracketed by the component quantiles.
 
         Every component CDF is at most p at the smallest component
@@ -197,11 +198,12 @@ class FiniteMixture:
         is the answer. The root solves log S(x) = log(1 - p) in the
         variable u = log(x - support_start), in which power-law tails are
         straight lines, so Brent's method needs few steps. A bound that rounding
-        leaves on the wrong side is moved out until its sign is right.
+        leaves on the wrong side is moved out until its sign is right. A caller
+        holding the component quantiles at p passes them in component order.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile level must lie in (0,1), got {p}")
-        qs = [component.quantile(p) for component in self.components]
+        qs = component_quantiles or [component.quantile(p) for component in self.components]
         lo, hi = min(qs), max(qs)
         if lo == hi:
             return lo

@@ -25,30 +25,38 @@ DENOM_FLOOR = 1e-12
 _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
-def on_support(x, start, fn, curves=0):
+def on_support(x, start, fn, curves=0, scale=None):
     """``fn`` at the points of ``x`` above ``start``, zero elsewhere (NaN included).
 
-    A scalar gives a float, computed by ``fn`` on a length-1 array view, so it
-    takes the same vector arithmetic as an array point; numpy's scalar power
-    rounds differently from its vector loop. ``fn`` gets the whole array when
-    every point lies above ``start``, only a mixed array is scattered, and
-    ``fn`` is not called when no point lies above ``start``. With ``curves``
-    > 0, ``fn`` returns a tuple of that many arrays, and so does this (of
-    floats for a scalar), each masked the same way.
+    With ``scale`` = (sigma, lam, c), a point is kept only if also
+    z = (x - sigma)/lam > c, and ``fn`` gets z: a component's mask and its
+    baseline's in one pass. A scalar is masked in floats, which compare,
+    subtract and divide as numpy does, and gives a float from ``fn`` on a
+    length-1 array, the vector arithmetic of a grid point (numpy's scalar power
+    rounds otherwise). ``fn`` gets the whole array when every point is kept and
+    is not called when none is; a mixed array is scattered. With ``curves``
+    > 0, ``fn`` returns that many arrays, as does this (floats for a scalar).
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        if not arr > start:
+        t = float(arr)
+        if scale is not None and t > start:
+            t, start = (t - scale[0]) / scale[1], scale[2]
+        if not t > start:
             return (0.0,) * curves if curves else 0.0
-        values = fn(arr.reshape(1))
+        values = fn(np.array([t]))
         return tuple(float(v[0]) for v in values) if curves else float(values[0])
     mask = arr > start
-    if mask.all() and arr.size:
-        return fn(arr)
+    kept = arr if mask.all() else arr[mask]
+    if scale is not None and kept.size:
+        kept = (kept - scale[0]) / scale[1]
+        if not (inner := kept > scale[2]).all():
+            kept, mask[mask] = kept[inner], inner
+    if kept.size == arr.size and kept.size:
+        return fn(kept)
     outs = tuple(np.zeros(arr.shape) for _ in range(curves or 1))
-    if mask.any():
-        values = fn(arr[mask])
-        for out, value in zip(outs, values if curves else (values,)):
+    if kept.size:
+        for out, value in zip(outs, fn(kept) if curves else (fn(kept),)):
             out[mask] = value
     return outs if curves else outs[0]
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from enum import Enum
 
 import numpy as np
 
 #: rows per format pass and write in ``write_csv``; bounds its memory on long grids
 CSV_BLOCK_ROWS = 4096
+
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')  # what ``_escape`` rewrites
 
 
 def to_jsonable(obj):
@@ -45,6 +48,8 @@ def to_jsonable(obj):
 
 
 def _escape(s):
+    if not _NEEDS_ESCAPE.search(s):
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

@@ -298,9 +298,9 @@ def _upper_ends(u, v, monkeypatch):
     quantile = FiniteMixture.quantile
     roots = []
 
-    def counting(self, p):
+    def counting(self, p, component_quantiles=None):
         roots.append(self)
-        return quantile(self, p)
+        return quantile(self, p, component_quantiles)
 
     with monkeypatch.context() as m:
         m.setattr(FiniteMixture, "quantile", counting)
@@ -326,6 +326,41 @@ def test_auto_grid_end_on_the_outlier_sweep_draws(monkeypatch, theorem):
         u, v = (build_outlier_mixture(spec) for spec in THEOREM_SAMPLERS[theorem](rng))
         x_hi, expected, _ = _upper_ends(u, v, monkeypatch)
         assert x_hi.hex() == expected.hex()
+
+
+def _component_quantile_calls(monkeypatch):
+    """List that gets the component of each ``ELSComponent.quantile`` call."""
+    quantile, calls = ELSComponent.quantile, []
+
+    def counting(self, p):
+        calls.append(self)
+        return quantile(self, p)
+
+    monkeypatch.setattr(ELSComponent, "quantile", counting)
+    return calls
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_auto_grid_takes_each_component_quantile_once(seed):
+    # the quantiles that order the two mixtures also bracket their roots
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _component_quantile_calls(monkeypatch)
+        for u, v in ((random_mixture(rng), random_mixture(rng)), random_pair(rng)):
+            calls.clear()
+            auto_grid(u, v)
+            assert calls == [*u.components, *v.components]
+
+
+def test_auto_grid_roots_each_t41_sweep_draw_once(monkeypatch):
+    # the T4.1 pairs share both components, so their top component quantiles
+    # tie; the excess at that quantile picks the mixture to root, and the
+    # other's root is skipped
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        u, v = (build_outlier_mixture(spec) for spec in THEOREM_SAMPLERS["T4.1"](rng))
+        x_hi, expected, roots = _upper_ends(u, v, monkeypatch)
+        assert x_hi.hex() == expected.hex() and len(roots) == 1
 
 
 @given(seed=st.integers(0, 2**32 - 1))

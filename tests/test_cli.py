@@ -384,8 +384,9 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
     # the verdict and the st/rh/lr audit share one sample of the pair: each
     # curve is sampled once, for both mixtures in one pass, and rh and r_rh
     # take both curves from one pass. In a pass, each group of components
-    # sharing a baseline, sigma and lam evaluates its baseline once per slice
-    # (2001 points are one slice); every pass needs the baseline CDF.
+    # sharing a baseline, sigma and lam evaluates its baseline closed forms
+    # once per slice (2001 points are one slice); every pass needs the
+    # baseline CDF.
     passes, baseline_calls = [], collections.Counter()
     sample_curves = analysis.sample_curves
 
@@ -395,15 +396,14 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         return sample_curves(mixtures, x, curves)
 
     monkeypatch.setattr(analysis, "sample_curves", counting_pass)
-    for name in ("cdf", "pdf"):
-        original = getattr(BaselineModel, name)
+    closed_form = BaselineModel._closed_form
 
-        def counting(self, t, name=name, original=original):
-            if np.size(t) > 1:  # not a scalar root or witness evaluation
-                baseline_calls[name] += 1
-            return original(self, t)
+    def counting(self, name, t):
+        if np.size(t) > 1:  # not a scalar root or witness evaluation
+            baseline_calls[name] += 1
+        return closed_form(self, name, t)
 
-        monkeypatch.setattr(BaselineModel, name, counting)
+    monkeypatch.setattr(BaselineModel, "_closed_form", counting)
     curves = [("cdf", "pdf")] if order in ("rh", "r_rh") else [("cdf",), ("pdf",)]
     for s in catalog:
         passes.clear()

@@ -7,7 +7,9 @@ array result, on arrays wholly above a support start, straddling it,
 wholly below it and holding a NaN. A mixture grid longer than
 ``mixture.EVAL_BLOCK`` is summed slice by slice; it must give the bits of
 one whole-array pass, of its slices and of its points. A pair sampled in
-one ``mixture.sample_curves`` pass gets the bits of each mixture alone.
+one ``mixture.sample_curves`` pass gets the bits of each mixture alone. A
+component group's one-pass mask gives the bits of a reference that nests
+the group mask and the baseline's ``cdf`` and ``pdf`` masks.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from mixorder import (
     FiniteMixture,
     LogLogistic,
     Tabulated,
+    els,
     get_scenario,
     make_baseline,
     mixture,
@@ -364,3 +367,126 @@ def test_closed_forms_reach_their_limits_at_infinity(family):
         assert (float(base.cdf_offset(math.inf)), float(base.pdf_offset(math.inf))) == (1.0, 0.0)
         for comp in mix.components:
             assert comp.pdf_at_offset(math.inf) == 0.0, comp
+
+
+def _nested_on_support(x, start, fn, curves=0):
+    """The mask rule before the one-pass group mask: ``fn`` at the points
+    above ``start``, zero elsewhere; a scalar as a length-1 array."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        if not arr > start:
+            return (0.0,) * curves if curves else 0.0
+        values = fn(arr.reshape(1))
+        return tuple(float(v[0]) for v in values) if curves else float(values[0])
+    mask = arr > start
+    if mask.all() and arr.size:
+        return fn(arr)
+    outs = tuple(np.zeros(arr.shape) for _ in range(curves or 1))
+    if mask.any():
+        values = fn(arr[mask])
+        for out, value in zip(outs, values if curves else (values,)):
+            out[mask] = value
+    return outs if curves else outs[0]
+
+
+def _nested_group_curves(components, x, curves):
+    """Reference of ``els.group_curves`` as three nested masks: the group's
+    support start, then the baseline's ``cdf`` and ``pdf`` masks at z."""
+    first, k = components[0], len(curves)
+    base = first.baseline
+
+    def baseline(name, z):
+        try:
+            return _nested_on_support(z, base.support_low, getattr(base, f"_{name}_above"))
+        except OverflowError:
+            raise DomainError(f"{base.family} {name} overflows the float range") from None
+
+    def above(t):
+        z = (t - first.sigma) / first.lam
+        F = baseline("cdf", z)
+        f = baseline("pdf", z) if "pdf" in curves else None
+        out = []
+        for c in components:
+            if "cdf" in curves:
+                out.append(F ** c.alpha)
+            if "pdf" in curves:
+                out.append(c._density(F, f))
+        return out
+
+    start = first.sigma + base.support_low * first.lam
+    flat = _nested_on_support(x, start, above, curves=k * len(components))
+    return [flat[i:i + k] for i in range(0, len(flat), k)]
+
+
+def _edge_points(start, sigma, lam, c):
+    """The doubles within 6 steps of ``start``, and how many of them lie above
+    it with z = (x - sigma)/lam <= c, and at or below it with z > c."""
+    points = [start]
+    for direction in (math.inf, -math.inf):
+        x = start
+        for _ in range(6):
+            x = math.nextafter(x, direction)
+            points.append(x)
+    points = np.sort(points)
+    above, inside = points > start, (points - sigma) / lam > c
+    return points, int((above & ~inside).sum()), int((~above & inside).sum())
+
+
+def _group_inputs(points, start, lam):
+    """Scalars, 0-d, 1-d and 2-d inputs around ``start``, with NaN and +-inf,
+    and grids one below, at and one above ``mixture.EVAL_BLOCK`` points."""
+    specials = [math.nan, math.inf, -math.inf]
+    line = np.concatenate((points, specials, start + lam * np.linspace(-2.0, 20.0, 23)))
+    inputs = [float(t) for t in line] + [np.asarray(t) for t in line[::5]]
+    inputs += [line, line[:36].reshape(6, 6), np.empty(0), points[points > start]]
+    for n in (mixture.EVAL_BLOCK - 1, mixture.EVAL_BLOCK, mixture.EVAL_BLOCK + 1):
+        inputs.append(start + lam * np.linspace(-1.0, 30.0, n))
+    return inputs
+
+
+def _same_bits(new, ref):
+    assert len(new) == len(ref)
+    for got, want in zip(itertools.chain(*new), itertools.chain(*ref)):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("family", list(BASELINES))
+def test_group_pass_matches_the_nested_masks_bit_for_bit(family):
+    base = BASELINES[family]
+    for sigma, lam in itertools.product((0.0, 0.1, 0.3, 1.7, 3.3), (0.1, 0.3, 1 / 3, 3.0)):
+        group = tuple(ELSComponent(base, alpha, sigma, lam) for alpha in (0.3, 1.0, 2.5))
+        start = group[0].support_start
+        points, _, _ = _edge_points(start, sigma, lam, base.support_low)
+        for x in _group_inputs(points, start, lam):
+            for curves in (("cdf",), ("pdf",), ("cdf", "pdf")):
+                _same_bits(els.group_curves(group, x, curves),
+                           _nested_group_curves(group, x, curves))
+
+
+def test_group_pass_points_where_the_two_masks_disagree():
+    # both kinds of disagreement occur, and the group pass keeps the nested bits there
+    seen = [0, 0]
+    for family, sigma, lam in (("lt_lomax", 0.0, 0.3), ("lt_lomax", 0.3, 0.1),
+                               ("loglogistic", 0.0, 3.0), ("pareto", 1.7, 0.1)):
+        group = (ELSComponent(BASELINES[family], 0.3, sigma, lam),
+                 ELSComponent(BASELINES[family], 2.5, sigma, lam))
+        start = group[0].support_start
+        points, above_only, inside_only = _edge_points(start, sigma, lam,
+                                                       BASELINES[family].support_low)
+        seen[0] += above_only
+        seen[1] += inside_only
+        for x in [points, *points.tolist()]:
+            _same_bits(els.group_curves(group, x, ("cdf", "pdf")),
+                       _nested_group_curves(group, x, ("cdf", "pdf")))
+    assert seen[0] > 0 and seen[1] > 0
+
+
+@pytest.mark.parametrize("t", [11.0, np.array([11.0, 12.0]), np.array([5.0, 11.0])],
+                         ids=["scalar", "above", "mixed"])
+def test_group_pass_overflow_matches_the_nested_masks(t):
+    group = (ELSComponent(make_baseline("pareto", a=400.0, k=10.0), 2.0, 0.0, 1.0),)
+    for fn in (els.group_curves, _nested_group_curves):
+        with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
+            fn(group, t, ("cdf", "pdf"))

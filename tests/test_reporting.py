@@ -92,3 +92,44 @@ def test_write_csv_writes_once_per_block():
 def test_numpy_bool_is_a_json_boolean():
     assert reporting.to_jsonable([np.True_, np.False_]) == [True, False]
     assert reporting.dumps({"passed": np.False_}) == '{"passed": false}'
+
+
+def _escape_by_loop(s):
+    """The character-by-character JSON string quoting that ``_escape`` ran
+    on every string before its no-escape fast path."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+@given(st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\n\r\t\x00\x1f\x7f \u2028\U0001f600'),
+    st.characters(max_codepoint=0x40),
+    st.characters(),
+)))
+def test_escape_matches_the_character_loop(s):
+    # the fast path is taken exactly when no character needs escaping
+    assert reporting._escape(s) == _escape_by_loop(s)
+    assert reporting._escape(s) == '"' + s + '"' or reporting._NEEDS_ESCAPE.search(s)
+
+
+def test_escape_matches_the_character_loop_on_each_character():
+    # every ASCII character alone and between plain ones, and a few beyond
+    for ch in [*map(chr, range(0x80)), " ", "é", "\U0001f600"]:
+        for s in (ch, f"a{ch}b", ch * 3):
+            assert reporting._escape(s) == _escape_by_loop(s), repr(s)
