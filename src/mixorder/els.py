@@ -63,6 +63,11 @@ class ELSComponent:
         dz = dx / self.lam
         return self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
 
+    def _density_above(self, z):
+        """Component density at standardized points z > c; no baseline CDF at alpha = 1."""
+        F = None if self.alpha == 1.0 else self.baseline._closed_form("cdf", z)
+        return self._density(F, self.baseline._closed_form("pdf", z))
+
     def _density(self, F, f):
         """Component density from baseline F and f arrays at the same standardized points."""
         if self.alpha == 1.0:

@@ -35,6 +35,7 @@ from .numerics import (  # noqa: F401
     brent_root,
     expand_upper_bracket,
     kahan_add,
+    on_support,
 )
 
 #: exponent of the left-edge power substitution used by the normalization
@@ -233,6 +234,8 @@ class FiniteMixture:
         At each point, in component order, components starting exactly at its
         origin take their offset path, already-active ones (smooth there) the
         rounded abscissa, and components starting later contribute nothing.
+        An active component takes the mask and density of its ``pdf`` in one
+        ``on_support`` pass of its own.
         """
         origin, arr = np.asarray(origin, dtype=float), np.asarray(dx, dtype=float)
         if origin.shape != arr.shape:
@@ -245,7 +248,9 @@ class FiniteMixture:
             if at.size:
                 total[at] += w * component.pdf_at_offset(flat[at])
             if after.size:
-                total[after] += w * component.pdf(origin[after] + flat[after])
+                total[after] += w * on_support(
+                    origin[after] + flat[after], start, component._density_above,
+                    scale=(component.sigma, component.lam, component.baseline.support_low))
         return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
@@ -265,7 +270,8 @@ def verify_normalization(mix, tol=1e-6):
     1 - 1e-10 quantile. Each segment is mapped through x = a + (b-a) u^16
     so that power-law divergences at segment starts (shape alpha < 1) stay
     integrable for the Simpson rule. One ``adaptive_simpson`` pass takes all
-    segments, with one density call per depth; their sums add in order.
+    segments, with one density call at every other depth that also evaluates
+    the next one; their sums add in order.
     """
     if not tol > 0:
         raise ParameterError("tolerance must be positive")

@@ -5,7 +5,8 @@ mask rule of every baseline, component and mixture ``cdf``/``pdf``, and it
 gives a scalar the bits of a grid point. The adaptive Simpson rule
 uses interval halving with a per-panel absolute tolerance, so the total
 error scales with the number of accepted panels. It integrates several
-intervals in one pass and calls its integrand once per bisection depth.
+intervals in one pass and calls its integrand one bisection depth ahead, so
+at every other depth.
 """
 
 from __future__ import annotations
@@ -82,9 +83,14 @@ class QuadratureResult:
     unconverged: tuple
 
 
-#: row r of the half panels comes from rows _HALVES[r] (left, right) of a depth's table:
-#: open panels (a, m, b, f(a), f(m), f(b), coarse), quarter points, f there, fine estimates
+#: row r of a half panel comes from rows _HALVES[r] (left, right) of a depth's table: the
+#: open panels (a, m, b, f(a), f(m), f(b), coarse, quarter points, f there), fine estimates
 _HALVES = np.array([[0, 1], [7, 8], [1, 2], [3, 4], [9, 10], [4, 5], [11, 12]])
+#: the same after a look-ahead call, from the open panels (a, m, b, f(a), f(m), f(b),
+#: coarse), the points evaluated (quarter points, the halves' quarter points), f there
+#: and the fine estimates, with the halves' quarter points and f there as the last rows
+_AHEAD = np.array([[0, 1], [7, 8], [1, 2], [3, 4], [13, 14], [4, 5], [19, 20],
+                   [9, 11], [10, 12], [15, 17], [16, 18]])
 
 
 def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
@@ -93,45 +99,65 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     Each panel is halved until |S(fine) - S(coarse)| <= 15 * abs_tol or
     ``max_depth``; panels that never meet the tolerance are counted and give
     their best fine estimate. ``f`` takes one argument, a pair of arrays
-    (interval index, x): one call on the starting nodes, then one per depth
-    on the midpoints of every open panel (at most ``max_depth + 2``). Each
-    interval's sum in ``values`` (0.0 for zero width) is Kahan-summed right to
-    left, as by a depth-first recursion splitting the right half first;
-    ``value`` adds them in order. ``perfbench/tracing.py`` wraps this function
-    where callers look it up, wraps ``f`` as a one-argument callable and reads
-    the int totals ``panels`` and ``unconverged_panels``.
+    (interval index, x), and is called one depth ahead: once on the starting
+    nodes and their quarter points, then at every other depth on the quarter
+    points of every open panel and of both its halves (its own only at
+    ``max_depth``), at most ``(max_depth + 1) // 2 + 1`` calls. Every point a
+    depth-first recursion evaluates is evaluated once, with the same bits; the
+    only others are the halves' points of panels accepted at a call's depth.
+    Each interval's sum in ``values`` (0.0 for zero width) is Kahan-summed
+    right to left, as by a depth-first recursion splitting the right half
+    first; ``value`` adds them in order. ``perfbench/tracing.py`` wraps this
+    function where callers look it up, wraps ``f`` as a one-argument callable
+    and reads the int totals ``panels`` and ``unconverged_panels``.
     """
     lo, hi = np.array([a, b], dtype=float).reshape(2, -1)
     tol = 15.0 * abs_tol
     key = np.flatnonzero(lo != hi)  # the interval of each open panel
-    # per depth, of the accepted panels: interval, left end, contribution, unconverged
-    accepted = [(key[:0], lo[:0], lo[:0], np.zeros(0, dtype=bool))]
+    # per depth, of every tested panel: interval, left end, contribution, accepted
+    tested = [(key[:0], lo[:0], lo[:0], np.zeros(0, dtype=bool))]
+    unconverged = np.zeros(lo.size, dtype=int)
     if key.size:
-        nodes = np.stack((lo[key], 0.5 * (lo[key] + hi[key]), hi[key]))
-        fx = f((np.concatenate([key] * 3), nodes.ravel())).reshape(3, -1)
-        coarse = (nodes[2] - nodes[0]) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
-        panel = np.concatenate((nodes, fx, [coarse]))
+        mid = 0.5 * (lo[key] + hi[key])
+        x = np.stack((lo[key], mid, hi[key], 0.5 * (lo[key] + mid), 0.5 * (mid + hi[key])))
+        fx = f((np.concatenate([key] * 5), x.ravel())).reshape(5, -1)
+        coarse = (x[2] - x[0]) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
+        panel = np.concatenate((x[:3], fx[:3], [coarse], x[3:], fx[3:]))
     for depth in range(max_depth + 1 if key.size else 0):
-        quarter = 0.5 * (panel[0:2] + panel[1:3])
-        fq = f((np.concatenate([key] * 2), quarter.ravel())).reshape(2, -1)
+        if len(panel) > 7:  # its quarter points were evaluated a depth ago
+            fq, evaluated, halves = panel[9:11], (), _HALVES
+        else:
+            points = quarter = 0.5 * (panel[0:2] + panel[1:3])
+            if depth < max_depth:  # and the halves' quarter points, for the next depth
+                five = np.empty((5, key.size))
+                five[0::2], five[1::2] = panel[0:3], quarter
+                points = np.concatenate((quarter, 0.5 * (five[:-1] + five[1:])))
+            fx = f((np.concatenate([key] * len(points)), points.ravel())).reshape(len(points), -1)
+            fq, evaluated, halves = fx[:2], (points, fx), _AHEAD
         fine = (panel[1:3] - panel[0:2]) / 6.0 * (panel[3:5] + 4.0 * fq + panel[4:6])
         both = fine[0] + fine[1]
         err = both - panel[6]
-        accept = (np.abs(err) <= tol) | (depth >= max_depth)
-        accepted.append((key[accept], panel[0, accept], (both + err / 15.0)[accept],
-                         np.abs(err[accept]) > tol))
+        if depth >= max_depth:  # every panel is accepted, converged or not
+            tested.append((key, panel[0], both + err / 15.0, np.ones(key.size, dtype=bool)))
+            unconverged = np.bincount(key[np.abs(err) > tol], minlength=lo.size)
+            break
+        accept = np.abs(err) <= tol
+        tested.append((key, panel[0], both + err / 15.0, accept))
         if accept.all():
             break
-        panel = np.concatenate((panel, quarter, fq, fine))[:, ~accept][_HALVES].reshape(7, -1)
+        table = np.concatenate((panel, *evaluated, fine))[:, ~accept]
+        panel = table[halves].reshape(len(halves), -1)
         key = np.concatenate([key[~accept]] * 2)
-    keys, lefts, terms, bad = (np.concatenate(parts) for parts in zip(*accepted))
+    keys, lefts, terms, accepted = (np.concatenate(parts) for parts in zip(*tested))
+    keys, lefts, terms = keys[accepted], lefts[accepted], terms[accepted]
     order = np.lexsort((lefts, keys))[::-1]  # by interval, right to left in each
     sums, comps = [0.0] * lo.size, [0.0] * lo.size
     for i, term in zip(keys[order].tolist(), terms[order].tolist()):
-        sums[i], comps[i] = kahan_add(sums[i], comps[i], term)
+        y = term - comps[i]  # kahan_add, inline
+        t = sums[i] + y
+        sums[i], comps[i] = t, (t - sums[i]) - y
     *_, value = accumulate(sums, initial=0.0)  # plain sum in interval order
-    unconverged = np.bincount(keys[bad], minlength=lo.size)
-    return QuadratureResult(value, not bad.any(), keys.size, int(unconverged.sum()),
+    return QuadratureResult(value, not unconverged.any(), keys.size, int(unconverged.sum()),
                             tuple(sums), tuple(unconverged.tolist()))
 
 

@@ -9,7 +9,9 @@ wholly below it and holding a NaN. A mixture grid longer than
 one whole-array pass, of its slices and of its points. A pair sampled in
 one ``mixture.sample_curves`` pass gets the bits of each mixture alone. A
 component group's one-pass mask gives the bits of a reference that nests
-the group mask and the baseline's ``cdf`` and ``pdf`` masks.
+the group mask and the baseline's ``cdf`` and ``pdf`` masks. A mixture's
+``pdf_at_offset`` gives the bits of a reference that sums each active
+component's own ``pdf``.
 """
 
 import itertools
@@ -490,3 +492,63 @@ def test_group_pass_overflow_matches_the_nested_masks(t):
     for fn in (els.group_curves, _nested_group_curves):
         with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
             fn(group, t, ("cdf", "pdf"))
+
+
+def _per_component_pdf_at_offset(mix, origin, dx):
+    """Reference of ``FiniteMixture.pdf_at_offset`` through the component
+    methods: the offset path at a component's start, its ``pdf`` after it."""
+    origin, arr = np.asarray(origin, dtype=float), np.asarray(dx, dtype=float)
+    if origin.shape != arr.shape:
+        origin, arr = np.broadcast_arrays(origin, arr)
+    origin, flat = origin.ravel(), arr.ravel()
+    total = np.zeros(flat.size)
+    for w, component in zip(mix.weights, mix.components):
+        start = component.support_start
+        at, after = (origin == start).nonzero()[0], (origin > start).nonzero()[0]
+        if at.size:
+            total[at] += w * component.pdf_at_offset(flat[at])
+        if after.size:
+            total[after] += w * component.pdf(origin[after] + flat[after])
+    return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
+
+
+@st.composite
+def offset_mixtures(draw, family):
+    """Mixtures of up to four components, the first over ``family`` and the
+    others over any family; a component may share an earlier one's baseline,
+    sigma and lam, and so its start. Alpha is 1 or not."""
+    comps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if comps and draw(st.booleans()):
+            base, sigma, lam = draw(st.sampled_from([(c.baseline, c.sigma, c.lam) for c in comps]))
+        else:
+            base = BASELINES[family if not comps else draw(st.sampled_from(sorted(BASELINES)))]
+            sigma = draw(st.sampled_from([0.0, 0.5, 1.7]))
+            lam = draw(st.sampled_from([0.3, 1.0, 2.0]))
+        comps.append(ELSComponent(base, draw(st.sampled_from([1.0, 0.3, 0.8, 2.5])), sigma, lam))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(comps), max_size=len(comps)))
+    return FiniteMixture(comps, weights, policy="autonorm")
+
+
+_DX = np.array([0.0, math.nan, 1e-300, 1e-9, 0.5, 4.0, 1e6])
+
+
+@pytest.mark.parametrize("family", sorted(BASELINES))
+@given(data=st.data())
+def test_pdf_at_offset_matches_the_component_methods_bit_for_bit(family, data):
+    mix = data.draw(offset_mixtures(family))
+    gap = data.draw(st.floats(1e-6, 2.0))
+    starts = sorted({c.support_start for c in mix.components})
+    # origins at, just and well after, and just and well before each start
+    origins = [t for s in starts for t in (s, math.nextafter(s, math.inf), s + gap,
+                                           math.nextafter(s, -math.inf), s - gap)]
+    every_origin, every_dx = (a.ravel() for a in np.meshgrid(origins, _DX))
+    inputs = [(every_origin, every_dx), (every_origin.reshape(-1, len(origins)), every_dx[0])]
+    for origin in origins:  # a broadcast scalar origin, 0-d arrays and floats
+        inputs.append((origin, _DX))
+        inputs += [(np.asarray(origin), np.asarray(d)) for d in _DX[:3]]
+        inputs += [(origin, float(d)) for d in _DX]
+    for origin, dx in inputs:
+        got, want = mix.pdf_at_offset(origin, dx), _per_component_pdf_at_offset(mix, origin, dx)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want)), (origin, dx)
