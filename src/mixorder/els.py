@@ -3,10 +3,11 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself. ``cdf`` and ``pdf`` are the one-component case of
-``group_curves``, which masks x > start and z > c in one ``numerics.on_support``
-pass and runs the baseline closed forms on the kept points; a scalar takes
-the same array arithmetic, and gives the same bits, as a grid point.
+start point itself. ``cdf`` is the one-component case of ``group_curves``,
+which masks x > start and z > c in one ``numerics.on_support`` pass and runs
+the baseline closed forms on the kept points; ``pdf`` takes the same mask and
+skips the baseline CDF at alpha = 1. A scalar takes the same array
+arithmetic, and gives the same bits, as a grid point.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class ELSComponent:
         return group_curves((self,), x, ("cdf",))[0][0]
 
     def pdf(self, x):
-        return group_curves((self,), x, ("pdf",))[0][0]
+        return on_support(x, self.support_start, self._density_above,
+                          scale=(self.sigma, self.lam, self.baseline.support_low))
 
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.

@@ -35,7 +35,6 @@ from .numerics import (  # noqa: F401
     brent_root,
     expand_upper_bracket,
     kahan_add,
-    on_support,
 )
 
 #: exponent of the left-edge power substitution used by the normalization
@@ -234,8 +233,6 @@ class FiniteMixture:
         At each point, in component order, components starting exactly at its
         origin take their offset path, already-active ones (smooth there) the
         rounded abscissa, and components starting later contribute nothing.
-        An active component takes the mask and density of its ``pdf`` in one
-        ``on_support`` pass of its own.
         """
         origin, arr = np.asarray(origin, dtype=float), np.asarray(dx, dtype=float)
         if origin.shape != arr.shape:
@@ -248,9 +245,7 @@ class FiniteMixture:
             if at.size:
                 total[at] += w * component.pdf_at_offset(flat[at])
             if after.size:
-                total[after] += w * on_support(
-                    origin[after] + flat[after], start, component._density_above,
-                    scale=(component.sigma, component.lam, component.baseline.support_low))
+                total[after] += w * component.pdf(origin[after] + flat[after])
         return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 

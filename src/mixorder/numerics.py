@@ -153,9 +153,7 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     order = np.lexsort((lefts, keys))[::-1]  # by interval, right to left in each
     sums, comps = [0.0] * lo.size, [0.0] * lo.size
     for i, term in zip(keys[order].tolist(), terms[order].tolist()):
-        y = term - comps[i]  # kahan_add, inline
-        t = sums[i] + y
-        sums[i], comps[i] = t, (t - sums[i]) - y
+        sums[i], comps[i] = kahan_add(sums[i], comps[i], term)
     *_, value = accumulate(sums, initial=0.0)  # plain sum in interval order
     return QuadratureResult(value, not unconverged.any(), keys.size, int(unconverged.sum()),
                             tuple(sums), tuple(unconverged.tolist()))

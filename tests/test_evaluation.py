@@ -9,9 +9,10 @@ wholly below it and holding a NaN. A mixture grid longer than
 one whole-array pass, of its slices and of its points. A pair sampled in
 one ``mixture.sample_curves`` pass gets the bits of each mixture alone. A
 component group's one-pass mask gives the bits of a reference that nests
-the group mask and the baseline's ``cdf`` and ``pdf`` masks. A mixture's
-``pdf_at_offset`` gives the bits of a reference that sums each active
-component's own ``pdf``.
+the group mask and the baseline's ``cdf`` and ``pdf`` masks. A component's
+``pdf``, which skips the baseline CDF at alpha = 1, gives the bits of its
+one-component group pass, and so does a mixture's ``pdf_at_offset`` through
+it.
 """
 
 import itertools
@@ -492,11 +493,25 @@ def test_group_pass_overflow_matches_the_nested_masks(t):
     for fn in (els.group_curves, _nested_group_curves):
         with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
             fn(group, t, ("cdf", "pdf"))
+    for alpha in (1.0, 2.0):  # the component pdf alone, with and without the CDF
+        with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
+            ELSComponent(group[0].baseline, alpha, 0.0, 1.0).pdf(t)
+
+
+@pytest.mark.parametrize("family", list(BASELINES))
+def test_component_pdf_matches_its_group_pass_bit_for_bit(family):
+    base = BASELINES[family]
+    for sigma, lam, alpha in itertools.product((0.0, 0.3, 1.7), (0.1, 1 / 3, 3.0),
+                                               (0.3, 1.0, 2.5)):
+        comp = ELSComponent(base, alpha, sigma, lam)
+        points, _, _ = _edge_points(comp.support_start, sigma, lam, base.support_low)
+        for x in _group_inputs(points, comp.support_start, lam):
+            _same_bits([[comp.pdf(x)]], els.group_curves((comp,), x, ("pdf",)))
 
 
 def _per_component_pdf_at_offset(mix, origin, dx):
-    """Reference of ``FiniteMixture.pdf_at_offset`` through the component
-    methods: the offset path at a component's start, its ``pdf`` after it."""
+    """Reference of ``FiniteMixture.pdf_at_offset`` through each component's
+    offset path at its start and its one-component group pass after it."""
     origin, arr = np.asarray(origin, dtype=float), np.asarray(dx, dtype=float)
     if origin.shape != arr.shape:
         origin, arr = np.broadcast_arrays(origin, arr)
@@ -508,7 +523,8 @@ def _per_component_pdf_at_offset(mix, origin, dx):
         if at.size:
             total[at] += w * component.pdf_at_offset(flat[at])
         if after.size:
-            total[after] += w * component.pdf(origin[after] + flat[after])
+            x = origin[after] + flat[after]
+            total[after] += w * els.group_curves((component,), x, ("pdf",))[0][0]
     return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
