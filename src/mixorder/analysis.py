@@ -150,21 +150,25 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
         raise InsufficientDomainError(f"need at least 3 samples, got {x.size}")
     if np.any(np.diff(x) <= 0):
         raise ParameterError("sample abscissae must be strictly increasing")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
+    if not np.isfinite(values).all():
+        idx = int(np.argmin(np.isfinite(values)))
         raise InvalidSampleError(
             f"non-finite sample value {values[idx]!r} at index {idx} (x={x[idx]!r})",
             index=idx,
         )
     diffs = np.diff(values)
-    scale = float(np.max(np.abs(values)))
+    # max|v| as max(max v, -min v); abs() makes a zero one +0.0, as max(abs(v)) does
+    scale = abs(float(max(values.max(), -values.min())))
     tol = rel_tol * scale
     max_up = float(np.max(diffs, initial=0.0))
     max_down = float(-np.min(diffs, initial=0.0))
-    mids = 0.5 * (x[:-1] + x[1:])
-    witness_up = float(mids[int(np.argmax(diffs))]) if max_up > tol else None
-    witness_down = float(mids[int(np.argmin(diffs))]) if max_down > tol else None
+    witness_up = witness_down = None
+    if max_up > tol:
+        i = int(np.argmax(diffs))
+        witness_up = float(0.5 * (x[i] + x[i + 1]))
+    if max_down > tol:
+        i = int(np.argmin(diffs))
+        witness_down = float(0.5 * (x[i] + x[i + 1]))
     up_ok = max_down <= tol  # no significant decrease
     down_ok = max_up <= tol  # no significant increase
     if up_ok and down_ok:

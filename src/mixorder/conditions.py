@@ -14,8 +14,10 @@ the wrong shape raises ``TheoremShapeError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,15 +43,15 @@ class Cone(str, Enum):
 
 
 def check_cone_membership(v, cone):
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
+    """The vector ``v`` is nonnegative and its steps v[i+1] - v[i] have the
+    cone's sign; an empty vector is in no cone."""
+    v = [float(x) for x in v]
+    if not v or any(x < 0.0 for x in v):
         return False
-    if np.any(v < 0.0):
-        return False
-    diffs = np.diff(v)
+    steps = [b - a for a, b in zip(v, v[1:])]
     if Cone(cone) is Cone.E_PLUS:
-        return bool(np.all(diffs >= 0.0))
-    return bool(np.all(diffs <= 0.0))
+        return all(d >= 0.0 for d in steps)
+    return all(d <= 0.0 for d in steps)
 
 
 @dataclass(frozen=True)
@@ -66,21 +68,22 @@ def check_majorization(x, y, tol=MAJORIZATION_TOL):
 
     x is majorized by y when, after sorting both increasingly, every
     proper prefix sum of x is at least that of y and the totals agree.
+    The prefix sums add left to right in floats.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 1:
         raise TheoremShapeError("majorization needs two equal-length vectors")
-    px = np.cumsum(np.sort(x))
-    py = np.cumsum(np.sort(y))
-    sums_equal = bool(abs(px[-1] - py[-1]) <= tol)
-    x_by_y = sums_equal and bool(np.all(px[:-1] >= py[:-1] - tol))
-    y_by_x = sums_equal and bool(np.all(py[:-1] >= px[:-1] - tol))
+    px = tuple(accumulate(sorted(x.tolist())))
+    py = tuple(accumulate(sorted(y.tolist())))
+    sums_equal = abs(px[-1] - py[-1]) <= tol
+    x_by_y = sums_equal and all(a >= b - tol for a, b in zip(px[:-1], py))
+    y_by_x = sums_equal and all(b >= a - tol for a, b in zip(px[:-1], py))
     return MajorizationResult(
         x_majorized_by_y=x_by_y,
         y_majorized_by_x=y_by_x,
-        prefix_x=tuple(px.tolist()),
-        prefix_y=tuple(py.tolist()),
+        prefix_x=px,
+        prefix_y=py,
         sums_equal=sums_equal,
     )
 
@@ -153,11 +156,10 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def _vectors(mixture):
-    alphas = np.array([c.alpha for c in mixture.components])
-    sigmas = np.array([c.sigma for c in mixture.components])
-    lams = np.array([c.lam for c in mixture.components])
-    return alphas, sigmas, lams
+def _vectors(components):
+    """The (alpha, sigma, lambda) lists of ``components``, as floats."""
+    return ([float(c.alpha) for c in components], [float(c.sigma) for c in components],
+            [float(c.lam) for c in components])
 
 
 def _shared_baseline(*components):
@@ -168,10 +170,12 @@ def _shared_baseline(*components):
 
 
 def _common_scalar(values, what):
-    values = np.asarray(values, dtype=float)
-    if np.max(values) - np.min(values) > _SCALAR_TOL:
-        raise TheoremShapeError(f"{what} must be common across components, got {values.tolist()}")
-    return float(values[0])
+    """The first of ``values`` if they agree within ``_SCALAR_TOL``; a NaN
+    among them, which has no spread, passes."""
+    values = [float(v) for v in values]
+    if max(values) - min(values) > _SCALAR_TOL and not any(map(math.isnan, values)):
+        raise TheoremShapeError(f"{what} must be common across components, got {values}")
+    return values[0]
 
 
 def _fmt_vec(v):
@@ -188,11 +192,10 @@ def eval_theorem_3_1(u, v):
     baseline = _shared_baseline(*u.components, *v.components)
     if len(u) != len(v):
         raise TheoremShapeError("mixtures must have equal length")
-    alphas, sigmas, lams = _vectors(u)
-    betas, mus, thetas = _vectors(v)
-    common_w = u.weights.shape == v.weights.shape and bool(
-        np.all(np.abs(u.weights - v.weights) <= _SCALAR_TOL)
-    )
+    alphas, sigmas, lams = _vectors(u.components)
+    betas, mus, thetas = _vectors(v.components)
+    r, s = u.weights.tolist(), v.weights.tolist()
+    common_w = len(r) == len(s) and all(abs(a - b) <= _SCALAR_TOL for a, b in zip(r, s))
     e_branch = all(
         check_cone_membership(vec, Cone.E_PLUS) for vec in (sigmas, lams, mus, thetas)
     )
@@ -204,7 +207,7 @@ def eval_theorem_3_1(u, v):
         ConditionItem(
             "common_weights",
             common_w,
-            f"r={_fmt_vec(u.weights)} vs s={_fmt_vec(v.weights)}",
+            f"r={_fmt_vec(r)} vs s={_fmt_vec(s)}",
         ),
         ConditionItem(
             "location_scale_cone",
@@ -213,17 +216,17 @@ def eval_theorem_3_1(u, v):
         ),
         ConditionItem(
             "alpha_leq_beta",
-            bool(np.all(alphas <= betas)),
+            all(a <= b for a, b in zip(alphas, betas)),
             f"alpha={_fmt_vec(alphas)} beta={_fmt_vec(betas)}",
         ),
         ConditionItem(
             "sigma_leq_mu",
-            bool(np.all(sigmas <= mus)),
+            all(a <= b for a, b in zip(sigmas, mus)),
             f"sigma={_fmt_vec(sigmas)} mu={_fmt_vec(mus)}",
         ),
         ConditionItem(
             "lambda_leq_theta",
-            bool(np.all(lams <= thetas)),
+            all(a <= b for a, b in zip(lams, thetas)),
             f"lambda={_fmt_vec(lams)} theta={_fmt_vec(thetas)}",
         ),
     )
@@ -240,25 +243,25 @@ def eval_theorem_3_2(u, v):
     """Block-separation conditions (max of U's vector below min of V's) for
     the reversed hazard rate order, valid where t*rhr(t) decreases."""
     baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u)
-    betas, mus, thetas = _vectors(v)
+    alphas, sigmas, lams = _vectors(u.components)
+    betas, mus, thetas = _vectors(v.components)
     m1 = float(min(c.support_start for c in u.components))
     m2 = float(min(c.support_start for c in v.components))
     items = (
         ConditionItem(
             "max_alpha_leq_min_beta",
-            bool(np.max(alphas) <= np.min(betas)),
-            f"max alpha={np.max(alphas):g}, min beta={np.min(betas):g}",
+            max(alphas) <= min(betas),
+            f"max alpha={max(alphas):g}, min beta={min(betas):g}",
         ),
         ConditionItem(
             "max_sigma_leq_min_mu",
-            bool(np.max(sigmas) <= np.min(mus)),
-            f"max sigma={np.max(sigmas):g}, min mu={np.min(mus):g}",
+            max(sigmas) <= min(mus),
+            f"max sigma={max(sigmas):g}, min mu={min(mus):g}",
         ),
         ConditionItem(
             "max_lambda_leq_min_theta",
-            bool(np.max(lams) <= np.min(thetas)),
-            f"max lambda={np.max(lams):g}, min theta={np.min(thetas):g}",
+            max(lams) <= min(thetas),
+            f"max lambda={max(lams):g}, min theta={min(thetas):g}",
         ),
         _t_rhr_item(baseline),
     )
@@ -275,10 +278,10 @@ def eval_theorem_3_3(u, v):
     """Shape-separation condition for the likelihood ratio order under a
     common location and scale shared by every component of both mixtures."""
     baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u)
-    betas, mus, thetas = _vectors(v)
-    sigma = _common_scalar(np.concatenate([sigmas, mus]), "location")
-    lam = _common_scalar(np.concatenate([lams, thetas]), "scale")
+    alphas, sigmas, lams = _vectors(u.components)
+    betas, mus, thetas = _vectors(v.components)
+    sigma = _common_scalar(sigmas + mus, "location")
+    lam = _common_scalar(lams + thetas, "scale")
     items = (
         ConditionItem(
             "common_location_scale",
@@ -287,8 +290,8 @@ def eval_theorem_3_3(u, v):
         ),
         ConditionItem(
             "max_alpha_leq_min_beta",
-            bool(np.max(alphas) <= np.min(betas)),
-            f"max alpha={np.max(alphas):g}, min beta={np.min(betas):g}",
+            max(alphas) <= min(betas),
+            f"max alpha={max(alphas):g}, min beta={min(betas):g}",
         ),
     )
     support = sigma + baseline.support_low * lam
@@ -305,14 +308,13 @@ def eval_theorem_3_4(u, v):
     """Majorization conditions (weights and shapes) for the usual
     stochastic order with per-mixture scalar location and scale."""
     baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u)
-    betas, mus, thetas = _vectors(v)
+    alphas, sigmas, lams = _vectors(u.components)
+    betas, mus, thetas = _vectors(v.components)
     sigma = _common_scalar(sigmas, "location of U")
     mu = _common_scalar(mus, "location of V")
     lam = _common_scalar(lams, "scale of U")
     theta = _common_scalar(thetas, "scale of V")
-    r = u.weights
-    s = v.weights
+    r, s = u.weights.tolist(), v.weights.tolist()
     maj_w = check_majorization(s, r)  # r majorizes s
     maj_a = check_majorization(betas, alphas)  # alpha majorizes beta
     items = (
@@ -365,9 +367,7 @@ def eval_theorem_4_1(spec_u, spec_v):
     """
     comp1, comp2 = _shared_pair(spec_u, spec_v)
     baseline = _shared_baseline(comp1, comp2)
-    alphas = (comp1.alpha, comp2.alpha)
-    sigmas = (comp1.sigma, comp2.sigma)
-    lams = (comp1.lam, comp2.lam)
+    alphas, sigmas, lams = _vectors((comp1, comp2))
     e_branch = all(check_cone_membership(v, Cone.E_PLUS) for v in (alphas, lams, sigmas))
     d_branch = all(check_cone_membership(v, Cone.D_PLUS) for v in (alphas, lams, sigmas))
     lhs, rhs = _outlier_products(spec_u, spec_v)
@@ -414,9 +414,7 @@ def eval_theorem_4_2(spec_u, spec_v):
     ratio order: ascending pairs, shapes at least one, product <=."""
     comp1, comp2 = _shared_pair(spec_u, spec_v)
     baseline = _shared_baseline(comp1, comp2)
-    alphas = (comp1.alpha, comp2.alpha)
-    sigmas = (comp1.sigma, comp2.sigma)
-    lams = (comp1.lam, comp2.lam)
+    alphas, sigmas, lams = _vectors((comp1, comp2))
     lhs, rhs = _outlier_products(spec_u, spec_v)
     grid = _baseline_grid(baseline)
     rhr_item = _t_rhr_item(baseline, grid)
@@ -430,7 +428,7 @@ def eval_theorem_4_2(spec_u, spec_v):
         ),
         ConditionItem(
             "alpha_at_least_one",
-            bool(min(alphas) >= 1.0),
+            min(alphas) >= 1.0,
             f"alpha={_fmt_vec(alphas)}",
         ),
         ConditionItem(
@@ -464,8 +462,8 @@ def eval_theorem_4_3(spec_u, spec_v):
     alpha = _common_scalar(alphas, "shape")
     sigma = _common_scalar([c.sigma for c in comp_u], "location of U")
     mu = _common_scalar([c.sigma for c in comp_v], "location of V")
-    lams = tuple(c.lam for c in comp_u)
-    thetas = tuple(c.lam for c in comp_v)
+    lams = [float(c.lam) for c in comp_u]
+    thetas = [float(c.lam) for c in comp_v]
     grid = _baseline_grid(baseline)
     rhr_item = _t_rhr_item(baseline, grid)
     slope_mono = check_logpdf_slope_increasing(baseline, grid)

@@ -7,7 +7,10 @@ start point itself. ``cdf`` is the one-component case of ``group_curves``,
 which masks x > start and z > c in one ``numerics.on_support`` pass and runs
 the baseline closed forms on the kept points; ``pdf`` takes the same mask and
 skips the baseline CDF at alpha = 1. A scalar takes the same array
-arithmetic, and gives the same bits, as a grid point.
+arithmetic, and gives the same bits, as a grid point. A mixture samples its
+groups with ``group_curves`` on arrays only: at a scalar it runs the
+baseline closed forms once for all its groups on one baseline, then
+``member_curves`` per group, the same per-component steps.
 """
 
 from __future__ import annotations
@@ -105,20 +108,21 @@ def group_curves(components, x, curves):
     keeps x > support_start and z = (x - sigma)/lam > c; F(z) and f(z) come
     from the baseline closed forms there, once, and only F**alpha and the
     density are formed per component, as for a component alone."""
-    first, k, cdf, pdf = components[0], len(curves), "cdf" in curves, "pdf" in curves
+    first, k, pdf = components[0], len(curves), "pdf" in curves
     base = first.baseline
 
     def above(z):
         F = base._closed_form("cdf", z)
-        f = base._closed_form("pdf", z) if pdf else None
-        out = []
-        for c in components:
-            if cdf:
-                out.append(F ** c.alpha)
-            if pdf:
-                out.append(c._density(F, f))
-        return out
+        return member_curves(components, F, base._closed_form("pdf", z) if pdf else None, curves)
 
     flat = on_support(x, first.support_start, above, curves=k * len(components),
                       scale=(first.sigma, first.lam, base.support_low))
     return [flat[i:i + k] for i in range(0, len(flat), k)]
+
+
+def member_curves(components, F, f, curves):
+    """``curves`` of each of ``components``, flat in that order, from the
+    baseline values F and f (None without "pdf") at their standardized
+    points: ``F ** alpha`` and the density are the only per-component steps."""
+    return [F ** c.alpha if curve == "cdf" else c._density(F, f)
+            for c in components for curve in curves]

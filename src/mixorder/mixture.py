@@ -6,8 +6,10 @@ Sums are Kahan-compensated because catalog weights span two orders of
 magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
 ``cdf`` and ``pdf`` are its one-mixture case. A grid longer than
 ``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
-arithmetic, so it gives the same bits. Each component group takes one
-masked ``els.group_curves`` pass. Also provides
+arithmetic, so it gives the same bits. On an array each component group
+takes one masked ``els.group_curves`` pass; a scalar takes one pass over
+all groups, which runs each baseline's closed forms once on the points of
+its live groups and gives the bits of a grid point. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -21,7 +23,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .els import ELSComponent, group_curves
+from .els import ELSComponent, group_curves, member_curves
 from .errors import (
     DomainError,
     ParameterError,
@@ -93,12 +95,44 @@ def _plan(mixtures):
              for mix in mixtures])
 
 
+def _scalar_curves(groups, t, curves):
+    """``curves`` of every component of ``groups`` at a float t, as one flat
+    list of floats: each component's curves in turn, in group order.
+
+    A group is live where t > its start and z = (t - sigma)/lam > c, the float
+    comparisons of ``on_support``. The z of the live groups on one baseline
+    object make one array, one element (lane) per group, so the baseline
+    closed forms run once per baseline; each component's ``F ** alpha`` and
+    density run on a one-point view of its group's lane. Lanes are
+    elementwise independent, so every value has the bits of the same point
+    in a grid."""
+    k, pdf = len(curves), "pdf" in curves
+    lanes = {}
+    for g, members in enumerate(groups):
+        c = members[0]
+        if t > c.support_start and (z := (t - c.sigma) / c.lam) > c.baseline.support_low:
+            lanes.setdefault(id(c.baseline), []).append((g, z))
+    out = [[0.0] * (k * len(members)) for members in groups]
+    for lane in lanes.values():
+        base = groups[lane[0][0]][0].baseline
+        z = np.array([z for _, z in lane])
+        F = base._closed_form("cdf", z)
+        f = base._closed_form("pdf", z) if pdf else None
+        for i, (g, _) in enumerate(lane):
+            out[g] = [v.item() for v in member_curves(groups[g], F[i:i + 1],
+                                                      f[i:i + 1] if pdf else None, curves)]
+    return list(chain(*out))
+
+
 def sample_curves(mixtures, x, curves):
     """``curves`` ("cdf", "pdf" or both, in that order) of each of ``mixtures``
-    at x: one list per mixture, of arrays (of floats for a scalar x). Each
-    group of ``_plan`` takes one ``els.group_curves`` pass; each mixture then
-    Kahan-sums its own terms in its own order, so it gets the bits it gets
-    alone. A 1-d array longer than ``EVAL_BLOCK`` runs slice by slice."""
+    at x: one list per mixture, of arrays (of floats for a scalar x). On an
+    array each group of ``_plan`` takes one ``els.group_curves`` pass; a scalar
+    takes one ``_scalar_curves`` pass over all groups, which runs the baseline
+    closed forms once per baseline object. Each mixture then Kahan-sums its own
+    terms in its own order, so it gets the bits it gets alone, and a scalar the
+    bits of a grid point. A 1-d array longer than ``EVAL_BLOCK`` runs slice by
+    slice."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1 and arr.size > EVAL_BLOCK:
         outs = [[np.empty(arr.size) for _ in curves] for _ in mixtures]
@@ -108,15 +142,19 @@ def sample_curves(mixtures, x, curves):
                 out[i:i + EVAL_BLOCK] = part
         return outs
     groups, places = mixtures[0].own_plan if len(mixtures) == 1 else _plan(mixtures)
-    values = [v for members in groups for v in group_curves(members, arr, curves)]
     # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
     scalar = arr.ndim == 0
+    k = len(curves)
+    if scalar:
+        values = _scalar_curves(groups, float(arr), curves)
+    else:
+        values = [v for members in groups for per in group_curves(members, arr, curves)
+                  for v in per]
     sums = []
     for mix, place in zip(mixtures, places):
         weights = mix.weights.tolist() if scalar else mix.weights
-        terms = [values[i] for i in place]
-        sums.append([_compensated_sum([w * t[j] for w, t in zip(weights, terms)], scalar)
-                     for j in range(len(curves))])
+        sums.append([_compensated_sum([w * values[k * i + j] for w, i in zip(weights, place)],
+                                      scalar) for j in range(k)])
     return sums
 
 

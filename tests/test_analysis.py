@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -29,7 +31,13 @@ from mixorder import (
     scenario_grid,
 )
 from mixorder._sampling import THEOREM_SAMPLERS, random_baseline, random_mixture, random_pair
-from mixorder.analysis import CHECKERS, UPPER_QUANTILE, OrderVerdict
+from mixorder.analysis import (
+    CHECKERS,
+    DEFAULT_REL_TOL,
+    UPPER_QUANTILE,
+    MonotonicityVerdict,
+    OrderVerdict,
+)
 
 
 # ---------------------------------------------------------------- classifier
@@ -89,6 +97,86 @@ def test_classify_rejects_bad_input():
         classify_monotonicity([1.0, 2.0], [0.0, 1.0])
     with pytest.raises(ParameterError):
         classify_monotonicity([1.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+def _classify_reference(x, values, rel_tol):
+    """The classifier as it was before it formed only the two witness
+    midpoints and dropped its abs and not-finite temporaries; kept to pin
+    the bits of every verdict field."""
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.shape != values.shape:
+        raise ParameterError("samples must be two matching 1-d arrays")
+    if x.size < 3:
+        raise InsufficientDomainError(f"need at least 3 samples, got {x.size}")
+    if np.any(np.diff(x) <= 0):
+        raise ParameterError("sample abscissae must be strictly increasing")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise InvalidSampleError(
+            f"non-finite sample value {values[idx]!r} at index {idx} (x={x[idx]!r})", index=idx)
+    diffs = np.diff(values)
+    scale = float(np.max(np.abs(values)))
+    tol = rel_tol * scale
+    max_up = float(np.max(diffs, initial=0.0))
+    max_down = float(-np.min(diffs, initial=0.0))
+    mids = 0.5 * (x[:-1] + x[1:])
+    witness_up = float(mids[int(np.argmax(diffs))]) if max_up > tol else None
+    witness_down = float(mids[int(np.argmin(diffs))]) if max_down > tol else None
+    up_ok, down_ok = max_down <= tol, max_up <= tol
+    cls = (Monotonicity.CONSTANT if up_ok and down_ok else Monotonicity.NON_DECREASING if up_ok
+           else Monotonicity.NON_INCREASING if down_ok else Monotonicity.NON_MONOTONE)
+    return MonotonicityVerdict(cls, max_up, max_down, witness_up, witness_down, rel_tol, scale)
+
+
+def _verdict_hex(verdict):
+    return {f.name: (v.hex() if isinstance(v, float) else v)
+            for f in dataclasses.fields(verdict) for v in [getattr(verdict, f.name)]}
+
+
+_SAMPLE = st.one_of(st.floats(-1e300, 1e300),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300]))
+
+
+@st.composite
+def classify_inputs(draw):
+    """(x, values, rel_tol): strictly increasing abscissae with finite values,
+    flat or signed-zero runs among them; or one of the rejected inputs: too
+    few points, a repeated abscissa, mismatched lengths, a non-finite value."""
+    kind = draw(st.sampled_from(["valid", "valid", "flat", "short", "repeat", "mismatch",
+                                 "nonfinite"]))
+    n = draw(st.integers(0, 2)) if kind == "short" else draw(st.integers(3, 24))
+    steps = draw(st.lists(st.floats(1e-12, 1e3), min_size=n, max_size=n))
+    x = draw(st.floats(-1e3, 1e3)) + np.cumsum(steps)
+    if kind == "flat":
+        values = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 2.5]), min_size=n,
+                                        max_size=n)))
+    else:
+        values = np.array(draw(st.lists(_SAMPLE, min_size=n, max_size=n)))
+    if kind == "repeat":
+        i = draw(st.integers(1, n - 1))
+        x[i] = x[i - 1]
+    elif kind == "mismatch":
+        values = values[:-1]
+    elif kind == "nonfinite":
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x, values, draw(st.sampled_from([0.0, 1e-12, DEFAULT_REL_TOL, 1e-4, 0.5]))
+
+
+@settings(max_examples=400)
+@given(inputs=classify_inputs())
+def test_classify_matches_the_reference_bit_for_bit(inputs):
+    x, values, rel_tol = inputs
+    try:
+        want = _classify_reference(x, values, rel_tol)
+    except (ParameterError, InsufficientDomainError, InvalidSampleError) as exc:
+        with pytest.raises(type(exc)) as got:
+            classify_monotonicity(x, values, rel_tol=rel_tol)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "index", None) == getattr(exc, "index", None)
+        return
+    assert _verdict_hex(classify_monotonicity(x, values, rel_tol=rel_tol)) == _verdict_hex(want)
 
 
 def test_grid_validation():

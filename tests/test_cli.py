@@ -386,20 +386,25 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
     # take both curves from one pass. In a pass, each group of components
     # sharing a baseline, sigma and lam evaluates its baseline closed forms
     # once per slice (2001 points are one slice); every pass needs the
-    # baseline CDF.
-    passes, baseline_calls = [], collections.Counter()
+    # baseline CDF. Only closed forms inside a grid pass are counted: the
+    # roots and the witness evaluate scalars outside it.
+    passes, baseline_calls, inside = [], collections.Counter(), []
     sample_curves = analysis.sample_curves
 
     def counting_pass(mixtures, x, curves):
         assert np.size(x) == DEFAULT_POINTS
         passes.append((len(mixtures), tuple(curves)))
-        return sample_curves(mixtures, x, curves)
+        inside.append(True)
+        try:
+            return sample_curves(mixtures, x, curves)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(analysis, "sample_curves", counting_pass)
     closed_form = BaselineModel._closed_form
 
     def counting(self, name, t):
-        if np.size(t) > 1:  # not a scalar root or witness evaluation
+        if inside:
             baseline_calls[name] += 1
         return closed_form(self, name, t)
 

@@ -1,7 +1,15 @@
 """Scalar and array evaluation agree bit for bit; quantile and CDF invert.
 
-Every ``cdf``/``pdf`` runs its closed form through ``numerics.on_support``,
-which hands a scalar to the closed form as a length-1 array. These tests
+Every baseline and component ``cdf``/``pdf`` runs its closed form through
+``numerics.on_support``, which hands a scalar to the closed form as a
+length-1 array. A mixture takes a scalar in one ``mixture.sample_curves``
+pass over all its groups: the live groups on one baseline object share one
+closed-form call, one array element each, and each component's power and
+density run on a one-point view of its element. The scalar pass must give
+the bits of the grid pass on every sweep and normalization pool mixture
+and pair, below, at and just above each start, inside, at the grid end,
+at NaN and at +-inf, on a tabulated baseline, on equal but distinct
+baseline objects and on groups whose alphas are all 1. These tests
 compare the bits of each scalar result with the matching point of an
 array result, on arrays wholly above a support start, straddling it,
 wholly below it and holding a NaN. A mixture grid longer than
@@ -31,13 +39,16 @@ from mixorder import (
     FiniteMixture,
     LogLogistic,
     Tabulated,
+    auto_grid,
+    build_outlier_mixture,
     els,
     get_scenario,
     make_baseline,
     mixture,
     scenario_grid,
 )
-from mixorder._sampling import random_mixture
+from mixorder._sampling import THEOREM_SAMPLERS, random_mixture
+from mixorder.conditions import OUTLIER_THEOREMS
 from mixorder.numerics import on_support
 
 
@@ -290,6 +301,110 @@ def test_pair_kernel_matches_each_mixture_bit_for_bit(grid, pair, scale, curves)
             alone = getattr(mix, name)(x)
             assert value.shape == x.shape and value.dtype == np.float64
             assert np.array_equal(_bits(value), _bits(alone)), (name, x, value, alone)
+
+
+def _scalar_points(mixtures, x_hi):
+    """Below, at and one double above every component start of ``mixtures``,
+    a point inside, ``x_hi``, NaN and +-inf."""
+    starts = sorted({c.support_start for mix in mixtures for c in mix.components})
+    points = [t for s in starts for t in (math.nextafter(s, -math.inf), s,
+                                           math.nextafter(s, math.inf))]
+    return points + [0.5 * (starts[0] + x_hi), x_hi, math.nan, math.inf, -math.inf]
+
+
+_CURVE_SETS = (("cdf",), ("pdf",), ("cdf", "pdf"))
+
+
+def _assert_scalar_pass_matches_grid(mixtures, points, curve_sets=_CURVE_SETS):
+    """Every scalar ``sample_curves`` of ``mixtures`` at ``points`` is a float
+    with the bits of its point in the grid pass, for each of ``curve_sets``."""
+    x = np.array(points)
+    for curves in curve_sets:
+        grid = [value for values in mixture.sample_curves(mixtures, x, curves) for value in values]
+        for i, t in enumerate(points):
+            scalar = list(itertools.chain(*mixture.sample_curves(mixtures, t, curves)))
+            assert all(type(value) is float for value in scalar), (mixtures, t, curves)
+            assert np.array_equal(_bits(scalar), _bits([value[i] for value in grid])), \
+                (mixtures, t, curves, scalar)
+
+
+def _twin(base):
+    """A baseline equal to ``base`` that is another object."""
+    return type(base)(**base.params())
+
+
+def _lane_mixtures():
+    """Mixtures whose scalar pass puts several groups on one baseline object:
+    over a tabulated baseline, over two equal but distinct baseline objects,
+    and with groups whose alphas are all 1."""
+    tab, par, lomax = BASELINES["tabulated"], BASELINES["pareto"], BASELINES["lt_lomax"]
+    twin = _twin(par)
+    parts = {
+        "tabulated": [(tab, 0.5, 0.0, 1.0), (tab, 2.0, 0.0, 1.0), (tab, 1.0, 1.5, 2.0),
+                      (tab, 0.3, 4.0, 0.5)],
+        "equal_baselines": [(par, 0.7, 1.0, 1.0), (twin, 0.7, 1.0, 1.0), (par, 1.8, 0.5, 2.0),
+                            (twin, 2.5, 0.5, 2.0)],
+        "alphas_one": [(par, 1.0, 0.0, 1.0), (par, 1.0, 1.0, 2.0), (lomax, 1.0, 0.5, 1.5),
+                       (par, 2.0, 3.0, 1.0)],
+    }
+    return {name: FiniteMixture([ELSComponent(*p) for p in comps], np.full(len(comps), 0.25))
+            for name, comps in parts.items()}
+
+
+_LANE_MIXTURES = _lane_mixtures()
+
+
+@pytest.mark.parametrize("names", [("tabulated",), ("equal_baselines",), ("alphas_one",),
+                                   ("equal_baselines", "alphas_one"),
+                                   ("tabulated", "equal_baselines")])
+def test_scalar_pass_matches_the_grid_pass_on_shared_baselines(names):
+    mixtures = tuple(_LANE_MIXTURES[name] for name in names)
+    comps = [c for mix in mixtures for c in mix.components]
+    # more groups than baseline objects: some baseline carries several lanes
+    assert len({(id(c.baseline), c.sigma, c.lam) for c in comps}) > len(
+        {id(c.baseline) for c in comps})
+    _assert_scalar_pass_matches_grid(mixtures, _scalar_points(mixtures, 40.0))
+
+
+@pytest.mark.parametrize("family", sorted(BASELINES))
+@given(data=st.data())
+def test_scalar_pass_matches_the_grid_pass_on_random_groups(family, data):
+    # offset_mixtures shares groups between components; a twin baseline adds
+    # groups that are equal to others but sit on another baseline object
+    mix = data.draw(offset_mixtures(family))
+    twin = _twin(mix.components[0].baseline)
+    comps = mix.components + tuple(ELSComponent(twin, c.alpha, c.sigma, c.lam)
+                                   for c in mix.components[:2])
+    other = FiniteMixture(comps, np.ones(len(comps)), policy="autonorm")
+    for mixtures in ((mix,), (other,), (mix, other)):
+        _assert_scalar_pass_matches_grid(mixtures, _scalar_points(mixtures, 50.0))
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREM_SAMPLERS))
+def test_scalar_pass_matches_the_grid_pass_on_the_sweep_pool(theorem):
+    # the sweep's draws, up to their auto-grid end: each mixture alone takes
+    # the cdf-only and pdf-only passes, the pair both curves in one pass
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        pair = THEOREM_SAMPLERS[theorem](rng)
+        if theorem in OUTLIER_THEOREMS:
+            pair = tuple(build_outlier_mixture(spec) for spec in pair)
+        points = _scalar_points(pair, auto_grid(*pair).x_hi)
+        for mix in pair:
+            _assert_scalar_pass_matches_grid((mix,), points, _CURVE_SETS[:2])
+        _assert_scalar_pass_matches_grid(pair, points, _CURVE_SETS[2:])
+
+
+def test_scalar_pass_matches_the_grid_pass_on_the_normalization_pool(
+        catalog, false_convergence_mixtures):
+    # the catalog, the two false-convergence cases and 2048 random draws, up
+    # to the 1 - 1e-10 quantile where the normalization quadrature ends
+    rng = np.random.default_rng(42)
+    pool = [mix for s in catalog for mix in s.mixtures()] + list(false_convergence_mixtures)
+    pool += [random_mixture(rng) for _ in range(2048)]
+    for mix in pool:
+        points = _scalar_points((mix,), mix.quantile(1 - 1e-10))
+        _assert_scalar_pass_matches_grid((mix,), points, _CURVE_SETS[::2])
 
 
 def test_blocked_evaluation_at_the_block_size():
