@@ -3,14 +3,13 @@
 A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
-start point itself. ``cdf`` is the one-component case of ``group_curves``,
-which masks x > start and z > c in one ``numerics.on_support`` pass and runs
-the baseline closed forms on the kept points; ``pdf`` takes the same mask and
-skips the baseline CDF at alpha = 1. A scalar takes the same array
-arithmetic, and gives the same bits, as a grid point. A mixture samples its
-groups with ``group_curves`` on arrays only: at a scalar it runs the
-baseline closed forms once for all its groups on one baseline, then
-``member_curves`` per group, the same per-component steps.
+start point itself. One kernel, ``sample_groups``, gives the curves of
+components in groups that share a baseline object, sigma and lam: it masks
+x > start and z = (x - sigma)/lam > c, runs the baseline closed forms on
+the kept z once per group (for a scalar, once per baseline object) and
+forms only F**alpha and the density per component. A component's ``cdf``
+and ``pdf`` are its one-group case, and a mixture samples all its groups
+in one call.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,10 +36,12 @@ class ELSComponent:
     lam: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not self.lam > 0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.lam < math.inf:
+            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
+        if not -math.inf < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0:
             warnings.warn(
                 f"negative location sigma={self.sigma}; allowed but unusual",
@@ -50,11 +52,10 @@ class ELSComponent:
         object.__setattr__(self, "support_start", start)
 
     def cdf(self, x):
-        return group_curves((self,), x, ("cdf",))[0][0]
+        return sample_groups(((self,),), x, ("cdf",))[0]
 
     def pdf(self, x):
-        return on_support(x, self.support_start, self._density_above,
-                          scale=(self.sigma, self.lam, self.baseline.support_low))
+        return sample_groups(((self,),), x, ("pdf",))[0]
 
     def pdf_at_offset(self, dx):
         """Density at support_start + dx with dx as the exact working variable.
@@ -68,13 +69,9 @@ class ELSComponent:
         dz = dx / self.lam
         return self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
 
-    def _density_above(self, z):
-        """Component density at standardized points z > c; no baseline CDF at alpha = 1."""
-        F = None if self.alpha == 1.0 else self.baseline._closed_form("cdf", z)
-        return self._density(F, self.baseline._closed_form("pdf", z))
-
     def _density(self, F, f):
-        """Component density from baseline F and f arrays at the same standardized points."""
+        """Component density from baseline F and f arrays at the same standardized
+        points; F is not read (and may be None) at alpha = 1."""
         if self.alpha == 1.0:
             return f / self.lam
         # F == 0 just above the start point means underflow; the
@@ -101,28 +98,69 @@ class ELSComponent:
         return x if x > start else math.nextafter(start, math.inf)
 
 
-def group_curves(components, x, curves):
-    """``curves`` ("cdf", "pdf" or both, in that order) of each of
-    ``components``, which share one baseline object, sigma and lam, at x: one
-    sequence per component, of arrays (of floats for a scalar x). One mask
-    keeps x > support_start and z = (x - sigma)/lam > c; F(z) and f(z) come
-    from the baseline closed forms there, once, and only F**alpha and the
-    density are formed per component, as for a component alone."""
-    first, k, pdf = components[0], len(curves), "pdf" in curves
-    base = first.baseline
+def sample_groups(groups, x, curves):
+    """``curves`` ("cdf", "pdf" or both, in that order) of every component of
+    ``groups`` at x, flat: each component's curves in turn, in group order;
+    floats for a scalar x, arrays of x's shape otherwise. The components of a
+    group share one baseline object, sigma and lam.
 
-    def above(z):
+    A group keeps the points with x > support_start and z = (x - sigma)/lam
+    > c, zero elsewhere (NaN included). An array is masked with numpy, and
+    each group is one lane of ``_lane_curves`` on its kept z, the array itself
+    when every point is kept (a mixed array is scattered). A scalar is masked
+    in Python floats, which compare, subtract and divide as numpy does; the z
+    of the live groups on one baseline object make one lane, one element per
+    group. Steps are elementwise, so every value has the bits of the same
+    point in any grid."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim:
+        out = []
+        for members in groups:
+            c = members[0]
+            mask = arr > c.support_start
+            z = ((arr if mask.all() else arr[mask]) - c.sigma) / c.lam
+            if not (inner := z > c.baseline.support_low).all():
+                z, mask[mask] = z[inner], inner
+            if not z.size:
+                out += [np.zeros(arr.shape) for _ in range(len(curves) * len(members))]
+                continue
+            values = _lane_curves((members,), z, curves)[0]
+            if z.size < arr.size:
+                for i, v in enumerate(values):
+                    values[i] = np.zeros(arr.shape)
+                    values[i][mask] = v
+            out += values
+        return out
+    t, lanes = float(arr), {}
+    for g, members in enumerate(groups):
+        c = members[0]
+        if t > c.support_start and (z := (t - c.sigma) / c.lam) > c.baseline.support_low:
+            lanes.setdefault(id(c.baseline), []).append((g, members, z))
+    out = [[0.0] * (len(curves) * len(members)) for members in groups]
+    for live in lanes.values():
+        gs, lane, z = zip(*live)
+        for g, values in zip(gs, _lane_curves(lane, np.array(z), curves)):
+            out[g] = [v.item() for v in values]
+    return list(chain(*out))
+
+
+def _lane_curves(lane, z, curves):
+    """``curves`` of the members of each group of ``lane``, groups on one
+    baseline object, from one pass of its closed forms at z: one list per
+    group, at all of z for one group and at a one-point view of its element
+    of z for several (numpy's scalar power rounds otherwise). The baseline
+    CDF is skipped when only densities are asked for and every alpha is 1."""
+    base = lane[0][0].baseline
+    F = f = None
+    if "cdf" in curves or any(c.alpha != 1.0 for c in chain(*lane)):
         F = base._closed_form("cdf", z)
-        return member_curves(components, F, base._closed_form("pdf", z) if pdf else None, curves)
-
-    flat = on_support(x, first.support_start, above, curves=k * len(components),
-                      scale=(first.sigma, first.lam, base.support_low))
-    return [flat[i:i + k] for i in range(0, len(flat), k)]
-
-
-def member_curves(components, F, f, curves):
-    """``curves`` of each of ``components``, flat in that order, from the
-    baseline values F and f (None without "pdf") at their standardized
-    points: ``F ** alpha`` and the density are the only per-component steps."""
-    return [F ** c.alpha if curve == "cdf" else c._density(F, f)
-            for c in components for curve in curves]
+    if "pdf" in curves:
+        f = base._closed_form("pdf", z)
+    per = []
+    for i, members in enumerate(lane):
+        Fi, fi = F, f
+        if len(lane) > 1:
+            Fi, fi = F if F is None else F[i:i + 1], f if f is None else f[i:i + 1]
+        per.append([Fi ** c.alpha if curve == "cdf" else c._density(Fi, fi)
+                    for c in members for curve in curves])
+    return per

@@ -4,12 +4,11 @@ The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
 magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
-``cdf`` and ``pdf`` are its one-mixture case. A grid longer than
+``cdf`` and ``pdf`` are its one-mixture case. It groups the distinct
+components and samples them all in one ``els.sample_groups`` call, for a
+scalar as for an array, then sums each mixture's terms. A grid longer than
 ``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
-arithmetic, so it gives the same bits. On an array each component group
-takes one masked ``els.group_curves`` pass; a scalar takes one pass over
-all groups, which runs each baseline's closed forms once on the points of
-its live groups and gives the bits of a grid point. Also provides
+arithmetic, so it gives the same bits. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -23,7 +22,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .els import ELSComponent, group_curves, member_curves
+from .els import ELSComponent, sample_groups
 from .errors import (
     DomainError,
     ParameterError,
@@ -86,53 +85,23 @@ def _plan(mixtures):
     """The distinct components of ``mixtures`` in groups that share a baseline
     object (an equal baseline of a subclass may compute otherwise), sigma and
     lam, and for each mixture the places of its components among them."""
-    groups = {}
+    groups, firsts = {}, []  # firsts: the first equal component of each, in order
     for c in chain(*(mix.components for mix in mixtures)):
-        groups.setdefault((id(c.baseline), c.sigma, c.lam), {}).setdefault(c.alpha, c)
-    keys = [(g, alpha) for g, members in groups.items() for alpha in members]
-    return ([tuple(members.values()) for members in groups.values()],
-            [[keys.index(((id(c.baseline), c.sigma, c.lam), c.alpha)) for c in mix.components]
-             for mix in mixtures])
-
-
-def _scalar_curves(groups, t, curves):
-    """``curves`` of every component of ``groups`` at a float t, as one flat
-    list of floats: each component's curves in turn, in group order.
-
-    A group is live where t > its start and z = (t - sigma)/lam > c, the float
-    comparisons of ``on_support``. The z of the live groups on one baseline
-    object make one array, one element (lane) per group, so the baseline
-    closed forms run once per baseline; each component's ``F ** alpha`` and
-    density run on a one-point view of its group's lane. Lanes are
-    elementwise independent, so every value has the bits of the same point
-    in a grid."""
-    k, pdf = len(curves), "pdf" in curves
-    lanes = {}
-    for g, members in enumerate(groups):
-        c = members[0]
-        if t > c.support_start and (z := (t - c.sigma) / c.lam) > c.baseline.support_low:
-            lanes.setdefault(id(c.baseline), []).append((g, z))
-    out = [[0.0] * (k * len(members)) for members in groups]
-    for lane in lanes.values():
-        base = groups[lane[0][0]][0].baseline
-        z = np.array([z for _, z in lane])
-        F = base._closed_form("cdf", z)
-        f = base._closed_form("pdf", z) if pdf else None
-        for i, (g, _) in enumerate(lane):
-            out[g] = [v.item() for v in member_curves(groups[g], F[i:i + 1],
-                                                      f[i:i + 1] if pdf else None, curves)]
-    return list(chain(*out))
+        members = groups.setdefault((id(c.baseline), c.sigma, c.lam), {})
+        firsts.append(members.setdefault(c.alpha, c))
+    groups = [tuple(members.values()) for members in groups.values()]
+    place = {id(c): i for i, c in enumerate(chain(*groups))}
+    firsts = iter(firsts)
+    return groups, [[place[id(next(firsts))] for _ in mix.components] for mix in mixtures]
 
 
 def sample_curves(mixtures, x, curves):
     """``curves`` ("cdf", "pdf" or both, in that order) of each of ``mixtures``
-    at x: one list per mixture, of arrays (of floats for a scalar x). On an
-    array each group of ``_plan`` takes one ``els.group_curves`` pass; a scalar
-    takes one ``_scalar_curves`` pass over all groups, which runs the baseline
-    closed forms once per baseline object. Each mixture then Kahan-sums its own
-    terms in its own order, so it gets the bits it gets alone, and a scalar the
-    bits of a grid point. A 1-d array longer than ``EVAL_BLOCK`` runs slice by
-    slice."""
+    at x: one list per mixture, of arrays (of floats for a scalar x). One
+    ``els.sample_groups`` call samples every group of ``_plan``. Each mixture
+    then Kahan-sums its own terms in its own order, so it gets the bits it
+    gets alone, and a scalar the bits of a grid point. A 1-d array longer
+    than ``EVAL_BLOCK`` runs slice by slice."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1 and arr.size > EVAL_BLOCK:
         outs = [[np.empty(arr.size) for _ in curves] for _ in mixtures]
@@ -142,14 +111,10 @@ def sample_curves(mixtures, x, curves):
                 out[i:i + EVAL_BLOCK] = part
         return outs
     groups, places = mixtures[0].own_plan if len(mixtures) == 1 else _plan(mixtures)
+    values = sample_groups(groups, arr, curves)
     # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
     scalar = arr.ndim == 0
     k = len(curves)
-    if scalar:
-        values = _scalar_curves(groups, float(arr), curves)
-    else:
-        values = [v for members in groups for per in group_curves(members, arr, curves)
-                  for v in per]
     sums = []
     for mix, place in zip(mixtures, places):
         weights = mix.weights.tolist() if scalar else mix.weights

@@ -1,12 +1,13 @@
 """Small numerical kernels: the support mask, compensated sums, quadrature, roots.
 
-Everything here is deterministic and stateless. ``on_support`` is the one
-mask rule of every baseline, component and mixture ``cdf``/``pdf``, and it
-gives a scalar the bits of a grid point. The adaptive Simpson rule
-uses interval halving with a per-panel absolute tolerance, so the total
-error scales with the number of accepted panels. It integrates several
-intervals in one pass and calls its integrand one bisection depth ahead, so
-at every other depth.
+Everything here is deterministic and stateless. ``on_support`` is the mask
+rule of every baseline ``cdf``/``pdf`` and of the component offset density,
+and it gives a scalar the bits of a grid point; component and mixture
+curves take the two-comparison mask of ``els.sample_groups``. The adaptive
+Simpson rule uses interval halving with a per-panel absolute tolerance, so
+the total error scales with the number of accepted panels. It integrates
+several intervals in one pass and calls its integrand one bisection depth
+ahead, so at every other depth.
 """
 
 from __future__ import annotations
@@ -26,40 +27,25 @@ DENOM_FLOOR = 1e-12
 _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
-def on_support(x, start, fn, curves=0, scale=None):
+def on_support(x, start, fn):
     """``fn`` at the points of ``x`` above ``start``, zero elsewhere (NaN included).
 
-    With ``scale`` = (sigma, lam, c), a point is kept only if also
-    z = (x - sigma)/lam > c, and ``fn`` gets z: a component's mask and its
-    baseline's in one pass. A scalar is masked in floats, which compare,
-    subtract and divide as numpy does, and gives a float from ``fn`` on a
-    length-1 array, the vector arithmetic of a grid point (numpy's scalar power
-    rounds otherwise). ``fn`` gets the whole array when every point is kept and
-    is not called when none is; a mixed array is scattered. With ``curves``
-    > 0, ``fn`` returns that many arrays, as does this (floats for a scalar).
+    A scalar is compared as a float and gives a float from ``fn`` on a
+    length-1 array, the vector arithmetic of a grid point (numpy's scalar
+    power rounds otherwise). ``fn`` gets the whole array when every point is
+    kept and is not called when none is; a mixed array is scattered.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         t = float(arr)
-        if scale is not None and t > start:
-            t, start = (t - scale[0]) / scale[1], scale[2]
-        if not t > start:
-            return (0.0,) * curves if curves else 0.0
-        values = fn(np.array([t]))
-        return tuple(float(v[0]) for v in values) if curves else float(values[0])
+        return float(fn(np.array([t]))[0]) if t > start else 0.0
     mask = arr > start
-    kept = arr if mask.all() else arr[mask]
-    if scale is not None and kept.size:
-        kept = (kept - scale[0]) / scale[1]
-        if not (inner := kept > scale[2]).all():
-            kept, mask[mask] = kept[inner], inner
-    if kept.size == arr.size and kept.size:
-        return fn(kept)
-    outs = tuple(np.zeros(arr.shape) for _ in range(curves or 1))
-    if kept.size:
-        for out, value in zip(outs, fn(kept) if curves else (fn(kept),)):
-            out[mask] = value
-    return outs if curves else outs[0]
+    if mask.all() and arr.size:
+        return fn(arr)
+    out = np.zeros(arr.shape)
+    if (kept := arr[mask]).size:
+        out[mask] = fn(kept)
+    return out
 
 
 def kahan_add(total, comp, term):

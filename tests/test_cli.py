@@ -385,9 +385,10 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
     # curve is sampled once, for both mixtures in one pass, and rh and r_rh
     # take both curves from one pass. In a pass, each group of components
     # sharing a baseline, sigma and lam evaluates its baseline closed forms
-    # once per slice (2001 points are one slice); every pass needs the
-    # baseline CDF. Only closed forms inside a grid pass are counted: the
-    # roots and the witness evaluate scalars outside it.
+    # once per slice (2001 points are one slice); a density-only pass skips
+    # the baseline CDF of a group whose alphas are all 1. Only closed forms
+    # inside a grid pass are counted: the roots and the witness evaluate
+    # scalars outside it.
     passes, baseline_calls, inside = [], collections.Counter(), []
     sample_curves = analysis.sample_curves
 
@@ -416,8 +417,12 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
         assert code in (0, 1), s.scenario_id
         assert sorted(passes) == [(2, c) for c in curves], (s.scenario_id, passes)
-        groups = {(id(c.baseline), c.sigma, c.lam) for c in s.u.components + s.v.components}
-        expected = {"cdf": len(groups) * len(curves), "pdf": len(groups)}
+        groups = collections.defaultdict(set)
+        for c in s.u.components + s.v.components:
+            groups[id(c.baseline), c.sigma, c.lam].add(c.alpha)
+        with_cdf = sum(alphas != {1.0} for alphas in groups.values())
+        expected = {"cdf": sum(len(groups) if "cdf" in c else with_cdf for c in curves),
+                    "pdf": len(groups)}
         assert baseline_calls == expected, (s.scenario_id, baseline_calls)
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,15 @@ def test_parameter_validation_and_warning():
         ELSComponent(PARETO51, alpha=1.0, sigma=1.0, lam=-2.0)
     with pytest.warns(UserWarning, match="negative location"):
         ELSComponent(PARETO51, alpha=1.0, sigma=-0.5, lam=1.0)
+    # a NaN or infinite parameter names its field; a NaN sigma once built a
+    # component whose mixture CDF was 0 everywhere
+    for field, name in (("alpha", "alpha"), ("sigma", "sigma"), ("lam", "lambda")):
+        for value in (math.nan, math.inf, -math.inf):
+            params = {"alpha": 1.0, "sigma": 1.0, "lam": 1.0, field: value}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match=f"^{name} must be (positive and )?finite, got"):
+                    ELSComponent(PARETO51, **params)
 
 
 #: at p = 1 - 1e-10 and alpha = 5 the baseline level p^(1/alpha) is within

@@ -1,26 +1,27 @@
 """Scalar and array evaluation agree bit for bit; quantile and CDF invert.
 
-Every baseline and component ``cdf``/``pdf`` runs its closed form through
-``numerics.on_support``, which hands a scalar to the closed form as a
-length-1 array. A mixture takes a scalar in one ``mixture.sample_curves``
-pass over all its groups: the live groups on one baseline object share one
-closed-form call, one array element each, and each component's power and
-density run on a one-point view of its element. The scalar pass must give
-the bits of the grid pass on every sweep and normalization pool mixture
-and pair, below, at and just above each start, inside, at the grid end,
-at NaN and at +-inf, on a tabulated baseline, on equal but distinct
-baseline objects and on groups whose alphas are all 1. These tests
-compare the bits of each scalar result with the matching point of an
-array result, on arrays wholly above a support start, straddling it,
-wholly below it and holding a NaN. A mixture grid longer than
-``mixture.EVAL_BLOCK`` is summed slice by slice; it must give the bits of
-one whole-array pass, of its slices and of its points. A pair sampled in
-one ``mixture.sample_curves`` pass gets the bits of each mixture alone. A
-component group's one-pass mask gives the bits of a reference that nests
-the group mask and the baseline's ``cdf`` and ``pdf`` masks. A component's
-``pdf``, which skips the baseline CDF at alpha = 1, gives the bits of its
-one-component group pass, and so does a mixture's ``pdf_at_offset`` through
-it.
+Every baseline ``cdf``/``pdf`` and the component offset density run their
+closed forms through ``numerics.on_support``, which hands a scalar to the
+closed form as a length-1 array. Component and mixture curves come from one
+kernel, ``els.sample_groups``: a group of components sharing a baseline,
+sigma and lam takes one two-comparison mask and one closed-form pass, and
+at a scalar the live groups on one baseline object share one closed-form
+call, one array element each, with each component's power and density on a
+one-point view of its element. The scalar pass must give the bits of the
+grid pass on every sweep and normalization pool mixture and pair, below,
+at and just above each start, inside, at the grid end, at NaN and at
++-inf, on a tabulated baseline, on equal but distinct baseline objects and
+on groups whose alphas are all 1. These tests compare the bits of each
+scalar result with the matching point of an array result, on arrays wholly
+above a support start, straddling it, wholly below it and holding a NaN. A
+mixture grid longer than ``mixture.EVAL_BLOCK`` is summed slice by slice;
+it must give the bits of one whole-array pass, of its slices and of its
+points. A pair sampled in one ``mixture.sample_curves`` pass gets the bits
+of each mixture alone. The kernel, on one group or on many, and a
+component's ``pdf``, which skips the baseline CDF at alpha = 1, give the
+bits of a reference that nests the group mask and the baseline's ``cdf``
+and ``pdf`` masks, and so does a mixture's ``pdf_at_offset`` through it. A
+density-only pass over groups whose alphas are all 1 calls no baseline CDF.
 """
 
 import itertools
@@ -48,6 +49,7 @@ from mixorder import (
     scenario_grid,
 )
 from mixorder._sampling import THEOREM_SAMPLERS, random_mixture
+from mixorder.baseline import BaselineModel
 from mixorder.conditions import OUTLIER_THEOREMS
 from mixorder.numerics import on_support
 
@@ -160,17 +162,6 @@ def test_on_support_paths():
     assert on_support(1.0, 1.0, twice) == 0.0 and on_support(math.nan, 0.0, twice) == 0.0
     assert np.array_equal(on_support(x, 3.0, twice), np.zeros(3))
     assert on_support(np.empty(0), 0.0, twice).shape == (0,) and len(calls) == n
-
-    def pair(a):
-        return 2.0 * a, -a
-
-    # two curves: a tuple of floats or arrays, each masked the same way
-    assert on_support(2.0, 0.5, pair, curves=2) == (4.0, -2.0)
-    assert on_support(0.5, 0.5, pair, curves=2) == (0.0, 0.0)
-    outs = on_support(x, 1.5, pair, curves=2)
-    for out, expected in zip(outs, ([0.0, 4.0, 6.0], [0.0, -2.0, -3.0])):
-        assert np.array_equal(out, expected)
-    assert all(np.array_equal(out, np.zeros(3)) for out in on_support(x, 3.0, pair, curves=2))
 
 
 #: parameters of the closed-form families, kept to tail indices of 1/2 or more
@@ -508,9 +499,10 @@ def _nested_on_support(x, start, fn, curves=0):
 
 
 def _nested_group_curves(components, x, curves):
-    """Reference of ``els.group_curves`` as three nested masks: the group's
-    support start, then the baseline's ``cdf`` and ``pdf`` masks at z."""
-    first, k = components[0], len(curves)
+    """Reference of ``els.sample_groups`` on one group as three nested masks:
+    the group's support start, then the baseline's ``cdf`` and ``pdf`` masks
+    at z. Flat, as the kernel: each component's curves in turn."""
+    first = components[0]
     base = first.baseline
 
     def baseline(name, z):
@@ -532,8 +524,12 @@ def _nested_group_curves(components, x, curves):
         return out
 
     start = first.sigma + base.support_low * first.lam
-    flat = _nested_on_support(x, start, above, curves=k * len(components))
-    return [flat[i:i + k] for i in range(0, len(flat), k)]
+    return list(_nested_on_support(x, start, above, curves=len(curves) * len(components)))
+
+
+def _nested_groups(groups, x, curves):
+    """Reference of ``els.sample_groups``: each group's nested masks in turn."""
+    return [value for group in groups for value in _nested_group_curves(group, x, curves)]
 
 
 def _edge_points(start, sigma, lam, c):
@@ -564,7 +560,7 @@ def _group_inputs(points, start, lam):
 
 def _same_bits(new, ref):
     assert len(new) == len(ref)
-    for got, want in zip(itertools.chain(*new), itertools.chain(*ref)):
+    for got, want in zip(new, ref):
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(_bits(got), _bits(want))
@@ -572,15 +568,27 @@ def _same_bits(new, ref):
 
 @pytest.mark.parametrize("family", list(BASELINES))
 def test_group_pass_matches_the_nested_masks_bit_for_bit(family):
-    base = BASELINES[family]
+    base, twin = BASELINES[family], _twin(BASELINES[family])
+    groups = []
     for sigma, lam in itertools.product((0.0, 0.1, 0.3, 1.7, 3.3), (0.1, 0.3, 1 / 3, 3.0)):
         group = tuple(ELSComponent(base, alpha, sigma, lam) for alpha in (0.3, 1.0, 2.5))
+        groups.append(group)
         start = group[0].support_start
         points, _, _ = _edge_points(start, sigma, lam, base.support_low)
         for x in _group_inputs(points, start, lam):
-            for curves in (("cdf",), ("pdf",), ("cdf", "pdf")):
-                _same_bits(els.group_curves(group, x, curves),
+            for curves in _CURVE_SETS:
+                _same_bits(els.sample_groups((group,), x, curves),
                            _nested_group_curves(group, x, curves))
+    # all groups in one call, with two on an equal baseline object, one of
+    # them with alphas all 1: a scalar takes the live groups of each object as
+    # one lane, at the doubles next to every start
+    groups += [(ELSComponent(twin, 1.0, 0.3, 1.0),),
+               (ELSComponent(twin, 2.5, 1.7, 3.0), ELSComponent(twin, 1.0, 1.7, 3.0))]
+    starts = [group[0].support_start for group in groups]
+    points = [t for s in starts for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))]
+    for x in [*points, np.array(points)]:
+        for curves in _CURVE_SETS:
+            _same_bits(els.sample_groups(groups, x, curves), _nested_groups(groups, x, curves))
 
 
 def test_group_pass_points_where_the_two_masks_disagree():
@@ -596,18 +604,48 @@ def test_group_pass_points_where_the_two_masks_disagree():
         seen[0] += above_only
         seen[1] += inside_only
         for x in [points, *points.tolist()]:
-            _same_bits(els.group_curves(group, x, ("cdf", "pdf")),
+            _same_bits(els.sample_groups((group,), x, ("cdf", "pdf")),
                        _nested_group_curves(group, x, ("cdf", "pdf")))
     assert seen[0] > 0 and seen[1] > 0
+
+
+def test_density_pass_over_alpha_one_groups_calls_no_baseline_cdf(monkeypatch):
+    par, lomax = BASELINES["pareto"], BASELINES["lt_lomax"]
+    ones = ((ELSComponent(par, 1.0, 0.0, 1.0),), (ELSComponent(par, 1.0, 1.0, 2.0),),
+            (ELSComponent(lomax, 1.0, 0.5, 1.5),))
+    mixed = ones + ((ELSComponent(lomax, 1.0, 2.0, 1.0), ELSComponent(lomax, 2.5, 2.0, 1.0)),)
+    calls = []
+    closed_form = BaselineModel._closed_form
+
+    def counting(self, name, t):
+        calls.append((id(self), name))
+        return closed_form(self, name, t)
+
+    monkeypatch.setattr(BaselineModel, "_closed_form", counting)
+    starts = [group[0].support_start for group in mixed]
+    points = [t for s in starts for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))]
+    points += np.linspace(3.0, 40.0, 38).tolist() + [math.nan, math.inf, -math.inf]
+    for x in [*points, np.array(points)]:
+        for groups in (ones, mixed):
+            calls.clear()
+            density = els.sample_groups(groups, x, ("pdf",))
+            # only a lane holding an alpha other than 1 takes the baseline CDF
+            assert {base for base, name in calls if name == "cdf"} <= (
+                {id(lomax)} if groups is mixed else set()), (x, calls)
+            _same_bits(density, els.sample_groups(groups, x, ("cdf", "pdf"))[1::2])
+        calls.clear()
+        for (comp,) in ones:  # a component pdf is the kernel's one-group case
+            comp.pdf(x)
+        assert all(name == "pdf" for _, name in calls), (x, calls)
 
 
 @pytest.mark.parametrize("t", [11.0, np.array([11.0, 12.0]), np.array([5.0, 11.0])],
                          ids=["scalar", "above", "mixed"])
 def test_group_pass_overflow_matches_the_nested_masks(t):
     group = (ELSComponent(make_baseline("pareto", a=400.0, k=10.0), 2.0, 0.0, 1.0),)
-    for fn in (els.group_curves, _nested_group_curves):
+    for fn in (els.sample_groups, _nested_groups):
         with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
-            fn(group, t, ("cdf", "pdf"))
+            fn((group,), t, ("cdf", "pdf"))
     for alpha in (1.0, 2.0):  # the component pdf alone, with and without the CDF
         with pytest.raises(DomainError, match="^pareto pdf overflows the float range$"):
             ELSComponent(group[0].baseline, alpha, 0.0, 1.0).pdf(t)
@@ -615,18 +653,20 @@ def test_group_pass_overflow_matches_the_nested_masks(t):
 
 @pytest.mark.parametrize("family", list(BASELINES))
 def test_component_pdf_matches_its_group_pass_bit_for_bit(family):
+    # the group pass here is the nested reference: the component pdf is the
+    # kernel's one-group case, with no baseline CDF at alpha = 1
     base = BASELINES[family]
     for sigma, lam, alpha in itertools.product((0.0, 0.3, 1.7), (0.1, 1 / 3, 3.0),
                                                (0.3, 1.0, 2.5)):
         comp = ELSComponent(base, alpha, sigma, lam)
         points, _, _ = _edge_points(comp.support_start, sigma, lam, base.support_low)
         for x in _group_inputs(points, comp.support_start, lam):
-            _same_bits([[comp.pdf(x)]], els.group_curves((comp,), x, ("pdf",)))
+            _same_bits([comp.pdf(x)], _nested_group_curves((comp,), x, ("pdf",)))
 
 
 def _per_component_pdf_at_offset(mix, origin, dx):
     """Reference of ``FiniteMixture.pdf_at_offset`` through each component's
-    offset path at its start and its one-component group pass after it."""
+    offset path at its start and the nested group masks after it."""
     origin, arr = np.asarray(origin, dtype=float), np.asarray(dx, dtype=float)
     if origin.shape != arr.shape:
         origin, arr = np.broadcast_arrays(origin, arr)
@@ -639,7 +679,7 @@ def _per_component_pdf_at_offset(mix, origin, dx):
             total[at] += w * component.pdf_at_offset(flat[at])
         if after.size:
             x = origin[after] + flat[after]
-            total[after] += w * els.group_curves((component,), x, ("pdf",))[0][0]
+            total[after] += w * _nested_group_curves((component,), x, ("pdf",))[0]
     return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)
 
 
