@@ -1,5 +1,6 @@
 """Seeded random construction of baselines, mixtures and theorem-shaped
-pairs, for the validation command and the randomized sweeps in the tests.
+pairs, for the unequal-weights experiment and the randomized sweeps in
+the tests.
 
 Everything takes a numpy Generator so runs are reproducible from a seed.
 Theorem-shaped generators build parameter sets that satisfy the theorem's

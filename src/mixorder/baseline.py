@@ -418,6 +418,9 @@ class Tabulated(BaselineModel):
         F = np.asarray(F, dtype=float)
         if t.ndim != 1 or t.shape != F.shape or t.size < 3:
             raise ParameterError("tabulated baseline needs matching 1-d t/F with >= 3 points")
+        for name, values in (("t", t), ("F", F)):
+            if not np.isfinite(values).all():
+                raise ParameterError(f"tabulated {name} must contain only finite values")
         if np.any(np.diff(t) <= 0):
             raise ParameterError("tabulated abscissae must be strictly increasing")
         if np.any(np.diff(F) < 0):

@@ -312,8 +312,8 @@ class OutlierMixtureSpec:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
         for name in ("r1", "r2"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ParameterError(f"{name} must be positive, got {v!r}")
+            if not 0 < v < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
 
     @property
     def block_weights(self):

@@ -201,6 +201,15 @@ def test_tabulated_rejects_nonmonotone_cdf():
         Tabulated(t, F)
 
 
+@pytest.mark.parametrize("field", ["t", "F"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_values_naming_the_field(field, bad):
+    params = {"t": [1.0, 2.0, 3.0, 4.0], "F": [0.0, 0.25, 0.5, 1.0]}
+    params[field][1] = bad
+    with pytest.raises(ParameterError, match=f"tabulated {field} must contain only finite"):
+        make_baseline("tabulated", **params)
+
+
 @pytest.mark.parametrize("p", ORACLE_LEVELS)
 @pytest.mark.parametrize("family,params", CLOSED_FORM_CASES)
 def test_closed_form_quantile_matches_40_digit_root(family, params, p, mp_els_quantile):

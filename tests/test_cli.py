@@ -144,6 +144,20 @@ def test_check_order_mixture_file_missing_field_exits_2(tmp_path, capsys, catalo
     assert f"missing required field '{missing}'" in err
 
 
+@pytest.mark.parametrize("field", ["t", "F"])
+def test_check_order_non_finite_tabulated_scenario_exits_2(tmp_path, capsys, catalog_doc, field):
+    doc = catalog_doc("EX4.1")
+    params = {"t": [1.0, 2.0, 3.0, 4.0], "F": [0.0, 0.25, 0.5, 1.0]}
+    params[field][1] = float("nan")
+    doc["baseline"] = {"family": "tabulated", "params": params}
+    path = tmp_path / "nan.json"
+    # json writes NaN as the bare literal NaN, which json.load reads back
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check-order", str(path), "--order", "st")
+    assert (code, out) == (2, "")
+    assert f"tabulated {field} must contain only finite values" in err
+
+
 def test_check_order_non_object_mixture_files_exit_2(tmp_path, capsys):
     (tmp_path / "num.json").write_text("5")
     code, out, err = run_cli(
@@ -293,8 +307,10 @@ _REMOVED_OPTIONS = {
       for name, option in _REMOVED_OPTIONS.items() for cmd, argv in _SUBCOMMANDS.items()),
     # check-order and check-theorem keep --tol; eval reads no tolerance
     pytest.param(_SUBCOMMANDS["eval"], ("--tol", "1e-6"), id="tol-eval"),
-    # reproduce draws nothing at random; validate and the experiment keep --seed
+    # reproduce and validate draw nothing at random; only the experiment keeps --seed
     pytest.param(("reproduce", "EX4.1", "--no-records"), ("--seed", "1"), id="seed-reproduce"),
+    *(pytest.param(("validate", "--scenario", "pair.json"), option, id=f"{name}-validate")
+      for name, option in (("seed", ("--seed", "1")), ("pairs", ("--pairs", "8")))),
 ])
 def test_removed_options_are_rejected(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
@@ -327,8 +343,6 @@ def test_points_with_grid_exits_2(capsys, argv):
                  id="grid-infinite"),
     pytest.param(("eval", "EX4.1", "cdf", "--grid=-1e308:1e308:5"), "grid needs a finite span",
                  id="grid-overflowing-span"),
-    pytest.param(("validate", "--pairs", "-1"), "--pairs", id="pairs"),
-    pytest.param(("validate", "--seed", "-1"), "--seed", id="seed"),
     pytest.param(("experiment-unequal-weights", "--trials", "-1"), "--trials", id="trials"),
 ])
 def test_out_of_range_input_exits_2_naming_it(capsys, argv, named):
@@ -548,17 +562,26 @@ def test_reproduce_all_deterministic_stdout(capsys):
     assert all(r["agreement"] == "AsExpected" for r in doc["rows"])
 
 
-def test_validate_deterministic_and_green(capsys):
-    code1, out1, err1 = run_cli(capsys, "validate", "--seed", "42", "--pairs", "8")
-    code2, out2, _ = run_cli(capsys, "validate", "--seed", "42", "--pairs", "8")
+def test_validate_deterministic_and_green(capsys, catalog_path):
+    paths = [str(catalog_path(sid)) for sid in ("EX4.1", "CE5.9")]
+    argv = ["validate", *(arg for path in paths for arg in ("--scenario", path))]
+    code1, out1, err1 = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
     doc = json.loads(out1)
-    assert doc["failed"] == 0
+    assert (doc["passed"], doc["failed"]) == (2, 0)
     # the library's own invariants are Tier-1 tests, not validate items
-    assert [i["name"] for i in doc["items"]] == [
-        "normalization_catalog", "chain_audit_catalog", "chain_audit_random"]
-    assert "PASS normalization_catalog" in err1
+    assert [i["name"] for i in doc["items"]] == [f"scenario:{path}" for path in paths]
+    assert err1.count("PASS scenario:") == 2
+
+
+def test_validate_without_scenario_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--scenario" in err
 
 
 def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys, catalog_doc):
@@ -572,9 +595,7 @@ def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys, catalog_d
     }
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(
-        capsys, "validate", "--pairs", "2", "--scenario", str(path)
-    )
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
     assert code == 1
     report = json.loads(out)
     bad = [i for i in report["items"] if not i["passed"]]

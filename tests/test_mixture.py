@@ -11,6 +11,7 @@ from mixorder import (
     ELSComponent,
     FiniteMixture,
     OutlierMixtureSpec,
+    ParameterError,
     QuadratureError,
     WeightError,
     WeightPolicy,
@@ -212,6 +213,9 @@ def test_outlier_spec_validation():
         OutlierMixtureSpec(0, 1, 0.5, 0.5, c1, c2)
     with pytest.raises(Exception, match="positive"):
         OutlierMixtureSpec(1, 1, -0.5, 0.5, c1, c2)
+    for r1, r2 in ((math.inf, 0.5), (0.5, math.inf), (math.nan, 0.5)):
+        with pytest.raises(ParameterError, match="must be positive and finite"):
+            OutlierMixtureSpec(1, 1, r1, r2, c1, c2)
 
 
 def test_catalog_quantile_inside_component_bracket(catalog):
