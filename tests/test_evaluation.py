@@ -312,11 +312,13 @@ def _assert_scalar_pass_matches_grid(mixtures, points, curve_sets=_CURVE_SETS):
     x = np.array(points)
     for curves in curve_sets:
         grid = [value for values in mixture.sample_curves(mixtures, x, curves) for value in values]
-        for i, t in enumerate(points):
-            scalar = list(itertools.chain(*mixture.sample_curves(mixtures, t, curves)))
-            assert all(type(value) is float for value in scalar), (mixtures, t, curves)
-            assert np.array_equal(_bits(scalar), _bits([value[i] for value in grid])), \
-                (mixtures, t, curves, scalar)
+        scalar = [list(itertools.chain(*mixture.sample_curves(mixtures, t, curves)))
+                  for t in points]
+        for t, values in zip(points, scalar):
+            assert all(type(value) is float for value in values), (mixtures, t, curves)
+        # one bit comparison of every point; a failure names the first mismatch
+        differ = (_bits(scalar) != _bits(grid).T).any(axis=1).nonzero()[0]
+        assert not differ.size, (mixtures, points[differ[0]], curves, scalar[differ[0]])
 
 
 def _twin(base):

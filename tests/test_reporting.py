@@ -1,13 +1,16 @@
 import io
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mixorder import reporting
 from mixorder.reporting import CSV_BLOCK_ROWS, write_csv
+from mixorder.scenarios import run_scenario
 
 #: values whose text is easy to get wrong: both NaN signs, infinities,
 #: signed zeros, the subnormal range and the ends of the float range
@@ -87,6 +90,69 @@ def test_write_csv_writes_once_per_block():
         write_csv(out, ["x"], [np.zeros(n_rows)])
         assert out.writes == 1 + blocks
         assert out.getvalue().count("\n") == 1 + n_rows
+
+
+def _oracle_values(rng):
+    """10^6 doubles: random bit patterns; with both signs, every 10^k for k in
+    [-330, 308] and its 1-3 ulp neighbours, 17-digit roundings that carry
+    into the next decade, exact ties of the 17th digit (q / 2^(p+1) with q
+    odd, in every decade that has them), subnormals, both NaN signs, zeros
+    and infinities; grid steps whose digits end in zeros; then normal draws
+    over the decades whose power of ten is exact (k in [-6, 16]), where
+    fixed-point notation starts and ends."""
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    near = [powers]
+    for direction in (math.inf, -math.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    carries = [float(f"9.99999999999999999{d}e{e}") for d in range(10) for e in range(-323, 308)]
+    carries += [9.9999999999999999e22, 0.99999999999999999, 9.999999999999999e-5]
+    ties = [1234567890123456.75, 0.5, 2.5, 2.0 ** -25, 1.7881393432617188e-07]
+    for p in range(1, 25):
+        low, high = -(-2 * 10 ** 16 // 5 ** p), min(2 * 10 ** 17 // 5 ** p, 2 ** 53)
+        q = rng.integers(low, high, 200) | 1
+        ties += np.ldexp(q[q < high].astype(float), -(p + 1)).tolist()
+    subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([*near, carries, ties, subnormal, SPECIAL])
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    grids = np.concatenate([np.arange(-50_000, 50_000) * step for step in (1e-3, 0.25, 3.0)])
+    rest = 10 ** 6 - bits.size - 2 * values.size - grids.size
+    exact = rng.standard_normal(rest) * 10.0 ** rng.uniform(-6, 17, rest)
+    return np.concatenate([bits, values, -values, grids, exact])
+
+
+def test_kernel_matches_format_on_a_million_doubles():
+    values = _oracle_values(np.random.default_rng(20261019))
+    assert values.size >= 10 ** 6
+    written = _written(["x"], [values])
+    expected = "x\n" + "\n".join(map(format, values.tolist(), itertools.repeat(".17g"))) + "\n"
+    # "nan" is a whole line here, and only NaN formats as one
+    expected = expected.replace("nan", "")
+    if written != expected:
+        got, want = written.split("\n")[1:], expected.split("\n")[1:]
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise AssertionError(f"{values[i]!r}: wrote {got[i]!r}, format gives {want[i]!r}")
+
+
+@pytest.mark.parametrize("points", [2001, 4001])
+def test_catalog_curves_never_fall_back_to_format(catalog, points):
+    # every cell of the records is decided by the kernel: a silent fallback to
+    # format() would pass every byte test and only show as lost speed
+    fallbacks, smallest = [], math.inf
+    for scenario in catalog:
+        curves = run_scenario(scenario, points).curves
+        names = list(curves)
+        columns = [np.asarray(curves[name], dtype=float) for name in names]
+        with mock.patch.object(reporting, "_undecided", wraps=reporting._undecided) as spy:
+            assert _written(names, columns) == _reference_csv(names, columns), scenario.scenario_id
+        fallbacks += spy.call_args_list
+        magnitudes = np.abs(np.concatenate(columns))
+        smallest = min(smallest, magnitudes[magnitudes > 0].min())
+    assert fallbacks == []
+    # the records reach decades whose power of ten is inexact
+    assert math.floor(math.log10(smallest)) <= -60
 
 
 def test_numpy_bool_is_a_json_boolean():
