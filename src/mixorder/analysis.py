@@ -364,8 +364,8 @@ def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curve_u, curve_
     n_keep = int(np.count_nonzero(keep))
     if n_keep < 3:
         raise InsufficientDomainError(f"only {n_keep} usable grid points after restriction")
-    xs = sample.x[keep]
-    mono = classify_monotonicity(xs, ratio[keep], rel_tol=rel_tol)
+    xs, kept = (sample.x, ratio) if n_keep == keep.size else (sample.x[keep], ratio[keep])
+    mono = classify_monotonicity(xs, kept, rel_tol=rel_tol)
     witness = None
     if mono.classification is Monotonicity.NON_MONOTONE:
         wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
@@ -399,12 +399,17 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     both = keep & (sample.cdf_v > DENOM_FLOOR)
     if int(np.count_nonzero(both)) < 3:
         return verdict
-    hu, hv = (h[both] for h in sample.rhr)
     # pointwise-relative slack: a global scale would be inflated by
-    # the divergence at a later support start and mask genuine flips
-    h_tol = rel_tol * np.maximum(np.abs(hu), np.abs(hv))
+    # the divergence at a later support start and mask genuine flips. It and
+    # each bound are formed in two buffers over the whole grid (the cached
+    # rates are only read), and only the points of ``both`` are compared.
+    hu, hv = sample.rhr
+    h_tol, bound = np.abs(hu), np.abs(hv)
+    np.maximum(h_tol, bound, out=h_tol)
+    h_tol *= rel_tol
     pw_direction = _pointwise_direction(
-        bool(np.all(hu <= hv + h_tol)), bool(np.all(hv <= hu + h_tol))
+        bool(np.all(hu <= np.add(hv, h_tol, out=bound), where=both)),
+        bool(np.all(hv <= np.add(hu, h_tol, out=bound), where=both)),
     )
     return replace(
         verdict, pointwise_agrees=_directions_compatible(verdict.direction, pw_direction)

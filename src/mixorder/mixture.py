@@ -3,12 +3,13 @@
 The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
-magnitude. One kernel, ``sample_curves``, samples one mixture or a pair:
-``cdf`` and ``pdf`` are its one-mixture case. It groups the distinct
-components and samples them all in one ``els.sample_groups`` call, for a
-scalar as for an array, then sums each mixture's terms. A grid longer than
-``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
-arithmetic, so it gives the same bits. Also provides
+magnitude; the loop skips the two textbook steps that cannot change a bit,
+so it has Kahan's bits. One kernel, ``sample_curves``, samples one mixture
+or a pair: ``cdf`` and ``pdf`` are its one-mixture case. It groups the
+distinct components and samples them all in one ``els.sample_groups`` call,
+for a scalar as for an array, then sums each mixture's terms. A grid longer
+than ``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
+arithmetic on one grouping, so it gives the same bits. Also provides
 the two-block outlier construction and a normalization quadrature check.
 """
 
@@ -35,7 +36,6 @@ from .numerics import (  # noqa: F401
     bisect_nondecreasing,
     brent_root,
     expand_upper_bracket,
-    kahan_add,
 )
 
 #: exponent of the left-edge power substitution used by the normalization
@@ -58,27 +58,32 @@ _MAX_DEPTH = 40
 EVAL_BLOCK = 8192
 
 
-def _kahan_sum(terms):
-    """Compensated sum of ``terms`` in their order, started from the first."""
-    total, comp = terms[0], 0.0
-    for term in terms[1:]:
-        total, comp = kahan_add(total, comp, term)
-    return total
-
-
-def _compensated_sum(terms, scalar):
-    """Kahan sum of the weighted component ``terms``. Where an infinite term
-    makes it NaN, the plain sum of the nonnegative terms is taken: +inf in
-    any component order, NaN only from a NaN term."""
-    if scalar:
-        total = _kahan_sum(terms)
+def _compensated_sum(terms, out=None):
+    """Kahan sum of the weighted component ``terms`` in their order, Python
+    floats or arrays, the latter written into ``out``. It starts from the
+    first term and leaves out two steps of the textbook loop that cannot
+    change a bit: the first step's ``term - 0.0``, which is exact, and the
+    last step's compensation update, which nothing reads. So two terms take
+    one add. Where an infinite term makes it NaN, the plain sum of the
+    nonnegative terms is taken: +inf in any component order, NaN only from a
+    NaN term. The caller of an array sum silences numpy's invalid flag."""
+    total, comp, last = terms[0], 0.0, len(terms) - 1
+    for k, term in enumerate(terms[1:], 1):
+        y = term - comp if k > 1 else term
+        if k < last:
+            t = total + y
+            comp = t - total
+            comp -= y
+            total = t
+        else:
+            total = total + y if out is None else np.add(total, y, out=out)
+    if out is None:
         return sum(terms) if math.isnan(total) else total
-    with np.errstate(invalid="ignore"):
-        total = _kahan_sum(terms)
-    bad = np.isnan(total)
-    if bad.any():
-        total[bad] = sum(term[bad] for term in terms)
-    return total
+    if not last:
+        out[...] = total
+    if (bad := np.isnan(out)).any():
+        out[bad] = sum(term[bad] for term in terms)
+    return out
 
 
 def _plan(mixtures):
@@ -101,26 +106,26 @@ def sample_curves(mixtures, x, curves):
     ``els.sample_groups`` call samples every group of ``_plan``. Each mixture
     then Kahan-sums its own terms in its own order, so it gets the bits it
     gets alone, and a scalar the bits of a grid point. A 1-d array longer
-    than ``EVAL_BLOCK`` runs slice by slice."""
+    than ``EVAL_BLOCK`` runs slice by slice on one plan, each slice's sums
+    written into the outputs."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1 and arr.size > EVAL_BLOCK:
-        outs = [[np.empty(arr.size) for _ in curves] for _ in mixtures]
-        for i in range(0, arr.size, EVAL_BLOCK):
-            parts = sample_curves(mixtures, arr[i:i + EVAL_BLOCK], curves)
-            for out, part in zip(chain(*outs), chain(*parts)):
-                out[i:i + EVAL_BLOCK] = part
-        return outs
     groups, places = mixtures[0].own_plan if len(mixtures) == 1 else _plan(mixtures)
-    values = sample_groups(groups, arr, curves)
-    # a scalar is summed in Python floats, which take the IEEE steps of 0-d arrays
-    scalar = arr.ndim == 0
     k = len(curves)
-    sums = []
-    for mix, place in zip(mixtures, places):
-        weights = mix.weights.tolist() if scalar else mix.weights
-        sums.append([_compensated_sum([w * values[k * i + j] for w, i in zip(weights, place)],
-                                      scalar) for j in range(k)])
-    return sums
+    if arr.ndim == 0:  # summed in Python floats, which take the IEEE steps of 0-d arrays
+        values = sample_groups(groups, arr, curves)
+        return [[_compensated_sum([w * values[k * i + j]
+                                   for w, i in zip(mix.weights.tolist(), place)])
+                 for j in range(k)] for mix, place in zip(mixtures, places)]
+    outs = [[np.empty(arr.shape) for _ in curves] for _ in mixtures]
+    n = EVAL_BLOCK
+    for part in [slice(i, i + n) for i in range(0, arr.size, n)] if arr.ndim == 1 else [...]:
+        values = sample_groups(groups, arr[part], curves)
+        with np.errstate(invalid="ignore"):  # a Kahan step past an infinite term is NaN
+            for mix, place, out in zip(mixtures, places, outs):
+                for j in range(k):
+                    terms = [w * values[k * i + j] for w, i in zip(mix.weights, place)]
+                    _compensated_sum(terms, out[j][part])
+    return outs
 
 
 class WeightPolicy(str, Enum):

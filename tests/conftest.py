@@ -1,6 +1,7 @@
 import json
 import pathlib
 import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import settings
 
 import mixorder
-from mixorder import builtin_catalog
-from mixorder._sampling import random_mixture
+from mixorder import auto_grid, build_outlier_mixture, builtin_catalog
+from mixorder._sampling import THEOREM_SAMPLERS, random_mixture
+from mixorder.conditions import OUTLIER_THEOREMS
 
 CATALOG_DIR = pathlib.Path(mixorder.__file__).resolve().parent / "catalog"
 
@@ -33,6 +35,36 @@ def false_convergence_mixtures():
     rng = np.random.default_rng(22)
     draws = [random_mixture(rng) for _ in range(1912)]
     return draws[270], draws[1911]
+
+
+#: seed and draws per theorem of the soundness sweep (criterion 5)
+SWEEP_SEED, SWEEP_DRAWS = 42, 500
+
+
+@dataclass(frozen=True)
+class SweepDraw:
+    """One sweep draw: the sampler's output, its two mixtures (the outlier
+    mixtures of a spec pair) and their ``auto_grid``."""
+
+    pair: tuple
+    mixtures: tuple
+    grid: object
+
+
+@pytest.fixture(scope="session")
+def sweep_pool():
+    """Each theorem's ``SWEEP_DRAWS`` sweep draws, in order, every sampler
+    drawn from its own ``default_rng(SWEEP_SEED)``."""
+    pool = {}
+    for tid in sorted(THEOREM_SAMPLERS):
+        rng, draws = np.random.default_rng(SWEEP_SEED), []
+        for _ in range(SWEEP_DRAWS):
+            pair = THEOREM_SAMPLERS[tid](rng)
+            mixtures = (tuple(build_outlier_mixture(spec) for spec in pair)
+                        if tid in OUTLIER_THEOREMS else pair)
+            draws.append(SweepDraw(pair, mixtures, auto_grid(*mixtures)))
+        pool[tid] = draws
+    return pool
 
 
 @pytest.fixture

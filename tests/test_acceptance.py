@@ -28,7 +28,6 @@ from mixorder import (
     OrderKind,
     PairSample,
     auto_grid,
-    build_outlier_mixture,
     check_likelihood_ratio,
     check_majorization,
     check_order,
@@ -41,7 +40,7 @@ from mixorder import (
     verify_normalization,
 )
 from mixorder import _sampling
-from mixorder.conditions import OUTLIER_THEOREMS, THEOREM_EVALUATORS
+from mixorder.conditions import THEOREM_EVALUATORS
 from mixorder.errors import MixorderError
 from mixorder.numerics import central_difference
 
@@ -186,23 +185,16 @@ def test_criterion_4_implication_chain():
 # ----------------------------------------------------------- criterion 5
 
 
-def _sweep_theorem(theorem_id, trials=500, seed=42):
-    rng = np.random.default_rng(seed)
-    sampler = _sampling.THEOREM_SAMPLERS[theorem_id]
+def _sweep_theorem(theorem_id, draws):
     evaluator = THEOREM_EVALUATORS[theorem_id]
     filtered = held = 0
     examples = []
-    for trial in range(trials):
-        pair = sampler(rng)
-        rep = evaluator(*pair)
+    for trial, draw in enumerate(draws):
+        rep = evaluator(*draw.pair)
         if not rep.all_pass:
             continue
         filtered += 1
-        if theorem_id in OUTLIER_THEOREMS:
-            u, v = (build_outlier_mixture(s) for s in pair)
-        else:
-            u, v = pair
-        verdict = check_order(rep.predicted_order, u, v, auto_grid(u, v))
+        verdict = check_order(rep.predicted_order, *draw.mixtures, draw.grid)
         if rep.predicted_order is OrderKind.R_RH:
             ok = verdict.ratio_classification.classification in (
                 Monotonicity.NON_INCREASING,
@@ -216,12 +208,14 @@ def _sweep_theorem(theorem_id, trials=500, seed=42):
     return filtered, held, examples
 
 
-def test_criterion_5_theorem_soundness_sweep():
+def test_criterion_5_theorem_soundness_sweep(sweep_pool):
+    # the 500 draws of each theorem from default_rng(42), with their outlier
+    # mixtures and auto grids, come from the session's sweep pool
     start = time.time()
     failures = []
     lines = []
     for theorem_id in sorted(_sampling.THEOREM_SAMPLERS):
-        filtered, held, examples = _sweep_theorem(theorem_id)
+        filtered, held, examples = _sweep_theorem(theorem_id, sweep_pool[theorem_id])
         lines.append(f"{theorem_id}: {held}/{filtered}")
         if held != filtered:
             failures.append(

@@ -22,8 +22,6 @@ import numpy as np
 
 from mixorder import (
     TheoremShapeError,
-    auto_grid,
-    build_outlier_mixture,
     builtin_catalog,
     check_order,
     evaluate_theorem,
@@ -83,22 +81,22 @@ def test_condition_reports_match_recorded_bytes():
             assert all(type(item.passed) is bool for item in report.items), label
 
 
-def _sweep_output(tid, pair):
+def _sweep_output(tid, draw):
     """(all_pass, direction, ratio class) of one draw, as the sweep reference records it."""
-    report = THEOREM_EVALUATORS[tid](*pair)
+    report = THEOREM_EVALUATORS[tid](*draw.pair)
     if not report.all_pass:
         return [False, None, None]
-    u, v = (build_outlier_mixture(s) for s in pair) if tid in OUTLIER_THEOREMS else pair
-    verdict = check_order(report.predicted_order, u, v, auto_grid(u, v))
+    verdict = check_order(report.predicted_order, *draw.mixtures, draw.grid)
     ratio = verdict.ratio_classification
     return [True, verdict.direction.value, ratio.classification.value if ratio else None]
 
 
-def test_sweep_draws_match_the_benchmark_reference():
+def test_sweep_draws_match_the_benchmark_reference(sweep_pool):
     reference = json.loads(SWEEP_REFERENCE.read_text(encoding="utf-8"))
     assert reference["pool_seed"] == SWEEP_SEED
     for tid in sorted(THEOREM_SAMPLERS):
-        draws = _draws(tid, reference["draws"])
+        draws = sweep_pool[tid]
+        assert len(draws) == reference["draws"]
         for i in range(0, len(draws), SWEEP_STRIDE):
             assert _sweep_output(tid, draws[i]) == reference["theorems"][tid][i], (tid, i)
 

@@ -40,8 +40,6 @@ from mixorder import (
     FiniteMixture,
     LogLogistic,
     Tabulated,
-    auto_grid,
-    build_outlier_mixture,
     els,
     get_scenario,
     make_baseline,
@@ -50,7 +48,6 @@ from mixorder import (
 )
 from mixorder._sampling import THEOREM_SAMPLERS, random_mixture
 from mixorder.baseline import BaselineModel
-from mixorder.conditions import OUTLIER_THEOREMS
 from mixorder.numerics import on_support
 
 
@@ -374,15 +371,12 @@ def test_scalar_pass_matches_the_grid_pass_on_random_groups(family, data):
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREM_SAMPLERS))
-def test_scalar_pass_matches_the_grid_pass_on_the_sweep_pool(theorem):
-    # the sweep's draws, up to their auto-grid end: each mixture alone takes
+def test_scalar_pass_matches_the_grid_pass_on_the_sweep_pool(theorem, sweep_pool):
+    # the sweep's 500 draws, up to their auto-grid end: each mixture alone takes
     # the cdf-only and pdf-only passes, the pair both curves in one pass
-    rng = np.random.default_rng(42)
-    for _ in range(500):
-        pair = THEOREM_SAMPLERS[theorem](rng)
-        if theorem in OUTLIER_THEOREMS:
-            pair = tuple(build_outlier_mixture(spec) for spec in pair)
-        points = _scalar_points(pair, auto_grid(*pair).x_hi)
+    for draw in sweep_pool[theorem]:
+        pair = draw.mixtures
+        points = _scalar_points(pair, draw.grid.x_hi)
         for mix in pair:
             _assert_scalar_pass_matches_grid((mix,), points, _CURVE_SETS[:2])
         _assert_scalar_pass_matches_grid(pair, points, _CURVE_SETS[2:])
