@@ -358,9 +358,10 @@ def check_usual_stochastic(sample, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
     )
 
 
-def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curve_u, curve_v):
+def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curves):
     """Classify ``ratio`` on ``keep``; a non-monotone ratio gets a witness
-    with ``curve_u``/``curve_v`` evaluated there."""
+    with each mixture's value there from one ``sample_curves`` pass over the
+    pair: its one curve of ``curves``, or f/F for ("cdf", "pdf")."""
     n_keep = int(np.count_nonzero(keep))
     if n_keep < 3:
         raise InsufficientDomainError(f"only {n_keep} usable grid points after restriction")
@@ -369,7 +370,9 @@ def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curve_u, curve_
     witness = None
     if mono.classification is Monotonicity.NON_MONOTONE:
         wx = mono.witness_down if mono.witness_down is not None else mono.witness_up
-        witness = Witness(float(wx), float(curve_u(wx)), float(curve_v(wx)))
+        value_u, value_v = (values[0] if len(values) == 1 else values[1] / values[0]
+                            for values in sample_curves((sample.u, sample.v), wx, curves))
+        witness = Witness(float(wx), float(value_u), float(value_v))
     return OrderVerdict(
         order=order,
         direction=_direction_from_monotone(mono.classification),
@@ -392,8 +395,7 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     sample.fill("cdf", "pdf")
     keep = sample.rh_domain
     verdict = _ratio_verdict(
-        OrderKind.RH, sample, keep, sample.cdf_ratio, rel_tol, pair_id,
-        sample.u.cdf, sample.v.cdf,
+        OrderKind.RH, sample, keep, sample.cdf_ratio, rel_tol, pair_id, ("cdf",)
     )
     # pointwise dual: h_U <= h_V where both CDFs are usable
     both = keep & (sample.cdf_v > DENOM_FLOOR)
@@ -426,8 +428,7 @@ def _directions_compatible(a, b):
 def check_likelihood_ratio(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     """Classify f_V/f_U where f_U exceeds the floor; nondecreasing means U <=lr V."""
     return _ratio_verdict(
-        OrderKind.LR, sample, sample.lr_domain, sample.pdf_ratio, rel_tol,
-        pair_id, sample.u.pdf, sample.v.pdf,
+        OrderKind.LR, sample, sample.lr_domain, sample.pdf_ratio, rel_tol, pair_id, ("pdf",)
     )
 
 
@@ -439,11 +440,10 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     treat a decreasing ratio as the validated conclusion. Both readings
     are recorded; ``direction`` follows the definition.
     """
-    u, v = sample.u, sample.v
     sample.fill("cdf", "pdf")
     verdict = _ratio_verdict(
         OrderKind.R_RH, sample, sample.r_rh_domain, sample.rhr_ratio, rel_tol,
-        pair_id, lambda x: u.pdf(x) / u.cdf(x), lambda x: v.pdf(x) / v.cdf(x),
+        pair_id, ("cdf", "pdf"),
     )
     readings = {
         "definition": f"ratio increasing means U ages faster (direction {verdict.direction.value})",

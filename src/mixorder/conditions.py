@@ -1,10 +1,14 @@
 """Mechanical evaluation of the sufficient conditions behind each theorem.
 
 Every hypothesis becomes one named pass/fail item; a report never claims
-more than "all hypotheses hold numerically". Monotonicity hypotheses on
-the baseline (t*rhr decreasing, density log-slope behaviour) are sampled
-on a grid from just above the support bound to the ``UPPER_QUANTILE``
-level of ``analysis`` and recorded as numerically supported, not proved.
+more than "all hypotheses hold numerically". Each kind of hypothesis has
+one helper that builds its items: block separation (all of U's vector
+below all of V's), componentwise dominance, cone membership (of one cone,
+or the branch both mixtures share), majorization, the outlier weight
+product, and monotonicity of a baseline quantity (t*rhr, t*f'/f or f'/f).
+A report samples its baseline quantities on one grid, from just above the
+support bound to the ``UPPER_QUANTILE`` level of ``analysis``, and records
+them as numerically supported, not proved.
 
 Failed hypotheses are meaningful output, so vector-shape problems inside
 a hypothesis (for instance majorization of unequal-sum vectors) mark the
@@ -95,29 +99,26 @@ def _baseline_grid(model):
     return Grid(lo, model.quantile(UPPER_QUANTILE), DEFAULT_POINTS)
 
 
+def _classify_on_baseline(model, grid, rel_tol, values):
+    """Classify ``values(t, f)`` on ``grid``, by default ``_baseline_grid(model)``:
+    t its points and f the baseline density there, sampled first."""
+    t = (grid or _baseline_grid(model)).points()
+    return classify_monotonicity(t, values(t, np.asarray(model.pdf(t))), rel_tol=rel_tol)
+
+
 def check_t_rhr_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify t * f(t)/F(t) on a grid of the baseline support."""
-    grid = grid or _baseline_grid(model)
-    t = grid.points()
-    return classify_monotonicity(t, t * (model.pdf(t) / model.cdf(t)), rel_tol=rel_tol)
+    return _classify_on_baseline(model, grid, rel_tol, lambda t, f: t * (f / model.cdf(t)))
 
 
 def check_t_logpdf_slope_decreasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify t * f'(t)/f(t) on a grid of the baseline support."""
-    grid = grid or _baseline_grid(model)
-    t = grid.points()
-    f = np.asarray(model.pdf(t))
-    return classify_monotonicity(
-        t, t * np.asarray(model.pdf_prime(t)) / f, rel_tol=rel_tol
-    )
+    return _classify_on_baseline(model, grid, rel_tol, lambda t, f: t * model.pdf_prime(t) / f)
 
 
 def check_logpdf_slope_increasing(model, grid=None, rel_tol=DEFAULT_REL_TOL):
     """Classify f'(t)/f(t) on a grid of the baseline support."""
-    grid = grid or _baseline_grid(model)
-    t = grid.points()
-    f = np.asarray(model.pdf(t))
-    return classify_monotonicity(t, np.asarray(model.pdf_prime(t)) / f, rel_tol=rel_tol)
+    return _classify_on_baseline(model, grid, rel_tol, lambda t, f: model.pdf_prime(t) / f)
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,6 @@ class ConditionItem:
     name: str
     passed: bool
     detail: str = ""
-
-
-def _t_rhr_item(baseline, grid=None):
-    """The ``t_rhr_decreasing`` hypothesis item on the baseline."""
-    mono = check_t_rhr_decreasing(baseline, grid)
-    return ConditionItem(
-        "t_rhr_decreasing",
-        mono.follows(Monotonicity.NON_INCREASING),
-        f"t*rhr classified {mono.classification.value} (numerically supported)",
-    )
 
 
 @dataclass(frozen=True)
@@ -156,6 +147,35 @@ class ConditionReport:
         raise KeyError(name)
 
 
+#: the order each theorem concludes and its direction
+_PREDICTIONS = {
+    "T3.1": (OrderKind.ST, Direction.U_LEQ_V),
+    "T3.2": (OrderKind.RH, Direction.U_LEQ_V),
+    "T3.3": (OrderKind.LR, Direction.U_LEQ_V),
+    "T3.4": (OrderKind.ST, Direction.U_LEQ_V),
+    "T4.1": (OrderKind.RH, Direction.U_LEQ_V),
+    "T4.2": (OrderKind.LR, Direction.V_LEQ_U),
+    "T4.3": (OrderKind.R_RH, Direction.V_LEQ_U),
+}
+
+
+def _report(theorem_id, items, **notes):
+    """The report of ``theorem_id`` on ``items``, with the theorem's prediction."""
+    order, direction = _PREDICTIONS[theorem_id]
+    return ConditionReport(
+        theorem_id=theorem_id,
+        items=items,
+        predicted_order=order,
+        predicted_direction=direction,
+        notes=notes,
+    )
+
+
+#: how the paper names the (alpha, sigma, lambda) of U's components and of V's
+_U_NAMES = ("alpha", "sigma", "lambda")
+_V_NAMES = ("beta", "mu", "theta")
+
+
 def _vectors(components):
     """The (alpha, sigma, lambda) lists of ``components``, as floats."""
     return ([float(c.alpha) for c in components], [float(c.sigma) for c in components],
@@ -167,6 +187,28 @@ def _shared_baseline(*components):
     if len(models) != 1:
         raise TheoremShapeError("theorem evaluators require one baseline shared by all components")
     return next(iter(models))
+
+
+def _pair_vectors(u, v):
+    """The baseline shared by every component of mixtures u and v, then the
+    (alpha, sigma, lambda) lists of U and those of V."""
+    baseline = _shared_baseline(*u.components, *v.components)
+    return baseline, _vectors(u.components), _vectors(v.components)
+
+
+def _outlier_vectors(spec_u, spec_v):
+    """The baseline of the component pair both outlier specs share, the pair's
+    (alpha, sigma, lambda) lists, and the sides n1*r1*n2'*s2 and n2*r2*n1'*s1
+    of the weight product condition, from the raw per-unit proportions."""
+    pair = (spec_u.comp1, spec_u.comp2)
+    if pair != (spec_v.comp1, spec_v.comp2):
+        raise TheoremShapeError(
+            "outlier comparison requires identical component pairs in both mixtures"
+        )
+    baseline = _shared_baseline(*pair)
+    lhs = spec_u.n1 * spec_u.r1 * spec_v.n2 * spec_v.r2
+    rhs = spec_u.n2 * spec_u.r2 * spec_v.n1 * spec_v.r1
+    return baseline, _vectors(pair), (float(lhs), float(rhs))
 
 
 def _common_scalar(values, what):
@@ -182,6 +224,53 @@ def _fmt_vec(v):
     return "(" + ", ".join(f"{x:g}" for x in v) + ")"
 
 
+def _componentwise(x_name, x, y_name, y):
+    """The item ``<x>_leq_<y>``: x <= y componentwise."""
+    return ConditionItem(
+        f"{x_name}_leq_{y_name}",
+        all(a <= b for a, b in zip(x, y)),
+        f"{x_name}={_fmt_vec(x)} {y_name}={_fmt_vec(y)}",
+    )
+
+
+def _separated(x_name, x, y_name, y):
+    """The item ``max_<x>_leq_min_<y>``: all of x lies below all of y."""
+    return ConditionItem(
+        f"max_{x_name}_leq_min_{y_name}",
+        max(x) <= min(y),
+        f"max {x_name}={max(x):g}, min {y_name}={min(y):g}",
+    )
+
+
+def _in_cone(vectors, cone):
+    """Every one of ``vectors`` lies in ``cone``."""
+    return all(check_cone_membership(v, cone) for v in vectors)
+
+
+def _cone_branch(vectors):
+    """The cone that holds every one of ``vectors``, "E_plus" first; "none"
+    if neither does. A constant vector lies in both, so this is no test of
+    membership in "D_plus": use ``_in_cone`` for that."""
+    return next((cone.value for cone in Cone if _in_cone(vectors, cone)), "none")
+
+
+def _weight_product(lhs, rel, rhs):
+    """The item ``weight_product``: n1*r1*n2'*s2 ``rel`` ("<=" or ">=") n2*r2*n1'*s1."""
+    return ConditionItem("weight_product", lhs <= rhs if rel == "<=" else lhs >= rhs,
+                         f"n1*r1*n2'*s2 = {lhs:.17g} {rel} {rhs:.17g} = n2*r2*n1'*s1")
+
+
+def _baseline_item(name, check, baseline, grid, trend, quantity):
+    """The item ``name``: ``check`` classifies ``quantity`` on the baseline as
+    ``trend`` (or constant) on ``grid``."""
+    mono = check(baseline, grid)
+    return ConditionItem(
+        name,
+        mono.follows(trend),
+        f"{quantity} classified {mono.classification.value} (numerically supported)",
+    )
+
+
 def eval_theorem_3_1(u, v):
     """Componentwise-dominance conditions for the usual stochastic order.
 
@@ -189,127 +278,54 @@ def eval_theorem_3_1(u, v):
     must share a cone, either all nondecreasing-nonnegative or all
     nonincreasing-nonnegative.
     """
-    baseline = _shared_baseline(*u.components, *v.components)
+    baseline, vec_u, vec_v = _pair_vectors(u, v)
     if len(u) != len(v):
         raise TheoremShapeError("mixtures must have equal length")
-    alphas, sigmas, lams = _vectors(u.components)
-    betas, mus, thetas = _vectors(v.components)
     r, s = u.weights.tolist(), v.weights.tolist()
-    common_w = len(r) == len(s) and all(abs(a - b) <= _SCALAR_TOL for a, b in zip(r, s))
-    e_branch = all(
-        check_cone_membership(vec, Cone.E_PLUS) for vec in (sigmas, lams, mus, thetas)
-    )
-    d_branch = all(
-        check_cone_membership(vec, Cone.D_PLUS) for vec in (sigmas, lams, mus, thetas)
-    )
-    branch = "E_plus" if e_branch else ("D_plus" if d_branch else "none")
+    common_w = all(abs(a - b) <= _SCALAR_TOL for a, b in zip(r, s))
+    branch = _cone_branch((*vec_u[1:], *vec_v[1:]))
     items = (
-        ConditionItem(
-            "common_weights",
-            common_w,
-            f"r={_fmt_vec(r)} vs s={_fmt_vec(s)}",
-        ),
-        ConditionItem(
-            "location_scale_cone",
-            e_branch or d_branch,
-            f"sigma,lambda,mu,theta jointly in {branch}",
-        ),
-        ConditionItem(
-            "alpha_leq_beta",
-            all(a <= b for a, b in zip(alphas, betas)),
-            f"alpha={_fmt_vec(alphas)} beta={_fmt_vec(betas)}",
-        ),
-        ConditionItem(
-            "sigma_leq_mu",
-            all(a <= b for a, b in zip(sigmas, mus)),
-            f"sigma={_fmt_vec(sigmas)} mu={_fmt_vec(mus)}",
-        ),
-        ConditionItem(
-            "lambda_leq_theta",
-            all(a <= b for a, b in zip(lams, thetas)),
-            f"lambda={_fmt_vec(lams)} theta={_fmt_vec(thetas)}",
-        ),
+        ConditionItem("common_weights", common_w, f"r={_fmt_vec(r)} vs s={_fmt_vec(s)}"),
+        ConditionItem("location_scale_cone", branch != "none",
+                      f"sigma,lambda,mu,theta jointly in {branch}"),
+        *map(_componentwise, _U_NAMES, vec_u, _V_NAMES, vec_v),
     )
-    return ConditionReport(
-        theorem_id="T3.1",
-        items=items,
-        predicted_order=OrderKind.ST,
-        predicted_direction=Direction.U_LEQ_V,
-        notes={"cone_branch": branch, "baseline": baseline.family},
-    )
+    return _report("T3.1", items, cone_branch=branch, baseline=baseline.family)
 
 
 def eval_theorem_3_2(u, v):
     """Block-separation conditions (max of U's vector below min of V's) for
     the reversed hazard rate order, valid where t*rhr(t) decreases."""
-    baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u.components)
-    betas, mus, thetas = _vectors(v.components)
-    m1 = float(min(c.support_start for c in u.components))
-    m2 = float(min(c.support_start for c in v.components))
+    baseline, vec_u, vec_v = _pair_vectors(u, v)
+    m1 = float(u.support_start)
+    m2 = float(v.support_start)
     items = (
-        ConditionItem(
-            "max_alpha_leq_min_beta",
-            max(alphas) <= min(betas),
-            f"max alpha={max(alphas):g}, min beta={min(betas):g}",
-        ),
-        ConditionItem(
-            "max_sigma_leq_min_mu",
-            max(sigmas) <= min(mus),
-            f"max sigma={max(sigmas):g}, min mu={min(mus):g}",
-        ),
-        ConditionItem(
-            "max_lambda_leq_min_theta",
-            max(lams) <= min(thetas),
-            f"max lambda={max(lams):g}, min theta={min(thetas):g}",
-        ),
-        _t_rhr_item(baseline),
+        *map(_separated, _U_NAMES, vec_u, _V_NAMES, vec_v),
+        _baseline_item("t_rhr_decreasing", check_t_rhr_decreasing, baseline, None,
+                       Monotonicity.NON_INCREASING, "t*rhr"),
     )
-    return ConditionReport(
-        theorem_id="T3.2",
-        items=items,
-        predicted_order=OrderKind.RH,
-        predicted_direction=Direction.U_LEQ_V,
-        notes={"restriction_m1": m1, "m2": m2, "baseline": baseline.family},
-    )
+    return _report("T3.2", items, restriction_m1=m1, m2=m2, baseline=baseline.family)
 
 
 def eval_theorem_3_3(u, v):
     """Shape-separation condition for the likelihood ratio order under a
     common location and scale shared by every component of both mixtures."""
-    baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u.components)
-    betas, mus, thetas = _vectors(v.components)
+    baseline, (alphas, sigmas, lams), (betas, mus, thetas) = _pair_vectors(u, v)
     sigma = _common_scalar(sigmas + mus, "location")
     lam = _common_scalar(lams + thetas, "scale")
     items = (
-        ConditionItem(
-            "common_location_scale",
-            True,
-            f"sigma={sigma:g}, lambda={lam:g} shared by all components",
-        ),
-        ConditionItem(
-            "max_alpha_leq_min_beta",
-            max(alphas) <= min(betas),
-            f"max alpha={max(alphas):g}, min beta={min(betas):g}",
-        ),
+        ConditionItem("common_location_scale", True,
+                      f"sigma={sigma:g}, lambda={lam:g} shared by all components"),
+        _separated("alpha", alphas, "beta", betas),
     )
     support = sigma + baseline.support_low * lam
-    return ConditionReport(
-        theorem_id="T3.3",
-        items=items,
-        predicted_order=OrderKind.LR,
-        predicted_direction=Direction.U_LEQ_V,
-        notes={"restriction": support, "baseline": baseline.family},
-    )
+    return _report("T3.3", items, restriction=support, baseline=baseline.family)
 
 
 def eval_theorem_3_4(u, v):
     """Majorization conditions (weights and shapes) for the usual
     stochastic order with per-mixture scalar location and scale."""
-    baseline = _shared_baseline(*u.components, *v.components)
-    alphas, sigmas, lams = _vectors(u.components)
-    betas, mus, thetas = _vectors(v.components)
+    baseline, (alphas, sigmas, lams), (betas, mus, thetas) = _pair_vectors(u, v)
     sigma = _common_scalar(sigmas, "location of U")
     mu = _common_scalar(mus, "location of V")
     lam = _common_scalar(lams, "scale of U")
@@ -318,11 +334,9 @@ def eval_theorem_3_4(u, v):
     maj_w = check_majorization(s, r)  # r majorizes s
     maj_a = check_majorization(betas, alphas)  # alpha majorizes beta
     items = (
-        ConditionItem("weights_in_D_plus", check_cone_membership(r, Cone.D_PLUS)
-                      and check_cone_membership(s, Cone.D_PLUS),
+        ConditionItem("weights_in_D_plus", _in_cone((r, s), Cone.D_PLUS),
                       f"r={_fmt_vec(r)}, s={_fmt_vec(s)}"),
-        ConditionItem("shapes_in_E_plus", check_cone_membership(alphas, Cone.E_PLUS)
-                      and check_cone_membership(betas, Cone.E_PLUS),
+        ConditionItem("shapes_in_E_plus", _in_cone((alphas, betas), Cone.E_PLUS),
                       f"alpha={_fmt_vec(alphas)}, beta={_fmt_vec(betas)}"),
         ConditionItem("r_majorizes_s", maj_w.x_majorized_by_y,
                       f"prefix sums {maj_w.prefix_y} vs {maj_w.prefix_x}"),
@@ -332,31 +346,7 @@ def eval_theorem_3_4(u, v):
         ConditionItem("sigma_leq_mu", sigma <= mu, f"sigma={sigma:g}, mu={mu:g}"),
         ConditionItem("lambda_leq_theta", lam <= theta, f"lambda={lam:g}, theta={theta:g}"),
     )
-    return ConditionReport(
-        theorem_id="T3.4",
-        items=items,
-        predicted_order=OrderKind.ST,
-        predicted_direction=Direction.U_LEQ_V,
-        notes={"baseline": baseline.family},
-    )
-
-
-def _shared_pair(spec_u, spec_v):
-    """The component pair both outlier specs share."""
-    pair = (spec_u.comp1, spec_u.comp2)
-    if pair != (spec_v.comp1, spec_v.comp2):
-        raise TheoremShapeError(
-            "outlier comparison requires identical component pairs in both mixtures"
-        )
-    return pair
-
-
-def _outlier_products(spec_u, spec_v):
-    """Left and right sides n1*r1*n2'*s2 vs n2*r2*n1'*s1 of the weight
-    product condition, from the raw per-unit proportions."""
-    lhs = spec_u.n1 * spec_u.r1 * spec_v.n2 * spec_v.r2
-    rhs = spec_u.n2 * spec_u.r2 * spec_v.n1 * spec_v.r1
-    return float(lhs), float(rhs)
+    return _report("T3.4", items, baseline=baseline.family)
 
 
 def eval_theorem_4_1(spec_u, spec_v):
@@ -365,91 +355,39 @@ def eval_theorem_4_1(spec_u, spec_v):
     Ascending parameter pairs require the product inequality lhs >= rhs;
     descending pairs flip it. Both product sides are reported.
     """
-    comp1, comp2 = _shared_pair(spec_u, spec_v)
-    baseline = _shared_baseline(comp1, comp2)
-    alphas, sigmas, lams = _vectors((comp1, comp2))
-    e_branch = all(check_cone_membership(v, Cone.E_PLUS) for v in (alphas, lams, sigmas))
-    d_branch = all(check_cone_membership(v, Cone.D_PLUS) for v in (alphas, lams, sigmas))
-    lhs, rhs = _outlier_products(spec_u, spec_v)
-    if e_branch:
-        product_ok, rel = lhs >= rhs, ">="
-        branch = "E_plus"
-    elif d_branch:
-        product_ok, rel = lhs <= rhs, "<="
-        branch = "D_plus"
-    else:
-        product_ok, rel = lhs >= rhs, ">="
-        branch = "none"
+    baseline, (alphas, sigmas, lams), (lhs, rhs) = _outlier_vectors(spec_u, spec_v)
+    branch = _cone_branch((alphas, lams, sigmas))
     items = (
         ConditionItem("shared_components", True, "component pairs are distribution-equal"),
-        ConditionItem(
-            "parameter_cones",
-            e_branch or d_branch,
-            f"alpha={_fmt_vec(alphas)}, lambda={_fmt_vec(lams)}, "
-            f"sigma={_fmt_vec(sigmas)} jointly in {branch}",
-        ),
-        _t_rhr_item(baseline),
-        ConditionItem(
-            "weight_product",
-            product_ok,
-            f"n1*r1*n2'*s2 = {lhs:.17g} {rel} {rhs:.17g} = n2*r2*n1'*s1",
-        ),
+        ConditionItem("parameter_cones", branch != "none",
+                      f"alpha={_fmt_vec(alphas)}, lambda={_fmt_vec(lams)}, "
+                      f"sigma={_fmt_vec(sigmas)} jointly in {branch}"),
+        _baseline_item("t_rhr_decreasing", check_t_rhr_decreasing, baseline, None,
+                       Monotonicity.NON_INCREASING, "t*rhr"),
+        _weight_product(lhs, "<=" if branch == "D_plus" else ">=", rhs),
     )
-    return ConditionReport(
-        theorem_id="T4.1",
-        items=items,
-        predicted_order=OrderKind.RH,
-        predicted_direction=Direction.U_LEQ_V,
-        notes={
-            "product_lhs": lhs,
-            "product_rhs": rhs,
-            "cone_branch": branch,
-            "baseline": baseline.family,
-        },
-    )
+    return _report("T4.1", items, product_lhs=lhs, product_rhs=rhs, cone_branch=branch,
+                   baseline=baseline.family)
 
 
 def eval_theorem_4_2(spec_u, spec_v):
     """Outlier-mixture conditions for the (reversed-direction) likelihood
     ratio order: ascending pairs, shapes at least one, product <=."""
-    comp1, comp2 = _shared_pair(spec_u, spec_v)
-    baseline = _shared_baseline(comp1, comp2)
-    alphas, sigmas, lams = _vectors((comp1, comp2))
-    lhs, rhs = _outlier_products(spec_u, spec_v)
+    baseline, (alphas, sigmas, lams), (lhs, rhs) = _outlier_vectors(spec_u, spec_v)
     grid = _baseline_grid(baseline)
-    rhr_item = _t_rhr_item(baseline, grid)
-    slope_mono = check_t_logpdf_slope_decreasing(baseline, grid)
     items = (
         ConditionItem("shared_components", True, "component pairs are distribution-equal"),
-        ConditionItem(
-            "parameter_cones",
-            all(check_cone_membership(v, Cone.E_PLUS) for v in (alphas, lams, sigmas)),
-            f"alpha={_fmt_vec(alphas)}, lambda={_fmt_vec(lams)}, sigma={_fmt_vec(sigmas)}",
-        ),
-        ConditionItem(
-            "alpha_at_least_one",
-            min(alphas) >= 1.0,
-            f"alpha={_fmt_vec(alphas)}",
-        ),
-        ConditionItem(
-            "weight_product",
-            lhs <= rhs,
-            f"n1*r1*n2'*s2 = {lhs:.17g} <= {rhs:.17g} = n2*r2*n1'*s1",
-        ),
-        rhr_item,
-        ConditionItem(
-            "t_logpdf_slope_decreasing",
-            slope_mono.follows(Monotonicity.NON_INCREASING),
-            f"t*f'/f classified {slope_mono.classification.value} (numerically supported)",
-        ),
+        ConditionItem("parameter_cones", _in_cone((alphas, lams, sigmas), Cone.E_PLUS),
+                      f"alpha={_fmt_vec(alphas)}, lambda={_fmt_vec(lams)}, "
+                      f"sigma={_fmt_vec(sigmas)}"),
+        ConditionItem("alpha_at_least_one", min(alphas) >= 1.0, f"alpha={_fmt_vec(alphas)}"),
+        _weight_product(lhs, "<=", rhs),
+        _baseline_item("t_rhr_decreasing", check_t_rhr_decreasing, baseline, grid,
+                       Monotonicity.NON_INCREASING, "t*rhr"),
+        _baseline_item("t_logpdf_slope_decreasing", check_t_logpdf_slope_decreasing,
+                       baseline, grid, Monotonicity.NON_INCREASING, "t*f'/f"),
     )
-    return ConditionReport(
-        theorem_id="T4.2",
-        items=items,
-        predicted_order=OrderKind.LR,
-        predicted_direction=Direction.V_LEQ_U,
-        notes={"product_lhs": lhs, "product_rhs": rhs, "baseline": baseline.family},
-    )
+    return _report("T4.2", items, product_lhs=lhs, product_rhs=rhs, baseline=baseline.family)
 
 
 def eval_theorem_4_3(spec_u, spec_v):
@@ -458,49 +396,35 @@ def eval_theorem_4_3(spec_u, spec_v):
     comp_u = (spec_u.comp1, spec_u.comp2)
     comp_v = (spec_v.comp1, spec_v.comp2)
     baseline = _shared_baseline(*comp_u, *comp_v)
-    alphas = [c.alpha for c in comp_u + comp_v]
-    alpha = _common_scalar(alphas, "shape")
-    sigma = _common_scalar([c.sigma for c in comp_u], "location of U")
-    mu = _common_scalar([c.sigma for c in comp_v], "location of V")
-    lams = [float(c.lam) for c in comp_u]
-    thetas = [float(c.lam) for c in comp_v]
+    alphas, sigmas, lams = _vectors(comp_u)
+    betas, mus, thetas = _vectors(comp_v)
+    alpha = _common_scalar(alphas + betas, "shape")
+    sigma = _common_scalar(sigmas, "location of U")
+    mu = _common_scalar(mus, "location of V")
     grid = _baseline_grid(baseline)
-    rhr_item = _t_rhr_item(baseline, grid)
-    slope_mono = check_logpdf_slope_increasing(baseline, grid)
+    rhr_item = _baseline_item("t_rhr_decreasing", check_t_rhr_decreasing, baseline, grid,
+                              Monotonicity.NON_INCREASING, "t*rhr")
     items = (
-        ConditionItem(
-            "support_bound_zero",
-            baseline.support_low == 0.0,
-            f"c={baseline.support_low:g}",
-        ),
+        ConditionItem("support_bound_zero", baseline.support_low == 0.0,
+                      f"c={baseline.support_low:g}"),
         ConditionItem("alpha_in_unit_interval", 0.0 < alpha <= 1.0, f"alpha={alpha:g}"),
         ConditionItem("sigma_geq_mu", sigma >= mu, f"sigma={sigma:g}, mu={mu:g}"),
-        ConditionItem(
-            "min_lambda_geq_max_theta",
-            min(lams) >= max(thetas),
-            f"lambda={_fmt_vec(lams)}, theta={_fmt_vec(thetas)}",
-        ),
-        ConditionItem(
-            "logpdf_slope_increasing",
-            slope_mono.follows(Monotonicity.NON_DECREASING),
-            f"f'/f classified {slope_mono.classification.value} (numerically supported)",
-        ),
+        ConditionItem("min_lambda_geq_max_theta", min(lams) >= max(thetas),
+                      f"lambda={_fmt_vec(lams)}, theta={_fmt_vec(thetas)}"),
+        _baseline_item("logpdf_slope_increasing", check_logpdf_slope_increasing, baseline,
+                       grid, Monotonicity.NON_DECREASING, "f'/f"),
         rhr_item,
     )
-    return ConditionReport(
-        theorem_id="T4.3",
-        items=items,
-        predicted_order=OrderKind.R_RH,
-        predicted_direction=Direction.V_LEQ_U,
-        notes={
-            "baseline": baseline.family,
-            "direction_caveat": (
-                "predicted conclusion is a nonincreasing RHRF ratio h_U/h_V; the "
-                "defining convention reads an increasing ratio as U ageing faster, "
-                "so the direction label follows that reading with this caveat"
-            ),
-            "predicted_ratio": Monotonicity.NON_INCREASING.value,
-        },
+    return _report(
+        "T4.3",
+        items,
+        baseline=baseline.family,
+        direction_caveat=(
+            "predicted conclusion is a nonincreasing RHRF ratio h_U/h_V; the "
+            "defining convention reads an increasing ratio as U ageing faster, "
+            "so the direction label follows that reading with this caveat"
+        ),
+        predicted_ratio=Monotonicity.NON_INCREASING.value,
     )
 
 

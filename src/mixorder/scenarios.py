@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 
@@ -62,7 +62,9 @@ class Scenario:
     """One comparison, parsed once into its U and V mixtures.
 
     ``specs`` holds the two-block (spec_U, spec_V) when both sides are
-    outlier constructions, else None.
+    outlier constructions, else None. ``source`` is where it was read from,
+    the start of the location of an error found in it later; it takes no
+    part in equality.
     """
 
     scenario_id: str
@@ -74,6 +76,7 @@ class Scenario:
     expected: Expected
     specs: tuple | None = None
     notes: str = ""
+    source: str = field(default="scenario", compare=False)
 
     def mixtures(self):
         """The (U, V) mixtures."""
@@ -237,6 +240,10 @@ def scenario_from_dict(d, where="scenario"):
             f"expected.order {expected.order.value!r} does not match order {order.value!r}",
             location=where,
         )
+    if None not in (expected.x_min, expected.x_max) and not expected.x_min < expected.x_max:
+        msg = (f"field 'x_min' must be below field 'x_max', "
+               f"got {expected.x_min!r} and {expected.x_max!r}")
+        raise ScenarioFormatError(msg, location=at)
     policy = _policy(d, where)
     (u, su), (v, sv) = (
         _mixture_from_dict(m, baseline, policy, f"{where}.mixtures[{i}]")
@@ -255,6 +262,7 @@ def scenario_from_dict(d, where="scenario"):
         expected=expected,
         specs=None if su is None or sv is None else (su, sv),
         notes=str(d.get("notes", "")),
+        source=where,
     )
 
 
@@ -303,11 +311,19 @@ def scenario_grid(scenario, n_points=DEFAULT_POINTS):
     """Auto grid for the pair, clipped to the scenario's stated window.
 
     A stated lower end is used exactly; any grid point at or below a
-    support start is harmless because every checker floors its inputs.
+    support start is harmless because every checker floors its inputs. A
+    stated end that leaves no window before the automatic other end is an
+    error of the scenario's ``expected`` field.
     """
     base = auto_grid(scenario.u, scenario.v, n_points)
-    lo = base.x_lo if scenario.expected.x_min is None else scenario.expected.x_min
-    hi = base.x_hi if scenario.expected.x_max is None else scenario.expected.x_max
+    x_min, x_max = scenario.expected.x_min, scenario.expected.x_max
+    lo = base.x_lo if x_min is None else x_min
+    hi = base.x_hi if x_max is None else x_max
+    if not lo < hi and (x_min is None) != (x_max is None):
+        msg = (f"field 'x_min' must be below the automatic upper end, got {lo!r} and {hi!r}"
+               if x_max is None else
+               f"field 'x_max' must be above the automatic lower end, got {hi!r} and {lo!r}")
+        raise ScenarioFormatError(msg, location=f"{scenario.source}.expected")
     return Grid(lo, hi, n_points)
 
 

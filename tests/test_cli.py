@@ -10,6 +10,7 @@ import pytest
 
 import mixorder
 from mixorder import (
+    Monotonicity,
     OrderKind,
     check_order,
     classify_monotonicity,
@@ -219,6 +220,16 @@ def _set(*path, value=5, scenario_id="EX4.1"):
                  ".expected: field 'x_min' must be a finite number, got 'abc'", id="x_min"),
     pytest.param(_set("expected", "x_max", value=[1.0]),
                  ".expected: field 'x_max' must be a finite number, got [1.0]", id="x_max"),
+    pytest.param(_set("expected", "x_max", value=4.0, scenario_id="EX4.2"),
+                 ".expected: field 'x_min' must be below field 'x_max', got 5.0 and 4.0",
+                 id="x_min_above_x_max"),
+    # a stated end that meets the automatic other end leaves no grid
+    pytest.param(_set("expected", "x_min", value=1e6),
+                 ".expected: field 'x_min' must be below the automatic upper end, "
+                 "got 1000000.0 and 174.28", id="x_min_above_auto"),
+    pytest.param(_set("expected", "x_max", value=-5.0),
+                 ".expected: field 'x_max' must be above the automatic lower end, "
+                 "got -5.0 and 8.0", id="x_max_below_auto"),
     pytest.param(_set("mixtures", 1, "weights", 0, value="abc"),
                  ".mixtures[1]: field 'weights[0]' must be a finite number, got 'abc'",
                  id="weight_value"),
@@ -400,13 +411,19 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
     # take both curves from one pass. In a pass, each group of components
     # sharing a baseline, sigma and lam evaluates its baseline closed forms
     # once per slice (2001 points are one slice); a density-only pass skips
-    # the baseline CDF of a group whose alphas are all 1. Only closed forms
-    # inside a grid pass are counted: the roots and the witness evaluate
-    # scalars outside it.
-    passes, baseline_calls, inside = [], collections.Counter(), []
+    # the baseline CDF of a group whose alphas are all 1. A non-monotone
+    # ratio takes its witness values from one scalar pass over the pair.
+    # Only closed forms inside a grid pass are counted: the roots and the
+    # witness evaluate scalars outside it.
+    passes, scalar_passes, baseline_calls, inside = [], [], collections.Counter(), []
+    non_monotone = []
     sample_curves = analysis.sample_curves
+    classify = analysis.classify_monotonicity
 
     def counting_pass(mixtures, x, curves):
+        if np.ndim(x) == 0:
+            scalar_passes.append(len(mixtures))
+            return sample_curves(mixtures, x, curves)
         assert np.size(x) == DEFAULT_POINTS
         passes.append((len(mixtures), tuple(curves)))
         inside.append(True)
@@ -415,7 +432,13 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         finally:
             inside.pop()
 
+    def counting_classify(x, values, **kwargs):
+        mono = classify(x, values, **kwargs)
+        non_monotone.append(mono.classification is Monotonicity.NON_MONOTONE)
+        return mono
+
     monkeypatch.setattr(analysis, "sample_curves", counting_pass)
+    monkeypatch.setattr(analysis, "classify_monotonicity", counting_classify)
     closed_form = BaselineModel._closed_form
 
     def counting(self, name, t):
@@ -425,12 +448,17 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
 
     monkeypatch.setattr(BaselineModel, "_closed_form", counting)
     curves = [("cdf", "pdf")] if order in ("rh", "r_rh") else [("cdf",), ("pdf",)]
+    witnesses = 0
     for s in catalog:
         passes.clear()
+        scalar_passes.clear()
+        non_monotone.clear()
         baseline_calls.clear()
         code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
         assert code in (0, 1), s.scenario_id
         assert sorted(passes) == [(2, c) for c in curves], (s.scenario_id, passes)
+        assert scalar_passes == [2] * sum(non_monotone), (s.scenario_id, scalar_passes)
+        witnesses += len(scalar_passes)
         groups = collections.defaultdict(set)
         for c in s.u.components + s.v.components:
             groups[id(c.baseline), c.sigma, c.lam].add(c.alpha)
@@ -438,6 +466,7 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         expected = {"cdf": sum(len(groups) if "cdf" in c else with_cdf for c in curves),
                     "pdf": len(groups)}
         assert baseline_calls == expected, (s.scenario_id, baseline_calls)
+    assert witnesses  # the catalog has non-monotone ratios of every order
 
 
 def test_check_theorem_condition_items_pass_as_json_booleans(capsys, catalog):
@@ -582,6 +611,27 @@ def test_validate_without_scenario_exits_2(capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert "--scenario" in err
+
+
+def test_validate_names_the_field_of_an_empty_window(tmp_path, capsys, catalog_doc):
+    cases = [
+        ({"x_min": 5.0, "x_max": 4.0},
+         "field 'x_min' must be below field 'x_max', got 5.0 and 4.0"),
+        ({"x_min": 1e6},
+         "field 'x_min' must be below the automatic upper end, got 1000000.0 and 174.28"),
+    ]
+    argv = ["validate"]
+    for i, (window, _) in enumerate(cases):
+        doc = catalog_doc("EX4.1")
+        doc["expected"].update(window)
+        path = tmp_path / f"window_{i}.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--scenario", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["failed"]) == (1, 2)
+    for i, (_, message) in enumerate(cases):
+        path = tmp_path / f"window_{i}.json"
+        assert f"FAIL scenario:{path}: {path}.expected: {message}" in err
 
 
 def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys, catalog_doc):
