@@ -1,6 +1,5 @@
 """Seeded random construction of baselines, mixtures and theorem-shaped
-pairs, for the unequal-weights experiment and the randomized sweeps in
-the tests.
+pairs, for the randomized sweeps in the tests.
 
 Everything takes a numpy Generator so runs are reproducible from a seed.
 Theorem-shaped generators build parameter sets that satisfy the theorem's

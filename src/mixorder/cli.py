@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from . import _sampling
 from .analysis import (
     CHECKERS,
     DEFAULT_POINTS,
@@ -28,15 +27,12 @@ from .analysis import (
     PairSample,
     QUANTITIES,
     auto_grid,
-    check_likelihood_ratio,
     check_order,
-    check_reversed_hazard,
-    check_usual_stochastic,
     implication_audit,
 )
 from .conditions import THEOREM_EVALUATORS
 from .errors import MixorderError
-from .mixture import FiniteMixture, verify_normalization
+from .mixture import verify_normalization
 from .reporting import dumps, to_jsonable, write_csv
 from .scenarios import (
     Expected,
@@ -129,8 +125,17 @@ def cmd_check_order(args):
         pair_id = f"{args.source[0]}|{args.source[1]}"
     else:
         raise MixorderError("check-order takes one scenario or two mixture files")
+    # rh and lr also audit the lr => rh => st chain. Each order runs once on
+    # the one sample, the asked one first; both ratio checks take --tol, and
+    # the audit's st check keeps its pointwise default.
+    chain = (OrderKind.ST, OrderKind.RH, OrderKind.LR)
+    kinds = dict.fromkeys((order, *chain)) if order in chain[1:] else (order,)
     sample = PairSample(u, v, grid)
-    verdict = CHECKERS[order](sample, pair_id=pair_id, **_check_kwargs(args, order))
+    verdicts = {}
+    for k in kinds:
+        kwargs = _check_kwargs(args, k) if k is order or k is not OrderKind.ST else {}
+        verdicts[k] = CHECKERS[k](sample, pair_id=pair_id, **kwargs)
+    verdict = verdicts[order]
     report = {
         "command": "check-order",
         "pair": pair_id,
@@ -140,15 +145,8 @@ def cmd_check_order(args):
         "tolerances": {"tol": args.tol},
         "verdict": to_jsonable(verdict),
     }
-    if order in (OrderKind.RH, OrderKind.LR):
-        # both ratio checks take --tol; the st check keeps its pointwise default.
-        # The sample keeps its curves and ratios, so nothing is sampled twice.
-        tol = _check_kwargs(args, order)
-        audit = implication_audit(
-            check_usual_stochastic(sample, pair_id=pair_id),
-            check_reversed_hazard(sample, pair_id=pair_id, **tol),
-            check_likelihood_ratio(sample, pair_id=pair_id, **tol),
-        )
+    if len(verdicts) > 1:
+        audit = implication_audit(*(verdicts[k] for k in chain))
         report["implication_audit"] = to_jsonable(audit)
     print(dumps(report, indent=2))
     holds = verdict.holds(Direction(args.direction))
@@ -317,59 +315,18 @@ def cmd_validate(args):
     return 0 if not failed else 1
 
 
-# -------------------------------------------------------------- experiment
-
-
-def cmd_experiment(args):
-    """Unequal mixing proportions under the componentwise-dominance setup.
-
-    Whether the usual stochastic order survives dropping the common-weight
-    requirement (keeping a prefixwise r >= s) is open; this runs seeded
-    trials and reports counts without asserting anything.
-    """
-    rng = np.random.default_rng(args.seed)
-    held = 0
-    trials = []
-    for i in range(args.trials):
-        u, v = _sampling.pair_t3_1(rng)
-        n = len(u)
-        w_u = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
-        w_u = w_u / w_u.sum()
-        # prefixwise smaller weights for the dominating mixture
-        shrink = rng.uniform(0.5, 1.0, size=n - 1)
-        w_v = np.concatenate([w_u[:-1] * shrink, [0.0]])
-        w_v[-1] = 1.0 - w_v[:-1].sum()
-        u = FiniteMixture(u.components, w_u)
-        v = FiniteMixture(v.components, w_v)
-        verdict = check_order(OrderKind.ST, u, v, auto_grid(u, v), pair_id=f"exp-{i}")
-        held += verdict.holds(Direction.U_LEQ_V)
-        trials.append({"trial": i, "direction": verdict.direction.value})
-    doc = {
-        "command": "experiment-unequal-weights",
-        "seed": args.seed,
-        "trials": args.trials,
-        "held": held,
-        "note": "exploratory only; no conclusion is asserted",
-        "results": trials,
-    }
-    print(dumps(doc, indent=2))
-    print(f"usual stochastic order held in {held}/{args.trials} trials "
-          "(exploratory, not a theorem)", file=sys.stderr)
-    return 0
-
-
 # -------------------------------------------------------------- parser
 
 
-def _nonnegative(convert):
-    """An argparse ``type``: ``convert(text)``, which must be finite and >= 0."""
-    def parse(text):
-        value = convert(text)
-        if not (math.isfinite(value) and value >= 0):
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
-    return parse
+def _nonnegative_float(text):
+    """An argparse ``type``: ``float(text)``, which must be finite and >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+_nonnegative_float.__name__ = "float"  # argparse names it in "invalid float value"
 
 
 def _add_grid(p):
@@ -382,7 +339,7 @@ def _add_grid(p):
 
 def _add_check(p):
     _add_grid(p)
-    p.add_argument("--tol", type=_nonnegative(float),
+    p.add_argument("--tol", type=_nonnegative_float,
                    help="dominance tolerance (st) or ratio tolerance (others)")
 
 
@@ -436,12 +393,6 @@ def build_parser():
     p.add_argument("--scenario", action="append", required=True,
                    help="scenario file to validate (repeatable)")
     p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("experiment-unequal-weights",
-                       help="exploratory runs for the open unequal-weights case")
-    p.add_argument("--trials", type=_nonnegative(int), default=50)
-    p.add_argument("--seed", type=_nonnegative(int), default=42)
-    p.set_defaults(fn=cmd_experiment)
 
     return parser
 

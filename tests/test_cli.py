@@ -318,7 +318,7 @@ _REMOVED_OPTIONS = {
       for name, option in _REMOVED_OPTIONS.items() for cmd, argv in _SUBCOMMANDS.items()),
     # check-order and check-theorem keep --tol; eval reads no tolerance
     pytest.param(_SUBCOMMANDS["eval"], ("--tol", "1e-6"), id="tol-eval"),
-    # reproduce and validate draw nothing at random; only the experiment keeps --seed
+    # no command draws at random, so reproduce and validate take no --seed either
     pytest.param(("reproduce", "EX4.1", "--no-records"), ("--seed", "1"), id="seed-reproduce"),
     *(pytest.param(("validate", "--scenario", "pair.json"), option, id=f"{name}-validate")
       for name, option in (("seed", ("--seed", "1")), ("pairs", ("--pairs", "8")))),
@@ -354,7 +354,9 @@ def test_points_with_grid_exits_2(capsys, argv):
                  id="grid-infinite"),
     pytest.param(("eval", "EX4.1", "cdf", "--grid=-1e308:1e308:5"), "grid needs a finite span",
                  id="grid-overflowing-span"),
-    pytest.param(("experiment-unequal-weights", "--trials", "-1"), "--trials", id="trials"),
+    # the exploratory command is gone: argparse rejects it as an invalid choice
+    pytest.param(("experiment-unequal-weights",),
+                 "invalid choice: 'experiment-unequal-weights'", id="removed-command"),
 ])
 def test_out_of_range_input_exits_2_naming_it(capsys, argv, named):
     # rejected before any sampling, whether by the parser or by Grid
@@ -404,11 +406,13 @@ def test_check_order_tol_reaches_audit(capsys, order):
     assert audit["failures"] == ["lr UleqV holds but rh does not"]
 
 
-@pytest.mark.parametrize("order", ["rh", "lr", "r_rh"])
+@pytest.mark.parametrize("order", ["rh", "lr", "r_rh", "st"])
 def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order):
     # the verdict and the st/rh/lr audit share one sample of the pair: each
     # curve is sampled once, for both mixtures in one pass, and rh and r_rh
-    # take both curves from one pass. In a pass, each group of components
+    # take both curves from one pass. Each order runs once, so a run
+    # classifies one ratio per ratio order it reports: rh and lr (with their
+    # audit) two, r_rh one and st none. In a pass, each group of components
     # sharing a baseline, sigma and lam evaluates its baseline closed forms
     # once per slice (2001 points are one slice); a density-only pass skips
     # the baseline CDF of a group whose alphas are all 1. A non-monotone
@@ -447,7 +451,9 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         return closed_form(self, name, t)
 
     monkeypatch.setattr(BaselineModel, "_closed_form", counting)
-    curves = [("cdf", "pdf")] if order in ("rh", "r_rh") else [("cdf",), ("pdf",)]
+    curves = {"rh": [("cdf", "pdf")], "r_rh": [("cdf", "pdf")], "lr": [("cdf",), ("pdf",)],
+              "st": [("cdf",)]}[order]
+    classified = {"rh": 2, "lr": 2, "r_rh": 1, "st": 0}[order]
     witnesses = 0
     for s in catalog:
         passes.clear()
@@ -456,6 +462,7 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         baseline_calls.clear()
         code, _, _ = run_cli(capsys, "check-order", s.scenario_id, "--order", order)
         assert code in (0, 1), s.scenario_id
+        assert len(non_monotone) == classified, (s.scenario_id, len(non_monotone))
         assert sorted(passes) == [(2, c) for c in curves], (s.scenario_id, passes)
         assert scalar_passes == [2] * sum(non_monotone), (s.scenario_id, scalar_passes)
         witnesses += len(scalar_passes)
@@ -463,10 +470,12 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
         for c in s.u.components + s.v.components:
             groups[id(c.baseline), c.sigma, c.lam].add(c.alpha)
         with_cdf = sum(alphas != {1.0} for alphas in groups.values())
-        expected = {"cdf": sum(len(groups) if "cdf" in c else with_cdf for c in curves),
-                    "pdf": len(groups)}
+        expected = collections.Counter(
+            cdf=sum(len(groups) if "cdf" in c else with_cdf for c in curves),
+            pdf=len(groups) * any("pdf" in c for c in curves))
         assert baseline_calls == expected, (s.scenario_id, baseline_calls)
-    assert witnesses  # the catalog has non-monotone ratios of every order
+    # the catalog has non-monotone ratios of every ratio order; st has no ratio
+    assert bool(witnesses) == (order != "st")
 
 
 def test_check_theorem_condition_items_pass_as_json_booleans(capsys, catalog):
@@ -651,13 +660,3 @@ def test_validate_flags_corrupted_tabulated_scenario(tmp_path, capsys, catalog_d
     bad = [i for i in report["items"] if not i["passed"]]
     assert len(bad) == 1
     assert "nondecreasing" in bad[0]["detail"]
-
-
-def test_experiment_unequal_weights(capsys):
-    code, out, _ = run_cli(
-        capsys, "experiment-unequal-weights", "--trials", "5", "--seed", "7"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["trials"] == 5
-    assert "no conclusion" in doc["note"]
