@@ -215,15 +215,6 @@ class OrderVerdict:
         return self.direction in (direction, Direction.BOTH)
 
 
-def _direction_from_monotone(cls):
-    return {
-        Monotonicity.NON_DECREASING: Direction.U_LEQ_V,
-        Monotonicity.NON_INCREASING: Direction.V_LEQ_U,
-        Monotonicity.CONSTANT: Direction.BOTH,
-        Monotonicity.NON_MONOTONE: Direction.NEITHER,
-    }[cls]
-
-
 def _masked_div(num, den, keep):
     """num / den where keep holds, NaN elsewhere."""
     return np.divide(num, den, out=np.full(np.shape(keep), np.nan), where=keep)
@@ -329,6 +320,7 @@ QUANTITIES = {
 
 
 def _pointwise_direction(le_uv, le_vu):
+    """The direction of an order from whether U <= V and V <= U hold."""
     if le_uv and le_vu:
         return Direction.BOTH
     if le_uv:
@@ -336,6 +328,19 @@ def _pointwise_direction(le_uv, le_vu):
     if le_vu:
         return Direction.V_LEQ_U
     return Direction.NEITHER
+
+
+def _verdict(order, sample, xs, direction, pair_id, **fields):
+    """An OrderVerdict over the grid points ``xs`` of ``sample``."""
+    return OrderVerdict(
+        order=order,
+        direction=direction,
+        evaluated_range=(float(xs[0]), float(xs[-1])),
+        points_used=int(xs.size),
+        grid_signature=sample.grid.signature(),
+        pair_id=pair_id,
+        **fields,
+    )
 
 
 def check_usual_stochastic(sample, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
@@ -347,15 +352,7 @@ def check_usual_stochastic(sample, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
     if direction is Direction.NEITHER:
         i = int(np.argmax(~u_le_v))
         witness = Witness(float(x[i]), float(fu[i]), float(fv[i]))
-    return OrderVerdict(
-        order=OrderKind.ST,
-        direction=direction,
-        evaluated_range=(float(x[0]), float(x[-1])),
-        points_used=int(x.size),
-        grid_signature=sample.grid.signature(),
-        pair_id=pair_id,
-        violation_witness=witness,
-    )
+    return _verdict(OrderKind.ST, sample, x, direction, pair_id, violation_witness=witness)
 
 
 def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curves):
@@ -373,16 +370,10 @@ def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curves):
         value_u, value_v = (values[0] if len(values) == 1 else values[1] / values[0]
                             for values in sample_curves((sample.u, sample.v), wx, curves))
         witness = Witness(float(wx), float(value_u), float(value_v))
-    return OrderVerdict(
-        order=order,
-        direction=_direction_from_monotone(mono.classification),
-        evaluated_range=(float(xs[0]), float(xs[-1])),
-        points_used=int(xs.size),
-        grid_signature=sample.grid.signature(),
-        pair_id=pair_id,
-        violation_witness=witness,
-        ratio_classification=mono,
-    )
+    direction = _pointwise_direction(mono.follows(Monotonicity.NON_DECREASING),
+                                     mono.follows(Monotonicity.NON_INCREASING))
+    return _verdict(order, sample, xs, direction, pair_id,
+                    violation_witness=witness, ratio_classification=mono)
 
 
 def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):

@@ -6,10 +6,9 @@ with support (c, infinity). The indicator is strict: the CDF is 0 at the
 start point itself. One kernel, ``sample_groups``, gives the curves of
 components in groups that share a baseline object, sigma and lam: it masks
 x > start and z = (x - sigma)/lam > c, runs the baseline closed forms on
-the kept z once per group (for a scalar, once per baseline object) and
-forms only F**alpha and the density per component. A component's ``cdf``
-and ``pdf`` are its one-group case, and a mixture samples all its groups
-in one call.
+the kept z once per group (a scalar as a one-point array) and forms only
+F**alpha and the density per component. A component's ``cdf`` and ``pdf``
+are its one-group case, and a mixture samples all its groups in one call.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -105,16 +103,15 @@ def sample_groups(groups, x, curves):
     group share one baseline object, sigma and lam.
 
     A group keeps the points with x > support_start and z = (x - sigma)/lam
-    > c, zero elsewhere (NaN included). An array is masked with numpy, and
-    each group is one lane of ``_lane_curves`` on its kept z, the array itself
-    when every point is kept (a mixed array is scattered). A scalar is masked
-    in Python floats, which compare, subtract and divide as numpy does; the z
-    of the live groups on one baseline object make one lane, one element per
-    group. Steps are elementwise, so every value has the bits of the same
-    point in any grid."""
+    > c, zero elsewhere (NaN included), and runs ``_lane_curves`` on its kept
+    z. An array is masked with numpy and passes the array itself when every
+    point is kept (a mixed array is scattered). A scalar is masked in Python
+    floats, which compare, subtract and divide as numpy does, and a live
+    group passes its z as a one-point array. Steps are elementwise, so every
+    value has the bits of the same point in any grid."""
     arr = np.asarray(x, dtype=float)
+    out = []
     if arr.ndim:
-        out = []
         for members in groups:
             c = members[0]
             mask = arr > c.support_start
@@ -124,43 +121,32 @@ def sample_groups(groups, x, curves):
             if not z.size:
                 out += [np.zeros(arr.shape) for _ in range(len(curves) * len(members))]
                 continue
-            values = _lane_curves((members,), z, curves)[0]
+            values = _lane_curves(members, z, curves)
             if z.size < arr.size:
                 for i, v in enumerate(values):
                     values[i] = np.zeros(arr.shape)
                     values[i][mask] = v
             out += values
         return out
-    t, lanes = float(arr), {}
-    for g, members in enumerate(groups):
+    t = float(arr)
+    for members in groups:
         c = members[0]
         if t > c.support_start and (z := (t - c.sigma) / c.lam) > c.baseline.support_low:
-            lanes.setdefault(id(c.baseline), []).append((g, members, z))
-    out = [[0.0] * (len(curves) * len(members)) for members in groups]
-    for live in lanes.values():
-        gs, lane, z = zip(*live)
-        for g, values in zip(gs, _lane_curves(lane, np.array(z), curves)):
-            out[g] = [v.item() for v in values]
-    return list(chain(*out))
+            out += [v.item() for v in _lane_curves(members, np.array([z]), curves)]
+        else:
+            out += [0.0] * (len(curves) * len(members))
+    return out
 
 
-def _lane_curves(lane, z, curves):
-    """``curves`` of the members of each group of ``lane``, groups on one
-    baseline object, from one pass of its closed forms at z: one list per
-    group, at all of z for one group and at a one-point view of its element
-    of z for several (numpy's scalar power rounds otherwise). The baseline
-    CDF is skipped when only densities are asked for and every alpha is 1."""
-    base = lane[0][0].baseline
+def _lane_curves(members, z, curves):
+    """``curves`` of the members of one group at its kept z, from one pass of
+    their baseline's closed forms. The baseline CDF is skipped when only
+    densities are asked for and every alpha is 1."""
+    base = members[0].baseline
     F = f = None
-    if "cdf" in curves or any(c.alpha != 1.0 for c in chain(*lane)):
+    if "cdf" in curves or any(c.alpha != 1.0 for c in members):
         F = base._closed_form("cdf", z)
     if "pdf" in curves:
         f = base._closed_form("pdf", z)
-    per = []
-    for i, members in enumerate(lane):
-        Fi, fi = F, f
-        if len(lane) > 1:
-            Fi, fi = F if F is None else F[i:i + 1], f if f is None else f[i:i + 1]
-        per.append([Fi ** c.alpha if curve == "cdf" else c._density(Fi, fi)
-                    for c in members for curve in curves])
-    return per
+    return [F ** c.alpha if curve == "cdf" else c._density(F, f)
+            for c in members for curve in curves]

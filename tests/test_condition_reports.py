@@ -8,7 +8,7 @@ evaluators, a spec draw through the three outlier ones. Where an evaluator
 does not apply it raises ``TheoremShapeError``, and its message is pinned in
 place of the report. Every float prints as its shortest round-trip repr, so
 one changed bit shows as a changed byte. Re-record with
-``PYTHONPATH=src python tests/test_condition_reports.py``.
+``python tools/record_pinned.py``.
 
 The sweep verdicts of every ``SWEEP_STRIDE``-th draw of each theorem are
 replayed against ``perfbench/sweep_reference.json``, which this reads and
@@ -99,9 +99,3 @@ def test_sweep_draws_match_the_benchmark_reference(sweep_pool):
         assert len(draws) == reference["draws"]
         for i in range(0, len(draws), SWEEP_STRIDE):
             assert _sweep_output(tid, draws[i]) == reference["theorems"][tid][i], (tid, i)
-
-
-if __name__ == "__main__":
-    reports = {label: json.loads(report_json(report)) for label, report in pinned_reports()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(reports, indent=1) + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ at 100001 points (``pointwise_agrees`` included). 100001 points is above
 ``mixture.EVAL_BLOCK``, so the slice-by-slice pass is pinned too. The
 curves are hashed after the rh check has read them, so a checker that
 writes into a cached curve shows here. Re-record with
-``PYTHONPATH=src python tests/test_curve_digests.py``.
+``python tools/record_pinned.py``.
 """
 
 import hashlib
@@ -46,9 +46,3 @@ def test_large_grid_curves_and_rh_verdicts_match_recorded_digests():
     for scenario in catalog:
         got = scenario_digests(scenario)
         assert json.dumps(got) == json.dumps(recorded[scenario.scenario_id]), scenario.scenario_id
-
-
-if __name__ == "__main__":
-    digests = {s.scenario_id: scenario_digests(s) for s in builtin_catalog()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")

@@ -4,11 +4,10 @@ Every baseline ``cdf``/``pdf`` and the component offset density run their
 closed forms through ``numerics.on_support``, which hands a scalar to the
 closed form as a length-1 array. Component and mixture curves come from one
 kernel, ``els.sample_groups``: a group of components sharing a baseline,
-sigma and lam takes one two-comparison mask and one closed-form pass, and
-at a scalar the live groups on one baseline object share one closed-form
-call, one array element each, with each component's power and density on a
-one-point view of its element. The scalar pass must give the bits of the
-grid pass on every sweep and normalization pool mixture and pair, below,
+sigma and lam takes one two-comparison mask and one closed-form pass, a
+scalar's as a one-point array, so a scalar pass makes the closed-form calls
+of the grid pass on that one point and raises its error. The scalar pass
+must give the bits of the grid pass on every sweep and normalization pool mixture and pair, below,
 at and just above each start, inside, at the grid end, at NaN and at
 +-inf, on a tabulated baseline, on equal but distinct baseline objects and
 on groups whose alphas are all 1. These tests compare the bits of each
@@ -324,9 +323,9 @@ def _twin(base):
 
 
 def _lane_mixtures():
-    """Mixtures whose scalar pass puts several groups on one baseline object:
-    over a tabulated baseline, over two equal but distinct baseline objects,
-    and with groups whose alphas are all 1."""
+    """Mixtures with several groups on one baseline object: over a tabulated
+    baseline, over two equal but distinct baseline objects, and with groups
+    whose alphas are all 1."""
     tab, par, lomax = BASELINES["tabulated"], BASELINES["pareto"], BASELINES["lt_lomax"]
     twin = _twin(par)
     parts = {
@@ -350,10 +349,56 @@ _LANE_MIXTURES = _lane_mixtures()
 def test_scalar_pass_matches_the_grid_pass_on_shared_baselines(names):
     mixtures = tuple(_LANE_MIXTURES[name] for name in names)
     comps = [c for mix in mixtures for c in mix.components]
-    # more groups than baseline objects: some baseline carries several lanes
+    # more groups than baseline objects: some baseline object carries several groups
     assert len({(id(c.baseline), c.sigma, c.lam) for c in comps}) > len(
         {id(c.baseline) for c in comps})
     _assert_scalar_pass_matches_grid(mixtures, _scalar_points(mixtures, 40.0))
+
+
+def _closed_form_calls(groups, x, curves):
+    """The baseline closed-form calls of one ``els.sample_groups`` pass, each as
+    (baseline object id, curve name, shape), and the message of the
+    DomainError it raises, or None."""
+    calls = []
+    closed_form = BaselineModel._closed_form
+
+    def recording(self, name, t):
+        calls.append((id(self), name, np.shape(t)))
+        return closed_form(self, name, t)
+
+    with mock.patch.object(BaselineModel, "_closed_form", recording):
+        try:
+            els.sample_groups(groups, x, curves)
+        except DomainError as exc:
+            return calls, str(exc)
+    return calls, None
+
+
+def _overflow_mixture():
+    """Groups on a Pareto baseline whose density overflows, and on its twin."""
+    par = make_baseline("pareto", a=400.0, k=10.0)
+    comps = [ELSComponent(base, alpha, sigma, lam) for base, alpha, sigma, lam in (
+        (par, 1.0, 0.0, 1.0), (par, 2.0, 1.0, 1.0), (_twin(par), 0.5, 0.0, 1.0))]
+    return FiniteMixture(comps, np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("names", [("tabulated",), ("equal_baselines",), ("alphas_one",),
+                                   ("tabulated", "equal_baselines", "alphas_one"),
+                                   ("overflow",)])
+def test_scalar_pass_makes_the_closed_form_calls_of_a_one_point_grid(names):
+    # a scalar is the one-point case of the grid pass: group by group, the same
+    # baseline objects, curves and shapes, and the same error where one raises
+    mixtures = tuple(_overflow_mixture() if name == "overflow" else _LANE_MIXTURES[name]
+                     for name in names)
+    groups = mixture._plan(mixtures)[0]
+    assert len(groups) > len({id(members[0].baseline) for members in groups})
+    raised = 0
+    for t in _scalar_points(mixtures, 40.0):
+        for curves in _CURVE_SETS:
+            scalar = _closed_form_calls(groups, t, curves)
+            assert scalar == _closed_form_calls(groups, np.array([t]), curves), (t, curves)
+            raised += scalar[1] is not None
+    assert raised > 0 if names == ("overflow",) else raised == 0
 
 
 @pytest.mark.parametrize("family", sorted(BASELINES))
@@ -576,8 +621,7 @@ def test_group_pass_matches_the_nested_masks_bit_for_bit(family):
                 _same_bits(els.sample_groups((group,), x, curves),
                            _nested_group_curves(group, x, curves))
     # all groups in one call, with two on an equal baseline object, one of
-    # them with alphas all 1: a scalar takes the live groups of each object as
-    # one lane, at the doubles next to every start
+    # them with alphas all 1, at the doubles next to every start
     groups += [(ELSComponent(twin, 1.0, 0.3, 1.0),),
                (ELSComponent(twin, 2.5, 1.7, 3.0), ELSComponent(twin, 1.0, 1.7, 3.0))]
     starts = [group[0].support_start for group in groups]
@@ -625,7 +669,7 @@ def test_density_pass_over_alpha_one_groups_calls_no_baseline_cdf(monkeypatch):
         for groups in (ones, mixed):
             calls.clear()
             density = els.sample_groups(groups, x, ("pdf",))
-            # only a lane holding an alpha other than 1 takes the baseline CDF
+            # only a group holding an alpha other than 1 takes the baseline CDF
             assert {base for base, name in calls if name == "cdf"} <= (
                 {id(lomax)} if groups is mixed else set()), (x, calls)
             _same_bits(density, els.sample_groups(groups, x, ("cdf", "pdf"))[1::2])

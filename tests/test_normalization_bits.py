@@ -6,7 +6,7 @@ and the first 64 ``random_mixture`` draws from ``default_rng(42)``: the
 integral and the upper limit as ``float.hex``, the panel count and the
 verdict. A change to the quadrature's arithmetic or its summation order
 shows here as a changed bit. Re-record with
-``PYTHONPATH=src python tests/test_normalization_bits.py``.
+``python tools/record_pinned.py``.
 """
 
 import json
@@ -43,12 +43,3 @@ def test_normalization_reports_match_recorded_bits(false_convergence_mixtures):
     assert [label for label, _ in cases] == list(recorded)
     for label, mix in cases:
         assert report_bits(mix) == recorded[label], label
-
-
-if __name__ == "__main__":
-    rng = np.random.default_rng(22)
-    draws = [random_mixture(rng) for _ in range(1912)]
-    reports = {label: report_bits(mix)
-               for label, mix in pinned_mixtures((draws[270], draws[1911]))}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(reports, indent=1) + "\n", encoding="utf-8")
