@@ -70,7 +70,6 @@ class BaselineModel:
     """Common evaluation shell; subclasses provide the closed forms on t > c."""
 
     family = "abstract"
-    has_analytic_derivative = True
 
     @property
     def support_low(self):
@@ -100,17 +99,11 @@ class BaselineModel:
         return on_support(t, self._c, lambda above: self._closed_form("pdf", above))
 
     def pdf_prime(self, t):
-        """Density derivative f'(t); analytic when the family provides one."""
+        """Density derivative f'(t) from the family's ``_pdf_prime_above``."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr <= self._c):
-            raise DomainError(
-                f"pdf derivative requires t > support_low={self._c}"
-            )
-        if self.has_analytic_derivative:
-            out = self._pdf_prime_above(arr)
-        else:
-            out = central_difference(self.pdf, arr)
-        out = np.asarray(out, dtype=float)
+            raise DomainError(f"pdf derivative requires t > support_low={self._c}")
+        out = np.asarray(self._pdf_prime_above(arr), dtype=float)
         return float(out) if arr.ndim == 0 else out
 
     def cdf_offset(self, dz):
@@ -411,7 +404,6 @@ class Tabulated(BaselineModel):
     """
 
     family = "tabulated"
-    has_analytic_derivative = False
 
     def __init__(self, t, F):
         t = np.asarray(t, dtype=float)
@@ -449,6 +441,9 @@ class Tabulated(BaselineModel):
         if np.any(inside):
             out[inside] = np.maximum(self._deriv(t[inside]), 0.0)
         return out
+
+    def _pdf_prime_above(self, t):
+        return central_difference(self.pdf, t)
 
     def params(self):
         return {"t": tuple(self._t.tolist()), "F": tuple(self._F.tolist())}

@@ -22,6 +22,7 @@ from .analysis import (
     DEFAULT_POINTS,
     Direction,
     Grid,
+    MAX_POINTS,
     Monotonicity,
     OrderKind,
     PairSample,
@@ -31,9 +32,9 @@ from .analysis import (
     implication_audit,
 )
 from .conditions import THEOREM_EVALUATORS
-from .errors import MixorderError
+from .errors import MixorderError, ParameterError
 from .mixture import verify_normalization
-from .reporting import dumps, to_jsonable, write_csv
+from .reporting import dumps, write_csv
 from .scenarios import (
     Expected,
     catalog_ids,
@@ -59,6 +60,13 @@ def _resolve_scenario(source):
     return get_scenario(source) if source in catalog_ids() else load_scenario(source)
 
 
+def _points(n):
+    """The ``--points`` count ``n``, checked before any quantile root runs."""
+    if not 3 <= n <= MAX_POINTS:
+        raise MixorderError(f"bad --points value: grid needs 3 to {MAX_POINTS} points, got {n}")
+    return n
+
+
 def _grid(args, auto):
     """The ``--grid`` window, else ``auto(n_points)`` with ``--points``.
 
@@ -67,13 +75,13 @@ def _grid(args, auto):
     if args.grid is None:
         if args.log_grid:
             raise MixorderError("--log-grid applies only to an explicit --grid")
-        return auto(DEFAULT_POINTS if args.points is None else args.points)
+        return auto(_points(DEFAULT_POINTS if args.points is None else args.points))
     if args.points is not None:
         raise MixorderError("--points sets the automatic grid; --grid gives its own count")
     try:
         lo, hi, n = args.grid.split(":")
         return Grid(float(lo), float(hi), int(n), "logarithmic" if args.log_grid else "linear")
-    except ValueError as exc:
+    except (ValueError, ParameterError) as exc:
         raise MixorderError(f"bad --grid value {args.grid!r}: {exc}") from None
 
 
@@ -143,12 +151,11 @@ def cmd_check_order(args):
         "asked_direction": args.direction,
         "grid": grid.signature(),
         "tolerances": {"tol": args.tol},
-        "verdict": to_jsonable(verdict),
+        "verdict": verdict,
     }
     if len(verdicts) > 1:
-        audit = implication_audit(*(verdicts[k] for k in chain))
-        report["implication_audit"] = to_jsonable(audit)
-    print(dumps(report, indent=2))
+        report["implication_audit"] = implication_audit(*(verdicts[k] for k in chain))
+    print(dumps(report))
     holds = verdict.holds(Direction(args.direction))
     print(
         f"{pair_id}: {order.value} direction {verdict.direction.value} "
@@ -164,9 +171,9 @@ def cmd_check_order(args):
 def cmd_check_theorem(args):
     scenario = _resolve_scenario(args.source)
     theorem = args.theorem
+    grid = _grid_for(scenario, args)  # grid flags are checked before any condition runs
     report = evaluate_theorem(scenario, theorem)
     order = report.predicted_order
-    grid = _grid_for(scenario, args)
     verdict = check_order(order, *scenario.mixtures(), grid, pair_id=scenario.scenario_id,
                           **_check_kwargs(args, order))
     # the r_rh direction convention is ambiguous, so its prediction is the ratio trend
@@ -179,17 +186,17 @@ def cmd_check_theorem(args):
         "command": "check-theorem",
         "scenario": scenario.scenario_id,
         "theorem": theorem,
-        "conditions": to_jsonable(report),
+        "conditions": report,
         "all_pass": report.all_pass,
         "predicted": {
             "order": report.predicted_order.value,
             "direction": report.predicted_direction.value,
         },
         "grid": grid.signature(),
-        "actual_verdict": to_jsonable(verdict),
+        "actual_verdict": verdict,
         "prediction_met": prediction_met,
     }
-    print(dumps(doc, indent=2))
+    print(dumps(doc))
     print(
         f"{scenario.scenario_id} {theorem}: conditions "
         f"{'all pass' if report.all_pass else 'FAIL'}; predicted "
@@ -239,18 +246,19 @@ def _persist_record(record, out_dir):
         "grid": record.grid,
         "agreement": record.agreement,
         "warnings": list(record.warnings),
-        "condition_report": to_jsonable(record.condition_report),
-        "order_verdict": to_jsonable(record.order_verdict),
+        "condition_report": record.condition_report,
+        "order_verdict": record.order_verdict,
         "curve_file": curve_name,
     }
     with open(os.path.join(out_dir, f"{base}.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc, indent=2))
+        fh.write(dumps(doc))
         fh.write("\n")
 
 
 def cmd_reproduce(args):
     ids = catalog_ids() if args.all or not args.ids else list(args.ids)
-    records = [run_scenario(_resolve_scenario(i), n_points=args.points) for i in ids]
+    n_points = _points(args.points)
+    records = [run_scenario(_resolve_scenario(i), n_points=n_points) for i in ids]
     out_dir = _results_dir(args)
     if not args.no_records:
         for record in records:
@@ -264,7 +272,7 @@ def cmd_reproduce(args):
         "contradictions": contradictions,
         "rows": rows,
     }
-    print(dumps(doc, indent=2))
+    print(dumps(doc))
     width = max(len(r["id"]) for r in rows)
     for r in rows:
         print(
@@ -308,7 +316,7 @@ def cmd_validate(args):
         "passed": len(items) - len(failed),
         "failed": len(failed),
     }
-    print(dumps(doc, indent=2))
+    print(dumps(doc))
     for i in items:
         print(f"{'PASS' if i['passed'] else 'FAIL'} {i['name']}: {i['detail']}",
               file=sys.stderr)
@@ -401,9 +409,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MixorderError as exc:
-        return _err(exc)
-    except OSError as exc:
+    except (MixorderError, OSError) as exc:
         return _err(exc)
 
 

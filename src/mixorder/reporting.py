@@ -1,10 +1,11 @@
 """Deterministic report serialization.
 
-Reports are emitted as JSON with floats printed at 17 significant digits
-(lossless double round-trip) and insertion-ordered keys, so identical
-inputs give byte-identical output. Curve data goes to CSV with LF ends and
-each value as ``%.17g``: NaN (outside a curve's domain) is an empty field,
-infinities are ``inf``/``-inf`` and negative zero is ``-0``.
+``dumps``, the one JSON writer, normalizes a document by one ``to_jsonable``
+pass and prints it two-space indented with insertion-ordered keys, floats at
+17 significant digits (lossless double round-trip) and non-finite ones as
+``null``. Curve data goes to CSV with LF ends and each value as ``%.17g``:
+NaN (outside a curve's domain) is an empty field, infinities are
+``inf``/``-inf`` and negative zero is ``-0``.
 
 ``write_csv`` prints a block of cells in one numpy pass, byte for byte what
 ``format(x, ".17g")`` gives. A finite nonzero |x| with k = floor(log10|x|)
@@ -25,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import re
 from enum import Enum
 
 import numpy as np
@@ -36,23 +36,20 @@ CSV_BLOCK_ROWS = 1024
 #: decades k = floor(log10|x|) the kernel tables cover, each end one past a double's
 _K_LO, _K_HI = -325, 309
 
-_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')  # what ``_escape`` rewrites
+#: the ``str.translate`` table of ``_escape``: quote, backslash, and the C0
+#: controls, ``\n``, ``\r`` and ``\t`` by name and the rest as ``\u00XX``
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
 
 
 def to_jsonable(obj):
     """Normalize dataclasses, enums and numpy values to plain containers."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -65,36 +62,16 @@ def to_jsonable(obj):
 
 
 def _escape(s):
-    if not _NEEDS_ESCAPE.search(s):
-        return '"' + s + '"'
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
-def dumps(obj, indent=0, _level=0):
-    """JSON emitter with fixed float formatting; non-finite floats -> null."""
-    if _level == 0:
-        obj = to_jsonable(obj)
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
+def dumps(obj):
+    """The JSON text of ``obj``, normalized by one ``to_jsonable`` pass."""
+    return _json(to_jsonable(obj), "\n")
+
+
+def _json(obj, nl):
+    """The JSON text of plain ``obj``; ``nl`` is the line break and indent of its level."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -102,23 +79,16 @@ def dumps(obj, indent=0, _level=0):
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return "null"
-        return format(obj, ".17g")
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return _escape(obj)
+    inner = nl + "  "
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [dumps(v, indent, _level + 1) for v in obj]
-        return "[" + nl + sep.join(pad + it for it in items) + nl + end_pad + "]"
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _escape(str(k)) + ": " + dumps(v, indent, _level + 1) for k, v in obj.items()
-        ]
-        return "{" + nl + sep.join(pad + it for it in items) + nl + end_pad + "}"
+        items = [_escape(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

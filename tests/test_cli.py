@@ -306,6 +306,22 @@ _SUBCOMMANDS = {
     "check-order": ("check-order", "EX4.1", "--order", "st"),
     "check-theorem": ("check-theorem", "EX4.1", "--theorem", "T3.1"),
 }
+
+
+@pytest.mark.parametrize("points", [2, 10**12])
+@pytest.mark.parametrize("argv", [*_SUBCOMMANDS.values(), ("reproduce", "EX4.1", "--no-records")],
+                         ids=[*_SUBCOMMANDS, "reproduce"])
+def test_points_out_of_range_exits_2_naming_it(capsys, monkeypatch, argv, points):
+    # rejected before any quantile root, of a grid or of a condition, runs
+    def no_quantile(self, log_q):
+        raise AssertionError("a quantile ran before --points was checked")
+
+    monkeypatch.setattr(BaselineModel, "quantile_log", no_quantile)
+    code, out, err = run_cli(capsys, *argv, "--points", str(points))
+    assert (code, out) == (2, "")
+    assert f"bad --points value: grid needs 3 to {MAX_POINTS} points, got {points}" in err
+
+
 _REMOVED_OPTIONS = {
     "seed": ("--seed", "1"),
     "policy": ("--policy", "autonorm"),
@@ -354,6 +370,8 @@ def test_points_with_grid_exits_2(capsys, argv):
                  id="grid-infinite"),
     pytest.param(("eval", "EX4.1", "cdf", "--grid=-1e308:1e308:5"), "grid needs a finite span",
                  id="grid-overflowing-span"),
+    *(pytest.param((*argv, "--grid", "1:2:2"), "bad --grid value '1:2:2': grid needs 3 to",
+                   id=f"grid-count-{cmd}") for cmd, argv in _SUBCOMMANDS.items()),
     # the exploratory command is gone: argparse rejects it as an invalid choice
     pytest.param(("experiment-unequal-weights",),
                  "invalid choice: 'experiment-unequal-weights'", id="removed-command"),

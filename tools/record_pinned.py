@@ -11,17 +11,22 @@ the tests that read them: ``scenario_digests`` in
 files are written by ``perfbench/record_reference.py``, which this runs
 as it is.
 
-``--check`` recomputes all five, the perfbench pair through
-``perfbench/workloads.py``, and prints ``<file>: <label>`` for every
-top-level entry whose bytes would change (the file name alone when only
-its layout would), then exits 1 if it printed anything. Re-record only
-when a change is meant to alter these outputs, and say so.
+``--check`` recomputes all five and writes nothing in the repository: it
+runs ``record_reference.py``'s own ``main()`` with both perfbench
+references pointed into a temporary directory. It prints ``<file>:
+<label>`` for every top-level entry whose bytes would change (the file name
+alone when only its layout would), then exits 1 if it printed anything.
+Re-record only when a change is meant to alter these outputs, and say so.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -54,44 +59,40 @@ def normalization_reports():
             for label, mix in test_normalization_bits.pinned_mixtures((draws[270], draws[1911]))}
 
 
-def sweep_reference():
-    pool = workloads.sweep_pool()
-    theorems = {tid: [list(workloads.sweep_item(tid, pair)) for pair in pool[tid]]
-                for tid in workloads.THEOREMS}
-    return {"pool_seed": workloads.POOL_SEED, "draws": workloads.POOL_DRAWS,
-            "theorems": theorems}
-
-
-def normalize_reference():
-    return {"pool_seed": workloads.POOL_SEED,
-            "passed": [workloads.normalize_item(mix)[3] for mix in workloads.normalize_pool()]}
-
-
 def _tests_text(doc):
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _perfbench_text(doc):
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-#: (path, builder, serializer) of every pinned file; record_reference.py writes the last two
-PINNED = (
-    (test_curve_digests.DATA, curve_digests, _tests_text),
-    (test_condition_reports.DATA, condition_reports, _tests_text),
-    (test_normalization_bits.DATA, normalization_reports, _tests_text),
-    (workloads.SWEEP_REFERENCE, sweep_reference, _perfbench_text),
-    (workloads.NORMALIZE_REFERENCE, normalize_reference, _perfbench_text),
+#: (path, builder) of the three tests/data files
+TESTS_DATA = (
+    (test_curve_digests.DATA, curve_digests),
+    (test_condition_reports.DATA, condition_reports),
+    (test_normalization_bits.DATA, normalization_reports),
 )
 
+#: the ``workloads`` globals naming the two files ``record_reference.main()`` writes
+PERFBENCH_REFERENCES = ("SWEEP_REFERENCE", "NORMALIZE_REFERENCE")
 
-def changed_labels(path, doc, text):
-    """The labels of ``path`` whose bytes ``doc`` would change: its top-level
+
+def perfbench_texts():
+    """{reference path: the text ``record_reference.main()`` writes there}, from
+    one run with both references pointed into a temporary directory; its
+    summary lines on stderr are dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        moved = {name: Path(tmp) / getattr(workloads, name).name for name in PERFBENCH_REFERENCES}
+        with mock.patch.multiple(workloads, **moved), contextlib.redirect_stderr(io.StringIO()):
+            record_reference.main()
+        return {getattr(workloads, name): moved[name].read_text(encoding="utf-8")
+                for name in PERFBENCH_REFERENCES}
+
+
+def changed_labels(path, text):
+    """The labels of ``path`` whose bytes ``text`` would change: its top-level
     keys, or the file name alone when only the layout differs."""
     written = path.read_text(encoding="utf-8")
     if written == text:
         return []
-    recorded = json.loads(written)
+    recorded, doc = json.loads(written), json.loads(text)
     labels = [label for label in dict.fromkeys([*recorded, *doc])
               if json.dumps(recorded.get(label)) != json.dumps(doc.get(label))]
     name = path.relative_to(ROOT)
@@ -104,14 +105,12 @@ def main(argv=None):
                         help="write nothing; print the labels that would change, exit 1 if any")
     args = parser.parse_args(argv)
     if not args.check:
-        for path, build, text in PINNED[:3]:
-            path.write_text(text(build()), encoding="utf-8")
+        for path, build in TESTS_DATA:
+            path.write_text(_tests_text(build()), encoding="utf-8")
         record_reference.main()
         return 0
-    changed = []
-    for path, build, text in PINNED:
-        doc = build()
-        changed += changed_labels(path, doc, text(doc))
+    texts = {path: _tests_text(build()) for path, build in TESTS_DATA} | perfbench_texts()
+    changed = [label for path, text in texts.items() for label in changed_labels(path, text)]
     for label in changed:
         print(label)
     return 1 if changed else 0
