@@ -31,7 +31,7 @@ from .errors import (
     InvalidSampleError,
     ParameterError,
 )
-from .mixture import sample_curves
+from .mixture import eval_blocks, sample_curves
 from .numerics import DENOM_FLOOR
 
 DEFAULT_POINTS = 2001
@@ -66,6 +66,13 @@ class Direction(str, Enum):
     NEITHER = "Neither"
 
 
+def check_points(n):
+    """``n`` if a grid may have that many points, else ParameterError."""
+    if not 3 <= n <= MAX_POINTS:
+        raise ParameterError(f"grid needs 3 to {MAX_POINTS} points, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Grid:
     x_lo: float
@@ -78,8 +85,7 @@ class Grid:
             raise ParameterError(f"grid needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         if not math.isfinite(self.x_hi - self.x_lo):
             raise ParameterError(f"grid needs a finite span, got [{self.x_lo}, {self.x_hi}]")
-        if not 3 <= self.n_points <= MAX_POINTS:
-            raise ParameterError(f"grid needs 3 to {MAX_POINTS} points, got {self.n_points}")
+        check_points(self.n_points)
         if self.spacing not in ("linear", "logarithmic"):
             raise ParameterError(f"unknown spacing {self.spacing!r}")
         if self.spacing == "logarithmic" and self.x_lo <= 0:
@@ -140,7 +146,9 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
     """Classify a sampled sequence as monotone, constant, or neither.
 
     Consecutive differences are compared against rel_tol * max|value|.
-    Witnesses are the midpoints of the extremal up and down steps.
+    Witnesses are the midpoints of the first extremal up and down steps.
+    The steps are formed ``EVAL_BLOCK`` at a time, never over the whole
+    sequence at once.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -148,7 +156,7 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
         raise ParameterError("samples must be two matching 1-d arrays")
     if x.size < 3:
         raise InsufficientDomainError(f"need at least 3 samples, got {x.size}")
-    if np.any(np.diff(x) <= 0):
+    if not np.all(x[1:] > x[:-1]):  # NaN and a repeated infinity fail too
         raise ParameterError("sample abscissae must be strictly increasing")
     if not np.isfinite(values).all():
         idx = int(np.argmin(np.isfinite(values)))
@@ -156,18 +164,25 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
             f"non-finite sample value {values[idx]!r} at index {idx} (x={x[idx]!r})",
             index=idx,
         )
-    diffs = np.diff(values)
+    up = down = None  # (largest step of its sign, where its block starts, the block's steps)
+    for part in eval_blocks(values.size - 1):
+        steps = np.diff(values[part.start:part.stop + 1])
+        block_up = float(np.max(steps, initial=0.0))
+        block_down = float(-np.min(steps, initial=0.0))
+        if up is None or block_up > up[0]:  # a tie keeps the earlier block
+            up = (block_up, part.start, steps)
+        if down is None or block_down > down[0]:
+            down = (block_down, part.start, steps)
     # max|v| as max(max v, -min v); abs() makes a zero one +0.0, as max(abs(v)) does
     scale = abs(float(max(values.max(), -values.min())))
     tol = rel_tol * scale
-    max_up = float(np.max(diffs, initial=0.0))
-    max_down = float(-np.min(diffs, initial=0.0))
+    max_up, max_down = up[0], down[0]
     witness_up = witness_down = None
     if max_up > tol:
-        i = int(np.argmax(diffs))
+        i = up[1] + int(np.argmax(up[2]))
         witness_up = float(0.5 * (x[i] + x[i + 1]))
     if max_down > tol:
-        i = int(np.argmin(diffs))
+        i = down[1] + int(np.argmin(down[2]))
         witness_down = float(0.5 * (x[i] + x[i + 1]))
     up_ok = max_down <= tol  # no significant decrease
     down_ok = max_up <= tol  # no significant increase
@@ -215,9 +230,12 @@ class OrderVerdict:
         return self.direction in (direction, Direction.BOTH)
 
 
-def _masked_div(num, den, keep):
-    """num / den where keep holds, NaN elsewhere."""
-    return np.divide(num, den, out=np.full(np.shape(keep), np.nan), where=keep)
+def _masked_div(num, den, keep, out=None):
+    """num / den where keep holds, NaN elsewhere; written into ``out`` if given."""
+    if out is None:
+        out = np.empty(np.shape(keep))
+    out[...] = np.nan
+    return np.divide(num, den, out=out, where=keep)
 
 
 class PairSample:
@@ -230,7 +248,10 @@ class PairSample:
     together first. Each ratio is NaN outside the
     domain its checker classifies on; the domain masks are exposed
     separately so a NaN inside a domain still reaches the classifier as an
-    invalid sample.
+    invalid sample. The reversed hazard rates are kept only when ``rhr`` is
+    read: ``rhr_ratio`` and the rh check form them from the curves in
+    ``mixture.EVAL_BLOCK``-point slices (``rates``), so a check allocates
+    no whole-grid float array besides the ratio it keeps.
     """
 
     def __init__(self, u, v, grid):
@@ -292,19 +313,26 @@ class PairSample:
         """f_V / f_U on the lr domain."""
         return _masked_div(self.pdf_v, self.pdf_u, self.lr_domain)
 
+    def rates(self, part=slice(None)):
+        """(h_U, h_V) on ``part`` of the grid, each where its own CDF exceeds
+        the floor; new arrays, not kept."""
+        return tuple(_masked_div(pdf[part], cdf[part], cdf[part] > DENOM_FLOOR)
+                     for pdf, cdf in ((self.pdf_u, self.cdf_u), (self.pdf_v, self.cdf_v)))
+
     @cached_property
     def rhr(self):
         """(h_U, h_V), each where its own CDF exceeds the floor."""
-        return (
-            _masked_div(self.pdf_u, self.cdf_u, self.cdf_u > DENOM_FLOOR),
-            _masked_div(self.pdf_v, self.cdf_v, self.cdf_v > DENOM_FLOOR),
-        )
+        return self.rates()
 
     @cached_property
     def rhr_ratio(self):
-        """h_U / h_V on the r_rh domain."""
-        hu, hv = self.rhr
-        return _masked_div(hu, hv, self.r_rh_domain)
+        """h_U / h_V on the r_rh domain, written block by block into one
+        array from the rates of each block."""
+        keep = self.r_rh_domain
+        out = np.empty(keep.shape)
+        for part in eval_blocks(out.size):
+            _masked_div(*self.rates(part), keep[part], out[part])
+        return out
 
 
 #: each ``eval`` quantity and the named columns, x excluded, that a sample gives for it
@@ -362,7 +390,12 @@ def _ratio_verdict(order, sample, keep, ratio, rel_tol, pair_id, curves):
     n_keep = int(np.count_nonzero(keep))
     if n_keep < 3:
         raise InsufficientDomainError(f"only {n_keep} usable grid points after restriction")
-    xs, kept = (sample.x, ratio) if n_keep == keep.size else (sample.x[keep], ratio[keep])
+    # a domain that is one run of points, as a suffix of the grid usually is,
+    # is classified on views; any other is copied out
+    first = int(np.argmax(keep))
+    if keep[(run := slice(first, first + n_keep))].all():
+        keep = run
+    xs, kept = sample.x[keep], ratio[keep]
     mono = classify_monotonicity(xs, kept, rel_tol=rel_tol)
     witness = None
     if mono.classification is Monotonicity.NON_MONOTONE:
@@ -381,7 +414,8 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
 
     A nondecreasing ratio means U <=rh V. The pointwise dual (reversed
     hazard rates compared directly where both CDFs are positive) is
-    evaluated as well and its agreement is recorded.
+    evaluated as well, slice by slice from the curves, and its agreement is
+    recorded.
     """
     sample.fill("cdf", "pdf")
     keep = sample.rh_domain
@@ -393,17 +427,18 @@ def check_reversed_hazard(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     if int(np.count_nonzero(both)) < 3:
         return verdict
     # pointwise-relative slack: a global scale would be inflated by
-    # the divergence at a later support start and mask genuine flips. It and
-    # each bound are formed in two buffers over the whole grid (the cached
-    # rates are only read), and only the points of ``both`` are compared.
-    hu, hv = sample.rhr
-    h_tol, bound = np.abs(hu), np.abs(hv)
-    np.maximum(h_tol, bound, out=h_tol)
-    h_tol *= rel_tol
-    pw_direction = _pointwise_direction(
-        bool(np.all(hu <= np.add(hv, h_tol, out=bound), where=both)),
-        bool(np.all(hv <= np.add(hu, h_tol, out=bound), where=both)),
-    )
+    # the divergence at a later support start and mask genuine flips. The
+    # rates, the slack and each bound are formed block by block, and only
+    # the points of ``both`` are compared.
+    le_uv = le_vu = True
+    for part in eval_blocks(both.size):
+        hu, hv = sample.rates(part)
+        h_tol, bound = np.abs(hu), np.abs(hv)
+        np.maximum(h_tol, bound, out=h_tol)
+        h_tol *= rel_tol
+        le_uv &= bool(np.all(hu <= np.add(hv, h_tol, out=bound), where=both[part]))
+        le_vu &= bool(np.all(hv <= np.add(hu, h_tol, out=bound), where=both[part]))
+    pw_direction = _pointwise_direction(le_uv, le_vu)
     return replace(
         verdict, pointwise_agrees=_directions_compatible(verdict.direction, pw_direction)
     )

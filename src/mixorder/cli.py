@@ -22,13 +22,13 @@ from .analysis import (
     DEFAULT_POINTS,
     Direction,
     Grid,
-    MAX_POINTS,
     Monotonicity,
     OrderKind,
     PairSample,
     QUANTITIES,
     auto_grid,
     check_order,
+    check_points,
     implication_audit,
 )
 from .conditions import THEOREM_EVALUATORS
@@ -62,9 +62,10 @@ def _resolve_scenario(source):
 
 def _points(n):
     """The ``--points`` count ``n``, checked before any quantile root runs."""
-    if not 3 <= n <= MAX_POINTS:
-        raise MixorderError(f"bad --points value: grid needs 3 to {MAX_POINTS} points, got {n}")
-    return n
+    try:
+        return check_points(n)
+    except ParameterError as exc:
+        raise MixorderError(f"bad --points value: {exc}") from None
 
 
 def _grid(args, auto):

@@ -54,8 +54,14 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 _PANEL_TOL = 1e-9
 _MAX_DEPTH = 40
 
-#: points per slice of a long 1-d grid in ``sample_curves``; 64 KB temporaries
+#: points per slice of a long 1-d grid in ``sample_curves`` and the order
+#: checks; 64 KB temporaries
 EVAL_BLOCK = 8192
+
+
+def eval_blocks(size):
+    """The consecutive ``EVAL_BLOCK``-point slices of ``size`` points."""
+    return [slice(i, i + EVAL_BLOCK) for i in range(0, size, EVAL_BLOCK)]
 
 
 def _compensated_sum(terms, out=None):
@@ -117,8 +123,7 @@ def sample_curves(mixtures, x, curves):
                                    for w, i in zip(mix.weights.tolist(), place)])
                  for j in range(k)] for mix, place in zip(mixtures, places)]
     outs = [[np.empty(arr.shape) for _ in curves] for _ in mixtures]
-    n = EVAL_BLOCK
-    for part in [slice(i, i + n) for i in range(0, arr.size, n)] if arr.ndim == 1 else [...]:
+    for part in eval_blocks(arr.size) if arr.ndim == 1 else [...]:
         values = sample_groups(groups, arr[part], curves)
         with np.errstate(invalid="ignore"):  # a Kahan step past an infinite term is NaN
             for mix, place, out in zip(mixtures, places, outs):

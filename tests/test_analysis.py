@@ -37,7 +37,9 @@ from mixorder.analysis import (
     UPPER_QUANTILE,
     MonotonicityVerdict,
     OrderVerdict,
+    _ratio_verdict,
 )
+from mixorder.mixture import EVAL_BLOCK
 
 
 # ---------------------------------------------------------------- classifier
@@ -97,6 +99,14 @@ def test_classify_rejects_bad_input():
         classify_monotonicity([1.0, 2.0], [0.0, 1.0])
     with pytest.raises(ParameterError):
         classify_monotonicity([1.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("x", [[np.nan, np.nan, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf, np.inf],
+                               [-np.inf, -np.inf, 0.0]])
+def test_classify_rejects_abscissae_that_are_nan_or_repeat_an_infinity(x, recwarn):
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        classify_monotonicity(x, [0.0, 1.0, 2.0])
+    assert not recwarn.list
 
 
 def _classify_reference(x, values, rel_tol):
@@ -177,6 +187,25 @@ def test_classify_matches_the_reference_bit_for_bit(inputs):
         assert getattr(got.value, "index", None) == getattr(exc, "index", None)
         return
     assert _verdict_hex(classify_monotonicity(x, values, rel_tol=rel_tol)) == _verdict_hex(want)
+
+
+@pytest.mark.parametrize("trend", ["mixed", "non_decreasing"])
+def test_classify_long_sequences_match_the_reference_bit_for_bit(trend):
+    # the steps are scanned EVAL_BLOCK at a time; integer values make the
+    # extremal steps tie exactly, across blocks and on a block's last step,
+    # and the first of them must give the witness
+    rng = np.random.default_rng(5)
+    n = 3 * EVAL_BLOCK + 5
+    x = np.cumsum(rng.uniform(0.5, 1.5, n))
+    steps = rng.integers(-5, 6, n - 1).astype(float)
+    steps[[EVAL_BLOCK - 1, 2 * EVAL_BLOCK + 3]] = 9.0
+    steps[[EVAL_BLOCK, n - 2]] = -9.0
+    if trend == "non_decreasing":
+        steps = np.abs(steps)
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    got = classify_monotonicity(x, values)
+    assert got.classification is Monotonicity(trend if trend != "mixed" else "non_monotone")
+    assert _verdict_hex(got) == _verdict_hex(_classify_reference(x, values, DEFAULT_REL_TOL))
 
 
 def test_grid_validation():
@@ -335,6 +364,22 @@ def test_aging_faster_catalog_and_readings():
     w = verdict.violation_witness
     assert w.value_u == u.pdf(w.x) / u.cdf(w.x)
     assert w.value_v == v.pdf(w.x) / v.cdf(w.x)
+
+
+def test_ratio_domain_as_one_run_or_with_gaps_classifies_the_kept_points():
+    # a domain that is one run of points is read as views, any other is
+    # copied out; both classify the kept points alone
+    sample = PairSample(*_pair("CE4.22"))
+    ratio, n = sample.pdf_ratio, sample.x.size
+    middle = np.zeros(n, dtype=bool)
+    middle[100:n - 50] = True
+    gaps = middle.copy()
+    gaps[[500, 1001, 1002]] = False
+    for keep in (sample.lr_domain, middle, gaps):
+        verdict = _ratio_verdict(OrderKind.LR, sample, keep, ratio, DEFAULT_REL_TOL, "", ("pdf",))
+        xs = sample.x[keep]
+        assert verdict.ratio_classification == classify_monotonicity(xs, ratio[keep])
+        assert (verdict.points_used, verdict.evaluated_range) == (xs.size, (xs[0], xs[-1]))
 
 
 def test_insufficient_domain():
