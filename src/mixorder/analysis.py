@@ -147,8 +147,9 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
 
     Consecutive differences are compared against rel_tol * max|value|.
     Witnesses are the midpoints of the first extremal up and down steps.
-    The steps are formed ``EVAL_BLOCK`` at a time, never over the whole
-    sequence at once.
+    The steps are formed ``mixture.EVAL_BLOCK`` at a time, never over the
+    whole sequence at once; a longer sequence gets the bits of one whole
+    pass, except the sign of a zero largest step among +0.0 and -0.0 steps.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -176,13 +177,13 @@ def classify_monotonicity(x, values, rel_tol=DEFAULT_REL_TOL):
     # max|v| as max(max v, -min v); abs() makes a zero one +0.0, as max(abs(v)) does
     scale = abs(float(max(values.max(), -values.min())))
     tol = rel_tol * scale
-    max_up, max_down = up[0], down[0]
+    (max_up, up_at, up_steps), (max_down, down_at, down_steps) = up, down
     witness_up = witness_down = None
     if max_up > tol:
-        i = up[1] + int(np.argmax(up[2]))
+        i = up_at + int(np.argmax(up_steps))
         witness_up = float(0.5 * (x[i] + x[i + 1]))
     if max_down > tol:
-        i = down[1] + int(np.argmin(down[2]))
+        i = down_at + int(np.argmin(down_steps))
         witness_down = float(0.5 * (x[i] + x[i + 1]))
     up_ok = max_down <= tol  # no significant decrease
     down_ok = max_up <= tol  # no significant increase
