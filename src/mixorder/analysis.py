@@ -245,14 +245,15 @@ class PairSample:
     Every curve, domain mask and ratio is a ``cached_property``: computed on
     first read and kept in the instance, so every checker, the curve writer
     and ``eval`` read the same arrays. ``fill`` samples curves for both
-    mixtures in one pass; a checker that reads both curves fills them
-    together first. Each ratio is NaN outside the
+    mixtures in one pass; a reader of both curves fills them together
+    first. Each ratio is NaN outside the
     domain its checker classifies on; the domain masks are exposed
     separately so a NaN inside a domain still reaches the classifier as an
-    invalid sample. The reversed hazard rates are kept only when ``rhr`` is
-    read: ``rhr_ratio`` and the rh check form them from the curves in
-    ``mixture.EVAL_BLOCK``-point slices (``rates``), so a check allocates
-    no whole-grid float array besides the ratio it keeps.
+    invalid sample. ``rates`` is the one source of the reversed hazard
+    rates on the grid, for the rh check's dual, ``rhr_ratio`` and ``eval
+    rhr``; it fills both curves and forms the rates of the slice it is
+    given, not kept, so a check allocates no whole-grid float array besides
+    the ratio it keeps.
     """
 
     def __init__(self, u, v, grid):
@@ -299,6 +300,7 @@ class PairSample:
 
     @cached_property
     def r_rh_domain(self):
+        self.fill("cdf", "pdf")
         return (
             (self.cdf_u > DENOM_FLOOR) & (self.cdf_v > DENOM_FLOOR) & (self.pdf_v > DENOM_FLOOR)
             & np.isfinite(self.pdf_u) & np.isfinite(self.pdf_v)
@@ -317,13 +319,9 @@ class PairSample:
     def rates(self, part=slice(None)):
         """(h_U, h_V) on ``part`` of the grid, each where its own CDF exceeds
         the floor; new arrays, not kept."""
+        self.fill("cdf", "pdf")
         return tuple(_masked_div(pdf[part], cdf[part], cdf[part] > DENOM_FLOOR)
                      for pdf, cdf in ((self.pdf_u, self.cdf_u), (self.pdf_v, self.cdf_v)))
-
-    @cached_property
-    def rhr(self):
-        """(h_U, h_V), each where its own CDF exceeds the floor."""
-        return self.rates()
 
     @cached_property
     def rhr_ratio(self):
@@ -341,7 +339,7 @@ QUANTITIES = {
     "cdf": lambda s: {"cdf_U": s.cdf_u, "cdf_V": s.cdf_v},
     "pdf": lambda s: {"pdf_U": s.pdf_u, "pdf_V": s.pdf_v},
     "sf": lambda s: {"sf_U": 1.0 - s.cdf_u, "sf_V": 1.0 - s.cdf_v},
-    "rhr": lambda s: dict(zip(("rhr_U", "rhr_V"), s.rhr)),
+    "rhr": lambda s: dict(zip(("rhr_U", "rhr_V"), s.rates())),
     "cdf_ratio": lambda s: {"cdf_ratio_V_over_U": s.cdf_ratio},
     "pdf_ratio": lambda s: {"pdf_ratio_V_over_U": s.pdf_ratio},
     "rhr_ratio": lambda s: {"rhr_ratio_U_over_V": s.rhr_ratio},
@@ -467,7 +465,6 @@ def check_aging_faster_rhr(sample, rel_tol=DEFAULT_REL_TOL, pair_id=""):
     treat a decreasing ratio as the validated conclusion. Both readings
     are recorded; ``direction`` follows the definition.
     """
-    sample.fill("cdf", "pdf")
     verdict = _ratio_verdict(
         OrderKind.R_RH, sample, sample.r_rh_domain, sample.rhr_ratio, rel_tol,
         pair_id, ("cdf", "pdf"),

@@ -41,6 +41,7 @@ from .numerics import (  # noqa: F401
     brent_root,
     central_difference,
     expand_upper_bracket,
+    on_grid,
     on_support,
 )
 
@@ -100,11 +101,9 @@ class BaselineModel:
 
     def pdf_prime(self, t):
         """Density derivative f'(t) from the family's ``_pdf_prime_above``."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr <= self._c):
+        if np.any(np.asarray(t, dtype=float) <= self._c):
             raise DomainError(f"pdf derivative requires t > support_low={self._c}")
-        out = np.asarray(self._pdf_prime_above(arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
+        return on_grid(self._pdf_prime_above, t)
 
     def cdf_offset(self, dz):
         """F(c + dz) for dz >= 0, accurate for offsets below one ulp of c.
@@ -112,14 +111,21 @@ class BaselineModel:
         Families with power-law mass near the support bound concentrate a
         visible fraction of probability inside the last representable x,
         so quadrature needs the offset itself as the working variable.
-        Closed-form families with c > 0 override with cancellation-free
-        forms; at c = 0 the offset is the abscissa, and this is exact.
+        Closed-form families with c > 0 give ``_cdf_offset`` a
+        cancellation-free form; at c = 0 the offset is the abscissa, and the
+        base class's is exact.
         """
-        return self.cdf(self._c + np.asarray(dz, dtype=float))
+        return on_grid(self._cdf_offset, dz)
 
     def pdf_offset(self, dz):
         """f(c + dz) for dz >= 0; see ``cdf_offset``."""
-        return self.pdf(self._c + np.asarray(dz, dtype=float))
+        return on_grid(self._pdf_offset, dz)
+
+    def _cdf_offset(self, dz):
+        return self.cdf(self._c + dz)
+
+    def _pdf_offset(self, dz):
+        return self.pdf(self._c + dz)
 
     def quantile(self, p):
         """Inverse CDF: the t > c with F(t) = p."""
@@ -185,12 +191,10 @@ class Pareto(BaselineModel):
     def _pdf_prime_above(self, t):
         return -self.a * (self.a + 1.0) * self.k**self.a * t ** (-self.a - 2.0)
 
-    def cdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _cdf_offset(self, dz):
         return -np.expm1(-self.a * np.log1p(dz / self.k))
 
-    def pdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _pdf_offset(self, dz):
         return (self.a / self.k) * np.exp(-(self.a + 1.0) * np.log1p(dz / self.k))
 
     def _quantile_above(self, log_q, log_s):
@@ -219,12 +223,10 @@ class LeftTruncatedExponential(BaselineModel):
     def _pdf_prime_above(self, t):
         return -np.exp(-(t - self.t0) / self.b) / self.b**2
 
-    def cdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _cdf_offset(self, dz):
         return -np.expm1(-dz / self.b)
 
-    def pdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _pdf_offset(self, dz):
         return np.exp(-dz / self.b) / self.b
 
     def _quantile_above(self, log_q, log_s):
@@ -264,15 +266,15 @@ class BenktanderII(BaselineModel):
             - a**2 * t ** (3.0 * b - 3.0)
         )
 
-    def cdf_offset(self, dz):
+    def _cdf_offset(self, dz):
         a, b = self.a, self.b
-        w = np.log1p(np.asarray(dz, dtype=float))
+        w = np.log1p(dz)
         # log survival = (b-1) log t - (a/b)(t^b - 1) with t = 1 + dz
         return -np.expm1((b - 1.0) * w - (a / b) * np.expm1(b * w))
 
-    def pdf_offset(self, dz):
+    def _pdf_offset(self, dz):
         a, b = self.a, self.b
-        w = np.log1p(np.asarray(dz, dtype=float))
+        w = np.log1p(dz)
         return np.exp(-(a / b) * np.expm1(b * w) + (b - 2.0) * w) * np.minimum(
             (1.0 - b) + a * np.exp(b * w), _MAX
         )
@@ -312,15 +314,13 @@ class LeftTruncatedBurrXII(BaselineModel):
             / self._s0
         )
 
-    def cdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _cdf_offset(self, dz):
         # (t0+dz)^k - t0^k without cancellation
         grow = self.t0**self.k * np.expm1(self.k * np.log1p(dz / self.t0))
         return -np.expm1(-self.m * np.log1p(grow / (1.0 + self.t0**self.k)))
 
-    def pdf_offset(self, dz):
-        t = self.t0 + np.asarray(dz, dtype=float)
-        return self._pdf_above(t)
+    def _pdf_offset(self, dz):
+        return self._pdf_above(self.t0 + dz)
 
     def _quantile_above(self, log_q, log_s):
         # t^k = t0^k + (1 + t0^k) (s^(-1/m) - 1), growth without cancellation
@@ -351,12 +351,11 @@ class LeftTruncatedLomax(BaselineModel):
     def _pdf_prime_above(self, t):
         return -self.m * (self.m + 1.0) * (1.0 + t) ** (-self.m - 2.0) / self._s0
 
-    def cdf_offset(self, dz):
-        dz = np.asarray(dz, dtype=float)
+    def _cdf_offset(self, dz):
         return -np.expm1(-self.m * np.log1p(dz / (1.0 + self.t0)))
 
-    def pdf_offset(self, dz):
-        return self._pdf_above(self.t0 + np.asarray(dz, dtype=float))
+    def _pdf_offset(self, dz):
+        return self._pdf_above(self.t0 + dz)
 
     def _quantile_above(self, log_q, log_s):
         return self.t0 + (1.0 + self.t0) * math.expm1(-log_s / self.m)

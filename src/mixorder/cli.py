@@ -257,7 +257,9 @@ def _persist_record(record, out_dir):
 
 
 def cmd_reproduce(args):
-    ids = catalog_ids() if args.all or not args.ids else list(args.ids)
+    if args.all and args.ids:
+        raise MixorderError("--all runs every scenario; give scenario ids or --all, not both")
+    ids = list(args.ids) or catalog_ids()
     n_points = _points(args.points)
     records = [run_scenario(_resolve_scenario(i), n_points=n_points) for i in ids]
     out_dir = _results_dir(args)

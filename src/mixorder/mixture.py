@@ -3,14 +3,14 @@
 The mixture CDF and PDF are weighted sums of the component functions, with
 contributions switching on as x crosses each component's support start.
 Sums are Kahan-compensated because catalog weights span two orders of
-magnitude; the loop skips the two textbook steps that cannot change a bit,
-so it has Kahan's bits. One kernel, ``sample_curves``, samples one mixture
-or a pair: ``cdf`` and ``pdf`` are its one-mixture case. It groups the
-distinct components and samples them all in one ``els.sample_groups`` call,
-for a scalar as for an array, then sums each mixture's terms. A grid longer
-than ``EVAL_BLOCK`` runs in cache-sized slices of the same elementwise
-arithmetic on one grouping, so it gives the same bits. Also provides
-the two-block outlier construction and a normalization quadrature check.
+magnitude, by ``numerics.compensated_sum``, the quadrature's sum too. One
+kernel, ``sample_curves``, samples one mixture or a pair: ``cdf`` and
+``pdf`` are its one-mixture case. It groups the distinct components and
+samples them all in one ``els.sample_groups`` call, for a scalar as for an
+array, then sums each mixture's terms. A grid longer than ``EVAL_BLOCK``
+runs in cache-sized slices of the same elementwise arithmetic on one
+grouping, so it gives the same bits. Also provides the two-block outlier
+construction and a normalization quadrature check.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .numerics import (  # noqa: F401
     adaptive_simpson,
     bisect_nondecreasing,
     brent_root,
+    compensated_sum,
     expand_upper_bracket,
 )
 
@@ -64,34 +65,6 @@ def eval_blocks(size):
     return [slice(i, i + EVAL_BLOCK) for i in range(0, size, EVAL_BLOCK)]
 
 
-def _compensated_sum(terms, out=None):
-    """Kahan sum of the weighted component ``terms`` in their order, Python
-    floats or arrays, the latter written into ``out``. It starts from the
-    first term and leaves out two steps of the textbook loop that cannot
-    change a bit: the first step's ``term - 0.0``, which is exact, and the
-    last step's compensation update, which nothing reads. So two terms take
-    one add. Where an infinite term makes it NaN, the plain sum of the
-    nonnegative terms is taken: +inf in any component order, NaN only from a
-    NaN term. The caller of an array sum silences numpy's invalid flag."""
-    total, comp, last = terms[0], 0.0, len(terms) - 1
-    for k, term in enumerate(terms[1:], 1):
-        y = term - comp if k > 1 else term
-        if k < last:
-            t = total + y
-            comp = t - total
-            comp -= y
-            total = t
-        else:
-            total = total + y if out is None else np.add(total, y, out=out)
-    if out is None:
-        return sum(terms) if math.isnan(total) else total
-    if not last:
-        out[...] = total
-    if (bad := np.isnan(out)).any():
-        out[bad] = sum(term[bad] for term in terms)
-    return out
-
-
 def _plan(mixtures):
     """The distinct components of ``mixtures`` in groups that share a baseline
     object (an equal baseline of a subclass may compute otherwise), sigma and
@@ -119,8 +92,8 @@ def sample_curves(mixtures, x, curves):
     k = len(curves)
     if arr.ndim == 0:  # summed in Python floats, which take the IEEE steps of 0-d arrays
         values = sample_groups(groups, arr, curves)
-        return [[_compensated_sum([w * values[k * i + j]
-                                   for w, i in zip(mix.weights.tolist(), place)])
+        return [[compensated_sum([w * values[k * i + j]
+                                  for w, i in zip(mix.weights.tolist(), place)])
                  for j in range(k)] for mix, place in zip(mixtures, places)]
     outs = [[np.empty(arr.shape) for _ in curves] for _ in mixtures]
     for part in eval_blocks(arr.size) if arr.ndim == 1 else [...]:
@@ -129,7 +102,7 @@ def sample_curves(mixtures, x, curves):
             for mix, place, out in zip(mixtures, places, outs):
                 for j in range(k):
                     terms = [w * values[k * i + j] for w, i in zip(mix.weights, place)]
-                    _compensated_sum(terms, out[j][part])
+                    compensated_sum(terms, out[j][part])
     return outs
 
 

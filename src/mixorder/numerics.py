@@ -1,13 +1,15 @@
-"""Small numerical kernels: the support mask, compensated sums, quadrature, roots.
+"""Small numerical kernels: the support mask, the compensated sum, quadrature, roots.
 
-Everything here is deterministic and stateless. ``on_support`` is the mask
-rule of every baseline ``cdf``/``pdf`` and of the component offset density,
-and it gives a scalar the bits of a grid point; component and mixture
-curves take the two-comparison mask of ``els.sample_groups``. The adaptive
-Simpson rule uses interval halving with a per-panel absolute tolerance, so
-the total error scales with the number of accepted panels. It integrates
-several intervals in one pass and calls its integrand one bisection depth
-ahead, so at every other depth.
+Everything here is deterministic and stateless. ``on_grid`` runs a scalar
+as a one-point grid, so it gets the bits of that grid point. ``on_support``
+is the mask rule of every baseline ``cdf``/``pdf`` and of the component
+offset density; component and mixture curves take the two-comparison mask
+of ``els.sample_groups``. ``compensated_sum`` is the one Kahan loop: the
+mixture curves and the quadrature's per-interval sums both take it. The
+adaptive Simpson rule uses interval halving with a per-panel absolute
+tolerance, so the total error scales with the number of accepted panels.
+It integrates several intervals in one pass and calls its integrand one
+bisection depth ahead, so at every other depth.
 """
 
 from __future__ import annotations
@@ -27,18 +29,24 @@ DENOM_FLOOR = 1e-12
 _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
+def on_grid(fn, x):
+    """``fn`` of the array ``x``; a scalar x runs as a length-1 array and
+    gives a float, the vector arithmetic of a grid point (numpy's scalar
+    power rounds otherwise)."""
+    arr = np.asarray(x, dtype=float)
+    return float(fn(arr.reshape(1))[0]) if arr.ndim == 0 else fn(arr)
+
+
 def on_support(x, start, fn):
     """``fn`` at the points of ``x`` above ``start``, zero elsewhere (NaN included).
 
-    A scalar is compared as a float and gives a float from ``fn`` on a
-    length-1 array, the vector arithmetic of a grid point (numpy's scalar
-    power rounds otherwise). ``fn`` gets the whole array when every point is
-    kept and is not called when none is; a mixed array is scattered.
+    A scalar is compared as a float and runs through ``on_grid``. ``fn``
+    gets the whole array when every point is kept and is not called when
+    none is; a mixed array is scattered.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
-        t = float(arr)
-        return float(fn(np.array([t]))[0]) if t > start else 0.0
+        return on_grid(fn, arr) if float(arr) > start else 0.0
     mask = arr > start
     if mask.all() and arr.size:
         return fn(arr)
@@ -48,15 +56,32 @@ def on_support(x, start, fn):
     return out
 
 
-def kahan_add(total, comp, term):
-    """One compensated-summation step; returns updated (total, comp).
-
-    Works elementwise on arrays as well as on scalars.
-    """
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def compensated_sum(terms, out=None):
+    """Kahan sum of ``terms`` in their order, Python floats or arrays, the
+    latter written into ``out``. It starts from the first term and leaves
+    out two steps of the textbook loop that cannot change a bit: the first
+    step's ``term - 0.0``, which is exact, and the last step's compensation
+    update, which nothing reads. So two terms take one add. Where an
+    infinite term makes it NaN, the plain sum is taken: +inf for
+    nonnegative terms in any order, NaN only from a NaN term. The caller of
+    an array sum silences numpy's invalid flag."""
+    total, comp, last = terms[0], 0.0, len(terms) - 1
+    for k, term in enumerate(terms[1:], 1):
+        y = term - comp if k > 1 else term
+        if k < last:
+            t = total + y
+            comp = t - total
+            comp -= y
+            total = t
+        else:
+            total = total + y if out is None else np.add(total, y, out=out)
+    if out is None:
+        return sum(terms) if math.isnan(total) else total
+    if not last:
+        out[...] = total
+    if (bad := np.isnan(out)).any():
+        out[bad] = sum(term[bad] for term in terms)
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,9 +116,10 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     ``max_depth``), at most ``(max_depth + 1) // 2 + 1`` calls. Every point a
     depth-first recursion evaluates is evaluated once, with the same bits; the
     only others are the halves' points of panels accepted at a call's depth.
-    Each interval's sum in ``values`` (0.0 for zero width) is Kahan-summed
-    right to left, as by a depth-first recursion splitting the right half
-    first; ``value`` adds them in order. ``perfbench/tracing.py`` wraps this
+    Each interval's sum in ``values`` (0.0 for zero width) is the
+    ``compensated_sum`` of its accepted panel terms right to left, the order
+    of a depth-first recursion splitting the right half first; ``value`` adds
+    them in order. ``perfbench/tracing.py`` wraps this
     function where callers look it up, wraps ``f`` as a one-argument callable
     and reads the int totals ``panels`` and ``unconverged_panels``.
     """
@@ -136,10 +162,9 @@ def adaptive_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
         key = np.concatenate([key[~accept]] * 2)
     keys, lefts, terms, accepted = (np.concatenate(parts) for parts in zip(*tested))
     keys, lefts, terms = keys[accepted], lefts[accepted], terms[accepted]
-    order = np.lexsort((lefts, keys))[::-1]  # by interval, right to left in each
-    sums, comps = [0.0] * lo.size, [0.0] * lo.size
-    for i, term in zip(keys[order].tolist(), terms[order].tolist()):
-        sums[i], comps[i] = kahan_add(sums[i], comps[i], term)
+    order = np.lexsort((lefts, keys))  # by interval, left to right in each
+    runs = np.split(terms[order], np.cumsum(np.bincount(keys, minlength=lo.size))[:-1])
+    sums = [compensated_sum(run[::-1].tolist()) if run.size else 0.0 for run in runs]
     *_, value = accumulate(sums, initial=0.0)  # plain sum in interval order
     return QuadratureResult(value, not unconverged.any(), keys.size, int(unconverged.sum()),
                             tuple(sums), tuple(unconverged.tolist()))

@@ -37,6 +37,15 @@ def false_convergence_mixtures():
     return draws[270], draws[1911]
 
 
+def kahan_step(total, comp, term):
+    """One textbook compensated-summation step; returns the new (total, comp).
+    The tests' reference for ``numerics.compensated_sum``, on floats or
+    elementwise on arrays."""
+    y = term - comp
+    t = total + y
+    return t, (t - total) - y
+
+
 #: seed and draws per theorem of the soundness sweep (criterion 5)
 SWEEP_SEED, SWEEP_DRAWS = 42, 500
 

@@ -30,10 +30,12 @@ from mixorder import (
     make_baseline,
     scenario_grid,
 )
+from mixorder import analysis
 from mixorder._sampling import THEOREM_SAMPLERS, random_baseline, random_mixture, random_pair
 from mixorder.analysis import (
     CHECKERS,
     DEFAULT_REL_TOL,
+    QUANTITIES,
     UPPER_QUANTILE,
     MonotonicityVerdict,
     OrderVerdict,
@@ -415,6 +417,25 @@ def test_rh_dual_agreement_across_catalog(catalog):
         u, v = s.mixtures()
         verdict = check_reversed_hazard(PairSample(u, v, scenario_grid(s)))
         assert verdict.pointwise_agrees in (True, None), s.scenario_id
+
+
+def test_each_reader_samples_the_grid_in_one_pass(monkeypatch, catalog):
+    # one sample_curves pass over the grid per eval quantity and per checker
+    # on a fresh sample, then one scalar pass for a non-monotone ratio's witness
+    passes, original = [], analysis.sample_curves
+    monkeypatch.setattr(analysis, "sample_curves", lambda mixtures, x, curves: (
+        passes.append(np.ndim(x)) or original(mixtures, x, curves)))
+    for s in catalog:
+        grid = scenario_grid(s)
+        for name, read in QUANTITIES.items():
+            passes.clear()
+            read(PairSample(*s.mixtures(), grid))
+            assert passes == [1], (s.scenario_id, name)
+        for kind, check in CHECKERS.items():
+            passes.clear()
+            mono = check(PairSample(*s.mixtures(), grid)).ratio_classification
+            witness = mono is not None and mono.classification is Monotonicity.NON_MONOTONE
+            assert passes == [1] + [0] * witness, (s.scenario_id, kind)
 
 
 def test_auto_grid_window():

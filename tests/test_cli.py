@@ -599,6 +599,14 @@ def test_reproduce_selection_and_exit(capsys, tmp_path, monkeypatch):
     assert curve.exists()
 
 
+def test_reproduce_all_with_ids_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("STOCHORDER_RESULTS_DIR", str(tmp_path / "results"))
+    code, out, err = run_cli(capsys, "reproduce", "--all", "EX4.1", "--no-records")
+    assert (code, out) == (2, "")
+    assert "--all" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_reproduce_results_dir_flag_beats_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("STOCHORDER_RESULTS_DIR", str(tmp_path / "envdir"))
     flag_dir = tmp_path / "flagdir"

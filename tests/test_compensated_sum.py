@@ -1,13 +1,14 @@
-"""The mixture sum gives the bits of the textbook Kahan loop.
+"""The one compensated sum gives the bits of the textbook Kahan loop.
 
-``mixture._compensated_sum`` starts from the first term and leaves out the
+``numerics.compensated_sum`` starts from the first term and leaves out the
 first step's ``term - 0.0`` and the last step's compensation update. The
-reference here is the loop it shortens: ``numerics.kahan_add`` from
-``(terms[0], 0.0)`` over every other term, then the plain sum where that
-gives NaN. Both run on Python floats and on arrays, from the sum itself and
-through ``mixture.sample_curves`` on grids around a patched
-``mixture.EVAL_BLOCK``. A pair pass over a grid longer than one block takes
-one plan.
+reference here is the loop it shortens: the textbook step
+``conftest.kahan_step`` from ``(terms[0], 0.0)`` over every other term, then
+the plain sum where that gives NaN. Both run on Python floats and on
+arrays, from the sum itself and through ``mixture.sample_curves`` on grids
+around a patched ``mixture.EVAL_BLOCK``. A pair pass over a grid longer
+than one block takes one plan. The quadrature's per-interval sums take the
+same function (``tests/test_numerics.py``).
 """
 
 import math
@@ -17,10 +18,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import kahan_step
 from mixorder import ELSComponent, FiniteMixture, get_scenario, make_baseline, mixture
 from mixorder._sampling import random_mixture
 from mixorder.els import sample_groups
-from mixorder.numerics import kahan_add
+from mixorder.numerics import compensated_sum
 from mixorder.scenarios import scenario_grid
 
 #: signed zeros, NaN, infinities, subnormals and the largest magnitudes
@@ -37,7 +39,7 @@ def _textbook_sum(terms):
     total, comp = terms[0], 0.0
     with np.errstate(invalid="ignore"):  # a step past an infinite term is NaN
         for term in terms[1:]:
-            total, comp = kahan_add(total, comp, term)
+            total, comp = kahan_step(total, comp, term)
     if isinstance(total, float):
         return sum(terms) if math.isnan(total) else total
     total = np.array(total, dtype=float)  # one term is the caller's own array
@@ -59,11 +61,11 @@ def test_sum_matches_the_textbook_loop(data, n_terms, length):
     with np.errstate(all="ignore"):
         expected = _textbook_sum(terms)
         if length is None:
-            got = mixture._compensated_sum(terms)
+            got = compensated_sum(terms)
             assert type(got) is float
         else:
             out = np.full(length, 7.0)
-            got = mixture._compensated_sum(terms, out)
+            got = compensated_sum(terms, out)
             assert got is out
     assert np.array_equal(_bits(got), _bits(expected)), (terms, got, expected)
     assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(terms, kept))

@@ -2,7 +2,10 @@
 
 Every baseline ``cdf``/``pdf`` and the component offset density run their
 closed forms through ``numerics.on_support``, which hands a scalar to the
-closed form as a length-1 array. Component and mixture curves come from one
+closed form as a length-1 array by ``numerics.on_grid``; a baseline's
+``pdf_prime``, ``cdf_offset`` and ``pdf_offset`` take the same rule, and a
+scalar inside each one's domain must give the bits of that point of an
+array. Component and mixture curves come from one
 kernel, ``els.sample_groups``: a group of components sharing a baseline,
 sigma and lam takes one two-comparison mask and one closed-form pass, a
 scalar's as a one-point array, so a scalar pass makes the closed-form calls
@@ -135,6 +138,20 @@ def test_overflow_is_a_domain_error_on_every_path(t):
     model = make_baseline("pareto", a=400.0, k=10.0)
     with pytest.raises(DomainError, match="pareto pdf overflows the float range"):
         model.pdf(t)
+
+
+@pytest.mark.parametrize("family", sorted(BASELINES))
+def test_derivative_and_offsets_of_a_scalar_match_the_array_bit_for_bit(family):
+    # each inside its domain: pdf_prime raises at and below c, the offsets take dz >= 0
+    base = BASELINES[family]
+    dz = np.concatenate(([0.0], np.geomspace(1e-9, 50.0, 2000)))
+    for fn, x in ((base.pdf_prime, base.support_low + dz[1:]), (base.cdf_offset, dz),
+                  (base.pdf_offset, dz)):
+        grid = fn(x)
+        assert isinstance(grid, np.ndarray) and grid.shape == x.shape
+        points = [fn(t) for t in x.tolist()]
+        assert all(type(p) is float for p in points), fn
+        assert np.array_equal(_bits(points), _bits(grid)), fn
 
 
 def test_on_support_paths():

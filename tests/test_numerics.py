@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import kahan_step
 from mixorder import mixture, verify_normalization
 from mixorder.errors import DomainError
 from mixorder.numerics import (
@@ -16,21 +17,37 @@ from mixorder.numerics import (
     bisect_nondecreasing,
     brent_root,
     central_difference,
+    compensated_sum,
     expand_upper_bracket,
-    kahan_add,
 )
 
 
-def test_kahan_add_compensates():
+def test_compensated_sum_compensates():
     terms = [0.1] * 10_000 + [1e9] + [0.1] * 10_000
-    total = comp = 0.0
     naive = 0.0
     for t in terms:
-        total, comp = kahan_add(total, comp, t)
         naive += t
     exact = math.fsum(terms)
+    total = compensated_sum(terms)
     assert abs(total - exact) <= abs(naive - exact)
     assert total == pytest.approx(exact, abs=1e-6)
+
+
+def test_quadrature_sums_an_infinite_term_by_the_mixture_rule():
+    # f is +inf only at 0.625, a quarter point of the right half [0.5, 1]:
+    # that half's fine estimate is +inf while its coarse one is finite, so at
+    # max_depth its term is +inf and comes first in the right-to-left sum
+    def f(point):
+        x = point[1]
+        return np.where(x == 0.625, math.inf, np.exp(x))
+
+    res = adaptive_simpson(f, 0.0, 1.0, abs_tol=1e-300, max_depth=1)
+    assert (res.value, res.values, res.panels, res.unconverged) == (math.inf, (math.inf,), 2, (2,))
+    # the textbook step streams the compensation inf - inf into the total
+    total = comp = 0.0
+    for term in (math.inf, 1.0):
+        total, comp = kahan_step(total, comp, term)
+    assert math.isnan(total)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -76,7 +93,7 @@ def _reference_simpson(f, a, b, abs_tol=1e-9, max_depth=40, examined=None):
             panels += 1
             if abs(err) > 15.0 * abs_tol:
                 bad += 1
-            total, comp = kahan_add(total, comp, left + right + err / 15.0)
+            total, comp = kahan_step(total, comp, left + right + err / 15.0)
         else:
             stack.append((a0, fa0, m0, fm0, lm, flm, left, depth + 1))
             stack.append((m0, fm0, b0, fb0, rm, frm, right, depth + 1))
@@ -117,7 +134,7 @@ def _level_wise_simpson(f, a, b, abs_tol=1e-9, max_depth=40):
     order = np.lexsort((lefts, keys))[::-1]
     sums, comps = [0.0] * lo.size, [0.0] * lo.size
     for i, term in zip(keys[order].tolist(), terms[order].tolist()):
-        sums[i], comps[i] = kahan_add(sums[i], comps[i], term)
+        sums[i], comps[i] = kahan_step(sums[i], comps[i], term)
     *_, value = accumulate(sums, initial=0.0)
     unconverged = np.bincount(keys[bad], minlength=lo.size)
     return QuadratureResult(value, not bad.any(), keys.size, int(unconverged.sum()),
