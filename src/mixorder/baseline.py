@@ -4,9 +4,12 @@ Six closed-form families plus a tabulated escape hatch. Each model exposes
 the CDF F, the density f and the density derivative f'. The lower
 support bound ``support_low`` is the constant that shifts an
 exponentiated location-scale component's start point.
-``cdf`` and ``pdf`` run the closed forms through ``numerics.on_support``:
-zero on t <= c, a float for a scalar (with the bits of the same point in a
-grid), and a DomainError when the float range overflows.
+Each family writes its CDF and density once, in one ``_closed_forms(t,
+cdf, pdf)`` that computes the parts both share once and returns only the
+curves asked for; an ELS group asks for both in one call. ``cdf`` and
+``pdf`` are its one-curve cases, run through ``numerics.on_support``: zero
+on t <= c, a float for a scalar (with the bits of the same point in a
+grid), and a DomainError naming the curve when the float range overflows.
 
 Closed forms:
 
@@ -77,27 +80,29 @@ class BaselineModel:
         """Lower support bound c; F(c) = 0."""
         return self._c
 
-    def _cdf_above(self, t):
-        raise NotImplementedError
-
-    def _pdf_above(self, t):
+    def _closed_forms(self, t, cdf, pdf):
+        """(F, f) at t > c, unmasked, each None unless asked for; each form is
+        written once and a subexpression both use is computed once."""
         raise NotImplementedError
 
     def _pdf_prime_above(self, t):
         raise NotImplementedError
 
-    def _closed_form(self, name, t):
-        """Closed form ``name`` ("cdf"/"pdf") at t > c, unmasked; overflow is a DomainError."""
+    def _curves(self, t, cdf, pdf):
+        """``_closed_forms``, where an overflow is a DomainError naming the
+        curve. Only a float power raises it, and only a density takes one
+        (Pareto's k**a), so a call asking for both names the density."""
         try:
-            return getattr(self, f"_{name}_above")(t)
+            return self._closed_forms(t, cdf, pdf)
         except OverflowError:
+            name = "pdf" if pdf else "cdf"
             raise DomainError(f"{self.family} {name} overflows the float range") from None
 
     def cdf(self, t):
-        return on_support(t, self._c, lambda above: self._closed_form("cdf", above))
+        return on_support(t, self._c, lambda above: self._curves(above, True, False)[0])
 
     def pdf(self, t):
-        return on_support(t, self._c, lambda above: self._closed_form("pdf", above))
+        return on_support(t, self._c, lambda above: self._curves(above, False, True)[1])
 
     def pdf_prime(self, t):
         """Density derivative f'(t) from the family's ``_pdf_prime_above``."""
@@ -182,11 +187,9 @@ class Pareto(BaselineModel):
         self.k = _require_positive("k", k)
         self._c = self.k
 
-    def _cdf_above(self, t):
-        return 1.0 - (self.k / t) ** self.a
-
-    def _pdf_above(self, t):
-        return self.a * self.k**self.a * t ** (-self.a - 1.0)
+    def _closed_forms(self, t, cdf, pdf):
+        return (1.0 - (self.k / t) ** self.a if cdf else None,
+                self.a * self.k**self.a * t ** (-self.a - 1.0) if pdf else None)
 
     def _pdf_prime_above(self, t):
         return -self.a * (self.a + 1.0) * self.k**self.a * t ** (-self.a - 2.0)
@@ -214,11 +217,9 @@ class LeftTruncatedExponential(BaselineModel):
         self.t0 = _require_positive("t0", t0)
         self._c = self.t0
 
-    def _cdf_above(self, t):
-        return -np.expm1(-(t - self.t0) / self.b)
-
-    def _pdf_above(self, t):
-        return np.exp(-(t - self.t0) / self.b) / self.b
+    def _closed_forms(self, t, cdf, pdf):
+        e = -(t - self.t0) / self.b
+        return -np.expm1(e) if cdf else None, np.exp(e) / self.b if pdf else None
 
     def _pdf_prime_above(self, t):
         return -np.exp(-(t - self.t0) / self.b) / self.b**2
@@ -248,19 +249,16 @@ class BenktanderII(BaselineModel):
             raise ParameterError(f"Benktander-II requires 0 < b < 1, got b={b}")
         self._c = 1.0
 
-    def _expfac(self, t):
-        return np.exp((self.a / self.b) * (1.0 - t**self.b))
-
-    def _cdf_above(self, t):
-        return 1.0 - t ** (self.b - 1.0) * self._expfac(t)
-
-    def _pdf_above(self, t):
+    def _closed_forms(self, t, cdf, pdf):
         a, b = self.a, self.b
-        return self._expfac(t) * t ** (b - 2.0) * np.minimum((1.0 - b) + a * t**b, _MAX)
+        tb = t**b
+        e = np.exp((a / b) * (1.0 - tb))
+        return (1.0 - t ** (b - 1.0) * e if cdf else None,
+                e * t ** (b - 2.0) * np.minimum((1.0 - b) + a * tb, _MAX) if pdf else None)
 
     def _pdf_prime_above(self, t):
         a, b = self.a, self.b
-        return self._expfac(t) * (
+        return np.exp((a / b) * (1.0 - t**b)) * (
             (1.0 - b) * (b - 2.0) * t ** (b - 3.0)
             - 3.0 * a * (1.0 - b) * t ** (2.0 * b - 3.0)
             - a**2 * t ** (3.0 * b - 3.0)
@@ -295,12 +293,12 @@ class LeftTruncatedBurrXII(BaselineModel):
         self._c = self.t0
         self._s0 = (1.0 + self.t0**self.k) ** (-self.m)
 
-    def _cdf_above(self, t):
-        return 1.0 - (1.0 + t**self.k) ** (-self.m) / self._s0
-
-    def _pdf_above(self, t):
+    def _closed_forms(self, t, cdf, pdf):
         k, m = self.k, self.m
-        return np.minimum(m * k * t ** (k - 1.0), _MAX) * (1.0 + t**k) ** (-m - 1.0) / self._s0
+        u = 1.0 + t**k
+        return (1.0 - u ** (-m) / self._s0 if cdf else None,
+                np.minimum(m * k * t ** (k - 1.0), _MAX) * u ** (-m - 1.0) / self._s0
+                if pdf else None)
 
     def _pdf_prime_above(self, t):
         k, m = self.k, self.m
@@ -320,7 +318,7 @@ class LeftTruncatedBurrXII(BaselineModel):
         return -np.expm1(-self.m * np.log1p(grow / (1.0 + self.t0**self.k)))
 
     def _pdf_offset(self, dz):
-        return self._pdf_above(self.t0 + dz)
+        return self._closed_forms(self.t0 + dz, False, True)[1]
 
     def _quantile_above(self, log_q, log_s):
         # t^k = t0^k + (1 + t0^k) (s^(-1/m) - 1), growth without cancellation
@@ -342,11 +340,10 @@ class LeftTruncatedLomax(BaselineModel):
         self._c = self.t0
         self._s0 = (1.0 + self.t0) ** (-self.m)
 
-    def _cdf_above(self, t):
-        return 1.0 - (1.0 + t) ** (-self.m) / self._s0
-
-    def _pdf_above(self, t):
-        return self.m * (1.0 + t) ** (-self.m - 1.0) / self._s0
+    def _closed_forms(self, t, cdf, pdf):
+        u = 1.0 + t
+        return (1.0 - u ** (-self.m) / self._s0 if cdf else None,
+                self.m * u ** (-self.m - 1.0) / self._s0 if pdf else None)
 
     def _pdf_prime_above(self, t):
         return -self.m * (self.m + 1.0) * (1.0 + t) ** (-self.m - 2.0) / self._s0
@@ -355,7 +352,7 @@ class LeftTruncatedLomax(BaselineModel):
         return -np.expm1(-self.m * np.log1p(dz / (1.0 + self.t0)))
 
     def _pdf_offset(self, dz):
-        return self._pdf_above(self.t0 + dz)
+        return self._closed_forms(self.t0 + dz, False, True)[1]
 
     def _quantile_above(self, log_q, log_s):
         return self.t0 + (1.0 + self.t0) * math.expm1(-log_s / self.m)
@@ -373,14 +370,12 @@ class LogLogistic(BaselineModel):
         self.b = _require_positive("b", b)
         self._c = 0.0
 
-    def _cdf_above(self, t):
-        tb = np.minimum(t**self.b, _MAX)
-        return tb / (1.0 + tb)
-
-    def _pdf_above(self, t):
+    def _closed_forms(self, t, cdf, pdf):
+        # the CDF caps t^b; the density's (1 + t^b)^2 takes it as it is
         b = self.b
         tb = t**b
-        return np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2
+        return ((c := np.minimum(tb, _MAX)) / (1.0 + c) if cdf else None,
+                np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2 if pdf else None)
 
     def _pdf_prime_above(self, t):
         b = self.b
@@ -426,20 +421,18 @@ class Tabulated(BaselineModel):
         self._interp = PchipInterpolator(t, F, extrapolate=False)
         self._deriv = self._interp.derivative()
 
-    def _cdf_above(self, t):
-        out = np.where(t >= self._hi, 1.0, np.nan)
+    def _closed_forms(self, t, cdf, pdf):
+        F = f = None
         inside = t < self._hi
-        if np.any(inside):
-            out = np.asarray(out, dtype=float)
-            out[inside] = self._interp(t[inside])
-        return out
-
-    def _pdf_above(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        inside = t < self._hi
-        if np.any(inside):
-            out[inside] = np.maximum(self._deriv(t[inside]), 0.0)
-        return out
+        if cdf:
+            F = np.where(t >= self._hi, 1.0, np.nan)
+            if np.any(inside):
+                F[inside] = self._interp(t[inside])
+        if pdf:
+            f = np.zeros_like(np.asarray(t, dtype=float))
+            if np.any(inside):
+                f[inside] = np.maximum(self._deriv(t[inside]), 0.0)
+        return F, f
 
     def _pdf_prime_above(self, t):
         return central_difference(self.pdf, t)

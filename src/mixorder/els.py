@@ -4,11 +4,13 @@ A component with shape alpha, location sigma and scale lam has CDF
 F^alpha((x - sigma)/lam) on x > sigma + c*lam, where F is the baseline CDF
 with support (c, infinity). The indicator is strict: the CDF is 0 at the
 start point itself. One kernel, ``sample_groups``, gives the curves of
-components in groups that share a baseline object, sigma and lam: it masks
-x > start and z = (x - sigma)/lam > c, runs the baseline closed forms on
-the kept z once per group (a scalar as a one-point array) and forms only
-F**alpha and the density per component. A component's ``cdf`` and ``pdf``
-are its one-group case, and a mixture samples all its groups in one call.
+components in groups that share a baseline object, sigma and lam: it keeps
+x > start and z = (x - sigma)/lam > c, makes one call of the baseline's
+closed forms for F and f on the kept z per group (a scalar as a one-point
+array) and forms only F**alpha and the density per component. An array
+block whose smallest point is kept is kept whole, with no mask; a block
+that straddles a start is masked. A component's ``cdf`` and ``pdf`` are
+its one-group case, and a mixture samples all its groups in one call.
 """
 
 from __future__ import annotations
@@ -104,28 +106,31 @@ def sample_groups(groups, x, curves):
 
     A group keeps the points with x > support_start and z = (x - sigma)/lam
     > c, zero elsewhere (NaN included), and runs ``_lane_curves`` on its kept
-    z. An array is masked with numpy and passes the array itself when every
-    point is kept (a mixed array is scattered). A scalar is masked in Python
-    floats, which compare, subtract and divide as numpy does, and a live
-    group passes its z as a one-point array. Steps are elementwise, so every
-    value has the bits of the same point in any grid."""
+    z. An array is tested once by its smallest point: subtracting sigma and
+    dividing by lam > 0 keep the order of doubles, so a group whose start
+    and c lie below that point's x and z keeps every point and passes the
+    array itself. A NaN makes the smallest point NaN, and a group that does
+    not pass is masked with numpy and scattered. A scalar is masked in
+    Python floats, which compare, subtract and divide as numpy does, and a
+    live group passes its z as a one-point array. Steps are elementwise, so
+    every value has the bits of the same point in any grid."""
     arr = np.asarray(x, dtype=float)
     out = []
     if arr.ndim:
+        low = float(arr.min()) if arr.size else math.nan
         for members in groups:
             c = members[0]
-            mask = arr > c.support_start
-            z = ((arr if mask.all() else arr[mask]) - c.sigma) / c.lam
-            if not (inner := z > c.baseline.support_low).all():
-                z, mask[mask] = z[inner], inner
-            if not z.size:
-                out += [np.zeros(arr.shape) for _ in range(len(curves) * len(members))]
+            if low > c.support_start and (low - c.sigma) / c.lam > c.baseline.support_low:
+                out += _lane_curves(members, (arr - c.sigma) / c.lam, curves)
                 continue
-            values = _lane_curves(members, z, curves)
-            if z.size < arr.size:
-                for i, v in enumerate(values):
-                    values[i] = np.zeros(arr.shape)
-                    values[i][mask] = v
+            mask = arr > c.support_start
+            z = (arr[mask] - c.sigma) / c.lam
+            inner = z > c.baseline.support_low
+            z, mask[mask] = z[inner], inner
+            values = [np.zeros(arr.shape) for _ in range(len(curves) * len(members))]
+            if z.size:
+                for value, v in zip(values, _lane_curves(members, z, curves)):
+                    value[mask] = v
             out += values
         return out
     t = float(arr)
@@ -139,14 +144,10 @@ def sample_groups(groups, x, curves):
 
 
 def _lane_curves(members, z, curves):
-    """``curves`` of the members of one group at its kept z, from one pass of
-    their baseline's closed forms. The baseline CDF is skipped when only
-    densities are asked for and every alpha is 1."""
-    base = members[0].baseline
-    F = f = None
-    if "cdf" in curves or any(c.alpha != 1.0 for c in members):
-        F = base._closed_form("cdf", z)
-    if "pdf" in curves:
-        f = base._closed_form("pdf", z)
+    """``curves`` of the members of one group at its kept z, from one call of
+    their baseline's closed forms for F and f together. The baseline CDF is
+    skipped when only densities are asked for and every alpha is 1."""
+    F, f = members[0].baseline._curves(
+        z, "cdf" in curves or any(c.alpha != 1.0 for c in members), "pdf" in curves)
     return [F ** c.alpha if curve == "cdf" else c._density(F, f)
             for c in members for curve in curves]

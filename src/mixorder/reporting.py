@@ -62,6 +62,9 @@ def to_jsonable(obj):
 
 
 def _escape(s):
+    # every character of the table is a control, a quote or a backslash
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     return '"' + s.translate(_ESCAPES) + '"'
 
 

@@ -461,14 +461,15 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
 
     monkeypatch.setattr(analysis, "sample_curves", counting_pass)
     monkeypatch.setattr(analysis, "classify_monotonicity", counting_classify)
-    closed_form = BaselineModel._closed_form
+    closed_forms = BaselineModel._curves
 
-    def counting(self, name, t):
+    def counting(self, t, cdf, pdf):
+        # one call may ask for both curves; each curve asked counts once
         if inside:
-            baseline_calls[name] += 1
-        return closed_form(self, name, t)
+            baseline_calls.update(name for name, asked in (("cdf", cdf), ("pdf", pdf)) if asked)
+        return closed_forms(self, t, cdf, pdf)
 
-    monkeypatch.setattr(BaselineModel, "_closed_form", counting)
+    monkeypatch.setattr(BaselineModel, "_curves", counting)
     curves = {"rh": [("cdf", "pdf")], "r_rh": [("cdf", "pdf")], "lr": [("cdf",), ("pdf",)],
               "st": [("cdf",)]}[order]
     classified = {"rh": 2, "lr": 2, "r_rh": 1, "st": 0}[order]

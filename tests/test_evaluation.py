@@ -49,6 +49,7 @@ from mixorder import (
     scenario_grid,
 )
 from mixorder._sampling import THEOREM_SAMPLERS, random_mixture
+from mixorder.analysis import PairSample
 from mixorder.baseline import BaselineModel
 from mixorder.numerics import on_support
 
@@ -374,16 +375,16 @@ def test_scalar_pass_matches_the_grid_pass_on_shared_baselines(names):
 
 def _closed_form_calls(groups, x, curves):
     """The baseline closed-form calls of one ``els.sample_groups`` pass, each as
-    (baseline object id, curve name, shape), and the message of the
-    DomainError it raises, or None."""
+    (baseline object id, CDF asked, density asked, shape), and the message of
+    the DomainError it raises, or None."""
     calls = []
-    closed_form = BaselineModel._closed_form
+    closed_forms = BaselineModel._curves
 
-    def recording(self, name, t):
-        calls.append((id(self), name, np.shape(t)))
-        return closed_form(self, name, t)
+    def recording(self, t, cdf, pdf):
+        calls.append((id(self), cdf, pdf, np.shape(t)))
+        return closed_forms(self, t, cdf, pdf)
 
-    with mock.patch.object(BaselineModel, "_closed_form", recording):
+    with mock.patch.object(BaselineModel, "_curves", recording):
         try:
             els.sample_groups(groups, x, curves)
         except DomainError as exc:
@@ -501,8 +502,9 @@ def test_infinite_term_gives_inf_in_every_component_order(n_components):
 class _NanAboveTen(LogLogistic):
     """A log-logistic baseline whose CDF is NaN above t = 10."""
 
-    def _cdf_above(self, t):
-        return np.where(t > 10.0, np.nan, super()._cdf_above(t))
+    def _closed_forms(self, t, cdf, pdf):
+        F, f = super()._closed_forms(t, cdf, pdf)
+        return (np.where(t > 10.0, np.nan, F) if cdf else None), f
 
 
 def test_nan_term_stays_nan():
@@ -536,6 +538,42 @@ def test_closed_forms_reach_their_limits_at_infinity(family):
             assert comp.pdf_at_offset(math.inf) == 0.0, comp
 
 
+@pytest.mark.parametrize("family", sorted(BASELINES))
+def test_closed_forms_asked_alone_match_both_asked_together(family):
+    # at the support start, one double above it, inside, in the far tail, at
+    # +-inf and at NaN. Points at or below c are outside the forms' domain,
+    # where only the agreement of the three calls is asserted; at 1e300 some
+    # powers overflow to inf, which numpy flags, so the flags are silenced.
+    base = BASELINES[family]
+    c = base.support_low
+    inside = c + np.array([1e-9, 0.01, 0.5, 1.0, 3.0, 40.0])
+    t = np.array([c, math.nextafter(c, math.inf), *inside, 1e6, 1e100, 1e300,
+                  math.inf, -math.inf, math.nan])
+    with np.errstate(all="ignore"):
+        F, f = base._closed_forms(t, True, True)
+        F_alone, no_f = base._closed_forms(t, True, False)
+        no_F, f_alone = base._closed_forms(t, False, True)
+        assert no_f is None and no_F is None
+        assert np.array_equal(_bits(F_alone), _bits(F)) and np.array_equal(_bits(f_alone), _bits(f))
+        for public, joint in ((base.cdf, F), (base.pdf, f)):
+            want = np.where(t > c, joint, 0.0)
+            assert np.array_equal(_bits(public(t)), _bits(want)), public
+            points = [public(float(p)) for p in t]
+            assert all(type(p) is float for p in points)
+            assert np.array_equal(_bits(points), _bits(want)), public
+
+
+def test_catalog_curves_filled_alone_match_the_joint_fill(catalog):
+    # 100001 points is above mixture.EVAL_BLOCK: every block of a pass
+    for s in catalog:
+        grid = scenario_grid(s, 100_001)
+        joint = PairSample(s.u, s.v, grid).fill("cdf", "pdf")
+        for curve in ("cdf", "pdf"):
+            alone = PairSample(s.u, s.v, grid).fill(curve)
+            for name in (f"{curve}_u", f"{curve}_v"):
+                assert np.array_equal(_bits(alone[name]), _bits(joint[name])), (s.scenario_id, name)
+
+
 def _nested_on_support(x, start, fn, curves=0):
     """The mask rule before the one-pass group mask: ``fn`` at the points
     above ``start``, zero elsewhere; a scalar as a length-1 array."""
@@ -564,8 +602,11 @@ def _nested_group_curves(components, x, curves):
     base = first.baseline
 
     def baseline(name, z):
+        def closed_form(t):
+            return base._closed_forms(t, name == "cdf", name == "pdf")[name == "pdf"]
+
         try:
-            return _nested_on_support(z, base.support_low, getattr(base, f"_{name}_above"))
+            return _nested_on_support(z, base.support_low, closed_form)
         except OverflowError:
             raise DomainError(f"{base.family} {name} overflows the float range") from None
 
@@ -653,14 +694,17 @@ def test_group_pass_points_where_the_two_masks_disagree():
     seen = [0, 0]
     for family, sigma, lam in (("lt_lomax", 0.0, 0.3), ("lt_lomax", 0.3, 0.1),
                                ("loglogistic", 0.0, 3.0), ("pareto", 1.7, 0.1)):
-        group = (ELSComponent(BASELINES[family], 0.3, sigma, lam),
-                 ELSComponent(BASELINES[family], 2.5, sigma, lam))
+        # alpha = 1 keeps f at z = c, where F = 0 zeroes the other densities
+        group = tuple(ELSComponent(BASELINES[family], alpha, sigma, lam)
+                      for alpha in (0.3, 1.0, 2.5))
         start = group[0].support_start
         points, above_only, inside_only = _edge_points(start, sigma, lam,
                                                        BASELINES[family].support_low)
         seen[0] += above_only
         seen[1] += inside_only
-        for x in [points, *points.tolist()]:
+        # the points above the start alone: a block whose smallest point is
+        # kept by the start test but not by the z test
+        for x in [points, points[points > start], *points.tolist()]:
             _same_bits(els.sample_groups((group,), x, ("cdf", "pdf")),
                        _nested_group_curves(group, x, ("cdf", "pdf")))
     assert seen[0] > 0 and seen[1] > 0
@@ -672,13 +716,13 @@ def test_density_pass_over_alpha_one_groups_calls_no_baseline_cdf(monkeypatch):
             (ELSComponent(lomax, 1.0, 0.5, 1.5),))
     mixed = ones + ((ELSComponent(lomax, 1.0, 2.0, 1.0), ELSComponent(lomax, 2.5, 2.0, 1.0)),)
     calls = []
-    closed_form = BaselineModel._closed_form
+    closed_forms = BaselineModel._curves
 
-    def counting(self, name, t):
-        calls.append((id(self), name))
-        return closed_form(self, name, t)
+    def counting(self, t, cdf, pdf):
+        calls.extend((id(self), name) for name, asked in (("cdf", cdf), ("pdf", pdf)) if asked)
+        return closed_forms(self, t, cdf, pdf)
 
-    monkeypatch.setattr(BaselineModel, "_closed_form", counting)
+    monkeypatch.setattr(BaselineModel, "_curves", counting)
     starts = [group[0].support_start for group in mixed]
     points = [t for s in starts for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))]
     points += np.linspace(3.0, 40.0, 38).tolist() + [math.nan, math.inf, -math.inf]
@@ -780,3 +824,40 @@ def test_pdf_at_offset_matches_the_component_methods_bit_for_bit(family, data):
         got, want = mix.pdf_at_offset(origin, dx), _per_component_pdf_at_offset(mix, origin, dx)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.array_equal(_bits(got), _bits(want)), (origin, dx)
+
+
+@st.composite
+def block_inputs(draw, starts):
+    """Unsorted arrays of the doubles within 3 steps of ``starts``, +-0.0,
+    +-inf, NaN and points inside; or arrays whose smallest point is a start
+    or one of the 3 doubles above it; or empty arrays."""
+    def steps(s, direction):
+        for _ in range(3):
+            s = math.nextafter(s, direction)
+            yield s
+
+    above = [t for s in starts for t in steps(s, math.inf)]
+    below = [t for s in starts for t in steps(s, -math.inf)]
+    pool = [*below, *starts, *above, 0.0, -0.0, math.inf, -math.inf, math.nan]
+    values = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(-5.0, 60.0)), max_size=12))
+    low = draw(st.sampled_from([None, *starts, *above]))
+    if low is not None:
+        values = draw(st.permutations([v for v in values if v >= low] + [low]))
+    return np.array(values, dtype=float)
+
+
+@pytest.mark.parametrize("family", sorted(BASELINES))
+@given(data=st.data())
+def test_block_pass_matches_the_scalar_pass_bit_for_bit(family, data):
+    # the array pass tests each group by the block's smallest point; each
+    # value must keep the bits of that point's scalar pass
+    mix = data.draw(offset_mixtures(family))
+    groups = mixture._plan((mix,))[0]
+    x = data.draw(block_inputs(sorted({c.support_start for c in mix.components})))
+    for curves in _CURVE_SETS:
+        grid = els.sample_groups(groups, x, curves)
+        assert all(value.shape == x.shape for value in grid)
+        for i, t in enumerate(x.tolist()):
+            scalar = els.sample_groups(groups, t, curves)
+            assert np.array_equal(_bits(scalar), _bits([value[i] for value in grid])), (t, curves)
+        _same_bits(grid, _nested_groups(groups, x, curves))
