@@ -4,12 +4,13 @@ Six closed-form families plus a tabulated escape hatch. Each model exposes
 the CDF F, the density f and the density derivative f'. The lower
 support bound ``support_low`` is the constant that shifts an
 exponentiated location-scale component's start point.
-Each family writes its CDF and density once, in one ``_closed_forms(t,
-cdf, pdf)`` that computes the parts both share once and returns only the
-curves asked for; an ELS group asks for both in one call. ``cdf`` and
-``pdf`` are its one-curve cases, run through ``numerics.on_support``: zero
-on t <= c, a float for a scalar (with the bits of the same point in a
-grid), and a DomainError naming the curve when the float range overflows.
+Each family writes each formula once, in ``_closed_forms(t, cdf, pdf,
+dpdf)`` (F, f and f' above c) or ``_offset_forms(dz, cdf, pdf)`` (F and f
+at c + dz); each computes a part two curves share once and returns only the
+curves asked for. The public curves are their one-curve cases: ``cdf`` and
+``pdf`` run through ``numerics.on_support`` (zero on t <= c, a float for a
+scalar with the bits of the same point in a grid, a DomainError naming the
+curve when the float range overflows), the others through ``on_grid``.
 
 Closed forms:
 
@@ -80,35 +81,40 @@ class BaselineModel:
         """Lower support bound c; F(c) = 0."""
         return self._c
 
-    def _closed_forms(self, t, cdf, pdf):
-        """(F, f) at t > c, unmasked, each None unless asked for; each form is
-        written once and a subexpression both use is computed once."""
+    def _closed_forms(self, t, cdf, pdf, dpdf):
+        """(F, f, f') at t > c, unmasked, each None unless asked for; each form
+        is written once and a subexpression two of them use is computed once."""
         raise NotImplementedError
 
-    def _pdf_prime_above(self, t):
-        raise NotImplementedError
+    def _offset_forms(self, dz, cdf, pdf):
+        """(F, f) at c + dz for dz >= 0, each None unless asked for. Families
+        with c > 0 give it a cancellation-free form; at c = 0 the offset is the
+        abscissa, and this one is exact."""
+        t = self._c + dz
+        return self.cdf(t) if cdf else None, self.pdf(t) if pdf else None
 
-    def _curves(self, t, cdf, pdf):
+    def _curves(self, t, cdf, pdf, dpdf):
         """``_closed_forms``, where an overflow is a DomainError naming the
-        curve. Only a float power raises it, and only a density takes one
-        (Pareto's k**a), so a call asking for both names the density."""
+        curve. Only a float power raises it, and only a density or its
+        derivative takes one (Pareto's k**a), so a call asking for several
+        names the density, else its derivative."""
         try:
-            return self._closed_forms(t, cdf, pdf)
+            return self._closed_forms(t, cdf, pdf, dpdf)
         except OverflowError:
-            name = "pdf" if pdf else "cdf"
+            name = "pdf" if pdf else "pdf_prime" if dpdf else "cdf"
             raise DomainError(f"{self.family} {name} overflows the float range") from None
 
     def cdf(self, t):
-        return on_support(t, self._c, lambda above: self._curves(above, True, False)[0])
+        return on_support(t, self._c, lambda above: self._curves(above, True, False, False)[0])
 
     def pdf(self, t):
-        return on_support(t, self._c, lambda above: self._curves(above, False, True)[1])
+        return on_support(t, self._c, lambda above: self._curves(above, False, True, False)[1])
 
     def pdf_prime(self, t):
-        """Density derivative f'(t) from the family's ``_pdf_prime_above``."""
+        """Density derivative f'(t), the third output of ``_closed_forms``."""
         if np.any(np.asarray(t, dtype=float) <= self._c):
             raise DomainError(f"pdf derivative requires t > support_low={self._c}")
-        return on_grid(self._pdf_prime_above, t)
+        return on_grid(lambda above: self._curves(above, False, False, True)[2], t)
 
     def cdf_offset(self, dz):
         """F(c + dz) for dz >= 0, accurate for offsets below one ulp of c.
@@ -116,21 +122,12 @@ class BaselineModel:
         Families with power-law mass near the support bound concentrate a
         visible fraction of probability inside the last representable x,
         so quadrature needs the offset itself as the working variable.
-        Closed-form families with c > 0 give ``_cdf_offset`` a
-        cancellation-free form; at c = 0 the offset is the abscissa, and the
-        base class's is exact.
         """
-        return on_grid(self._cdf_offset, dz)
+        return on_grid(lambda d: self._offset_forms(d, True, False)[0], dz)
 
     def pdf_offset(self, dz):
         """f(c + dz) for dz >= 0; see ``cdf_offset``."""
-        return on_grid(self._pdf_offset, dz)
-
-    def _cdf_offset(self, dz):
-        return self.cdf(self._c + dz)
-
-    def _pdf_offset(self, dz):
-        return self.pdf(self._c + dz)
+        return on_grid(lambda d: self._offset_forms(d, False, True)[1], dz)
 
     def quantile(self, p):
         """Inverse CDF: the t > c with F(t) = p."""
@@ -187,18 +184,16 @@ class Pareto(BaselineModel):
         self.k = _require_positive("k", k)
         self._c = self.k
 
-    def _closed_forms(self, t, cdf, pdf):
-        return (1.0 - (self.k / t) ** self.a if cdf else None,
-                self.a * self.k**self.a * t ** (-self.a - 1.0) if pdf else None)
+    def _closed_forms(self, t, cdf, pdf, dpdf):
+        a, k = self.a, self.k
+        return (1.0 - (k / t) ** a if cdf else None,
+                a * k**a * t ** (-a - 1.0) if pdf else None,
+                -a * (a + 1.0) * k**a * t ** (-a - 2.0) if dpdf else None)
 
-    def _pdf_prime_above(self, t):
-        return -self.a * (self.a + 1.0) * self.k**self.a * t ** (-self.a - 2.0)
-
-    def _cdf_offset(self, dz):
-        return -np.expm1(-self.a * np.log1p(dz / self.k))
-
-    def _pdf_offset(self, dz):
-        return (self.a / self.k) * np.exp(-(self.a + 1.0) * np.log1p(dz / self.k))
+    def _offset_forms(self, dz, cdf, pdf):
+        w = np.log1p(dz / self.k)
+        return (-np.expm1(-self.a * w) if cdf else None,
+                (self.a / self.k) * np.exp(-(self.a + 1.0) * w) if pdf else None)
 
     def _quantile_above(self, log_q, log_s):
         return self.k * math.exp(-log_s / self.a)
@@ -217,18 +212,14 @@ class LeftTruncatedExponential(BaselineModel):
         self.t0 = _require_positive("t0", t0)
         self._c = self.t0
 
-    def _closed_forms(self, t, cdf, pdf):
+    def _closed_forms(self, t, cdf, pdf, dpdf):
         e = -(t - self.t0) / self.b
+        return (-np.expm1(e) if cdf else None, np.exp(e) / self.b if pdf else None,
+                -np.exp(e) / self.b**2 if dpdf else None)
+
+    def _offset_forms(self, dz, cdf, pdf):
+        e = -dz / self.b
         return -np.expm1(e) if cdf else None, np.exp(e) / self.b if pdf else None
-
-    def _pdf_prime_above(self, t):
-        return -np.exp(-(t - self.t0) / self.b) / self.b**2
-
-    def _cdf_offset(self, dz):
-        return -np.expm1(-dz / self.b)
-
-    def _pdf_offset(self, dz):
-        return np.exp(-dz / self.b) / self.b
 
     def _quantile_above(self, log_q, log_s):
         return self.t0 - self.b * log_s
@@ -249,33 +240,24 @@ class BenktanderII(BaselineModel):
             raise ParameterError(f"Benktander-II requires 0 < b < 1, got b={b}")
         self._c = 1.0
 
-    def _closed_forms(self, t, cdf, pdf):
+    def _closed_forms(self, t, cdf, pdf, dpdf):
         a, b = self.a, self.b
         tb = t**b
         e = np.exp((a / b) * (1.0 - tb))
         return (1.0 - t ** (b - 1.0) * e if cdf else None,
-                e * t ** (b - 2.0) * np.minimum((1.0 - b) + a * tb, _MAX) if pdf else None)
+                e * t ** (b - 2.0) * np.minimum((1.0 - b) + a * tb, _MAX) if pdf else None,
+                e * ((1.0 - b) * (b - 2.0) * t ** (b - 3.0)
+                     - 3.0 * a * (1.0 - b) * t ** (2.0 * b - 3.0)
+                     - a**2 * t ** (3.0 * b - 3.0)) if dpdf else None)
 
-    def _pdf_prime_above(self, t):
-        a, b = self.a, self.b
-        return np.exp((a / b) * (1.0 - t**b)) * (
-            (1.0 - b) * (b - 2.0) * t ** (b - 3.0)
-            - 3.0 * a * (1.0 - b) * t ** (2.0 * b - 3.0)
-            - a**2 * t ** (3.0 * b - 3.0)
-        )
-
-    def _cdf_offset(self, dz):
+    def _offset_forms(self, dz, cdf, pdf):
+        # log survival = (b-1) log t - g with t = 1 + dz and g = (a/b)(t^b - 1)
         a, b = self.a, self.b
         w = np.log1p(dz)
-        # log survival = (b-1) log t - (a/b)(t^b - 1) with t = 1 + dz
-        return -np.expm1((b - 1.0) * w - (a / b) * np.expm1(b * w))
-
-    def _pdf_offset(self, dz):
-        a, b = self.a, self.b
-        w = np.log1p(dz)
-        return np.exp(-(a / b) * np.expm1(b * w) + (b - 2.0) * w) * np.minimum(
-            (1.0 - b) + a * np.exp(b * w), _MAX
-        )
+        g = (a / b) * np.expm1(b * w)
+        return (-np.expm1((b - 1.0) * w - g) if cdf else None,
+                np.exp(-g + (b - 2.0) * w) * np.minimum((1.0 - b) + a * np.exp(b * w), _MAX)
+                if pdf else None)
 
     def params(self):
         return {"a": self.a, "b": self.b}
@@ -293,32 +275,23 @@ class LeftTruncatedBurrXII(BaselineModel):
         self._c = self.t0
         self._s0 = (1.0 + self.t0**self.k) ** (-self.m)
 
-    def _closed_forms(self, t, cdf, pdf):
+    def _closed_forms(self, t, cdf, pdf, dpdf):
         k, m = self.k, self.m
-        u = 1.0 + t**k
+        tk = t**k
+        u = 1.0 + tk
         return (1.0 - u ** (-m) / self._s0 if cdf else None,
                 np.minimum(m * k * t ** (k - 1.0), _MAX) * u ** (-m - 1.0) / self._s0
-                if pdf else None)
+                if pdf else None,
+                m * k * t ** (k - 2.0) * u ** (-m - 2.0) * ((k - 1.0) * u - (m + 1.0) * k * tk)
+                / self._s0 if dpdf else None)
 
-    def _pdf_prime_above(self, t):
-        k, m = self.k, self.m
-        u = 1.0 + t**k
-        return (
-            m
-            * k
-            * t ** (k - 2.0)
-            * u ** (-m - 2.0)
-            * ((k - 1.0) * u - (m + 1.0) * k * t**k)
-            / self._s0
-        )
-
-    def _cdf_offset(self, dz):
-        # (t0+dz)^k - t0^k without cancellation
-        grow = self.t0**self.k * np.expm1(self.k * np.log1p(dz / self.t0))
-        return -np.expm1(-self.m * np.log1p(grow / (1.0 + self.t0**self.k)))
-
-    def _pdf_offset(self, dz):
-        return self._closed_forms(self.t0 + dz, False, True)[1]
+    def _offset_forms(self, dz, cdf, pdf):
+        F = None
+        if cdf:  # grow = (t0+dz)^k - t0^k without cancellation
+            t0k = self.t0**self.k
+            grow = t0k * np.expm1(self.k * np.log1p(dz / self.t0))
+            F = -np.expm1(-self.m * np.log1p(grow / (1.0 + t0k)))
+        return F, self._closed_forms(self.t0 + dz, False, True, False)[1] if pdf else None
 
     def _quantile_above(self, log_q, log_s):
         # t^k = t0^k + (1 + t0^k) (s^(-1/m) - 1), growth without cancellation
@@ -340,19 +313,15 @@ class LeftTruncatedLomax(BaselineModel):
         self._c = self.t0
         self._s0 = (1.0 + self.t0) ** (-self.m)
 
-    def _closed_forms(self, t, cdf, pdf):
+    def _closed_forms(self, t, cdf, pdf, dpdf):
         u = 1.0 + t
         return (1.0 - u ** (-self.m) / self._s0 if cdf else None,
-                self.m * u ** (-self.m - 1.0) / self._s0 if pdf else None)
+                self.m * u ** (-self.m - 1.0) / self._s0 if pdf else None,
+                -self.m * (self.m + 1.0) * u ** (-self.m - 2.0) / self._s0 if dpdf else None)
 
-    def _pdf_prime_above(self, t):
-        return -self.m * (self.m + 1.0) * (1.0 + t) ** (-self.m - 2.0) / self._s0
-
-    def _cdf_offset(self, dz):
-        return -np.expm1(-self.m * np.log1p(dz / (1.0 + self.t0)))
-
-    def _pdf_offset(self, dz):
-        return self._closed_forms(self.t0 + dz, False, True)[1]
+    def _offset_forms(self, dz, cdf, pdf):
+        return (-np.expm1(-self.m * np.log1p(dz / (1.0 + self.t0))) if cdf else None,
+                self._closed_forms(self.t0 + dz, False, True, False)[1] if pdf else None)
 
     def _quantile_above(self, log_q, log_s):
         return self.t0 + (1.0 + self.t0) * math.expm1(-log_s / self.m)
@@ -370,17 +339,14 @@ class LogLogistic(BaselineModel):
         self.b = _require_positive("b", b)
         self._c = 0.0
 
-    def _closed_forms(self, t, cdf, pdf):
-        # the CDF caps t^b; the density's (1 + t^b)^2 takes it as it is
+    def _closed_forms(self, t, cdf, pdf, dpdf):
+        # the CDF caps t^b; the density's (1 + t^b)^2 and f' take it as it is
         b = self.b
         tb = t**b
         return ((c := np.minimum(tb, _MAX)) / (1.0 + c) if cdf else None,
-                np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2 if pdf else None)
-
-    def _pdf_prime_above(self, t):
-        b = self.b
-        tb = t**b
-        return b * t ** (b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / (1.0 + tb) ** 3
+                np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2 if pdf else None,
+                b * t ** (b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / (1.0 + tb) ** 3
+                if dpdf else None)
 
     def _quantile_above(self, log_q, log_s):
         # t^b = F / (1 - F)
@@ -421,7 +387,7 @@ class Tabulated(BaselineModel):
         self._interp = PchipInterpolator(t, F, extrapolate=False)
         self._deriv = self._interp.derivative()
 
-    def _closed_forms(self, t, cdf, pdf):
+    def _closed_forms(self, t, cdf, pdf, dpdf):
         F = f = None
         inside = t < self._hi
         if cdf:
@@ -432,10 +398,7 @@ class Tabulated(BaselineModel):
             f = np.zeros_like(np.asarray(t, dtype=float))
             if np.any(inside):
                 f[inside] = np.maximum(self._deriv(t[inside]), 0.0)
-        return F, f
-
-    def _pdf_prime_above(self, t):
-        return central_difference(self.pdf, t)
+        return F, f, central_difference(self.pdf, t) if dpdf else None
 
     def params(self):
         return {"t": tuple(self._t.tolist()), "F": tuple(self._F.tolist())}

@@ -67,7 +67,8 @@ class ELSComponent:
 
     def _density_at_offset(self, dx):
         dz = dx / self.lam
-        return self._density(self.baseline.cdf_offset(dz), self.baseline.pdf_offset(dz))
+        F = self.baseline.cdf_offset(dz) if self.alpha != 1.0 else None
+        return self._density(F, self.baseline.pdf_offset(dz))
 
     def _density(self, F, f):
         """Component density from baseline F and f arrays at the same standardized
@@ -147,7 +148,7 @@ def _lane_curves(members, z, curves):
     """``curves`` of the members of one group at its kept z, from one call of
     their baseline's closed forms for F and f together. The baseline CDF is
     skipped when only densities are asked for and every alpha is 1."""
-    F, f = members[0].baseline._curves(
-        z, "cdf" in curves or any(c.alpha != 1.0 for c in members), "pdf" in curves)
+    F, f, _ = members[0].baseline._curves(
+        z, "cdf" in curves or any(c.alpha != 1.0 for c in members), "pdf" in curves, False)
     return [F ** c.alpha if curve == "cdf" else c._density(F, f)
             for c in members for curve in curves]

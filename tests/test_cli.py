@@ -463,11 +463,11 @@ def test_check_order_samples_each_curve_once(capsys, monkeypatch, catalog, order
     monkeypatch.setattr(analysis, "classify_monotonicity", counting_classify)
     closed_forms = BaselineModel._curves
 
-    def counting(self, t, cdf, pdf):
+    def counting(self, t, cdf, pdf, dpdf):
         # one call may ask for both curves; each curve asked counts once
         if inside:
             baseline_calls.update(name for name, asked in (("cdf", cdf), ("pdf", pdf)) if asked)
-        return closed_forms(self, t, cdf, pdf)
+        return closed_forms(self, t, cdf, pdf, dpdf)
 
     monkeypatch.setattr(BaselineModel, "_curves", counting)
     curves = {"rh": [("cdf", "pdf")], "r_rh": [("cdf", "pdf")], "lr": [("cdf",), ("pdf",)],

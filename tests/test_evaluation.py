@@ -23,7 +23,12 @@ of each mixture alone. The kernel, on one group or on many, and a
 component's ``pdf``, which skips the baseline CDF at alpha = 1, give the
 bits of a reference that nests the group mask and the baseline's ``cdf``
 and ``pdf`` masks, and so does a mixture's ``pdf_at_offset`` through it. A
-density-only pass over groups whose alphas are all 1 calls no baseline CDF.
+density-only pass over groups whose alphas are all 1 calls no baseline CDF,
+and a component's offset density at alpha = 1 no ``cdf_offset``. A
+family's ``_closed_forms`` asked for one of F, f and f' gives the bits of
+all three asked together, and its ``_offset_forms`` asked for F or f those
+of both; ``pdf_prime``, ``cdf_offset`` and ``pdf_offset`` are their
+one-curve cases.
 """
 
 import itertools
@@ -135,10 +140,15 @@ def test_scalar_matches_array_bit_for_bit(functions, u):
 @pytest.mark.parametrize("t", [11.0, np.array([11.0, 12.0]), np.array([5.0, 11.0])],
                          ids=["scalar", "above", "mixed"])
 def test_overflow_is_a_domain_error_on_every_path(t):
-    # k**a overflows inside the Pareto density's closed form
+    # k**a overflows inside the Pareto density's closed form and its derivative's
     model = make_baseline("pareto", a=400.0, k=10.0)
     with pytest.raises(DomainError, match="pareto pdf overflows the float range"):
         model.pdf(t)
+    # pdf_prime takes only points above c, so a mixed array fails that check first
+    above = np.all(np.asarray(t) > model.support_low)
+    with pytest.raises(DomainError, match="^pareto pdf_prime overflows the float range$"
+                       if above else "^pdf derivative requires t > support_low"):
+        model.pdf_prime(t)
 
 
 @pytest.mark.parametrize("family", sorted(BASELINES))
@@ -380,9 +390,9 @@ def _closed_form_calls(groups, x, curves):
     calls = []
     closed_forms = BaselineModel._curves
 
-    def recording(self, t, cdf, pdf):
+    def recording(self, t, cdf, pdf, dpdf):
         calls.append((id(self), cdf, pdf, np.shape(t)))
-        return closed_forms(self, t, cdf, pdf)
+        return closed_forms(self, t, cdf, pdf, dpdf)
 
     with mock.patch.object(BaselineModel, "_curves", recording):
         try:
@@ -502,9 +512,9 @@ def test_infinite_term_gives_inf_in_every_component_order(n_components):
 class _NanAboveTen(LogLogistic):
     """A log-logistic baseline whose CDF is NaN above t = 10."""
 
-    def _closed_forms(self, t, cdf, pdf):
-        F, f = super()._closed_forms(t, cdf, pdf)
-        return (np.where(t > 10.0, np.nan, F) if cdf else None), f
+    def _closed_forms(self, t, cdf, pdf, dpdf):
+        F, f, df = super()._closed_forms(t, cdf, pdf, dpdf)
+        return (np.where(t > 10.0, np.nan, F) if cdf else None), f, df
 
 
 def test_nan_term_stays_nan():
@@ -540,27 +550,53 @@ def test_closed_forms_reach_their_limits_at_infinity(family):
 
 @pytest.mark.parametrize("family", sorted(BASELINES))
 def test_closed_forms_asked_alone_match_both_asked_together(family):
-    # at the support start, one double above it, inside, in the far tail, at
-    # +-inf and at NaN. Points at or below c are outside the forms' domain,
-    # where only the agreement of the three calls is asserted; at 1e300 some
-    # powers overflow to inf, which numpy flags, so the flags are silenced.
+    # F, f and f' at the support start, one double above it, inside, in the
+    # far tail, at +-inf and at NaN. Points at or below c are outside the
+    # forms' domain, where only the agreement of the calls is asserted; at
+    # 1e300 some powers overflow to inf, which numpy flags, so the flags are
+    # silenced.
     base = BASELINES[family]
     c = base.support_low
     inside = c + np.array([1e-9, 0.01, 0.5, 1.0, 3.0, 40.0])
     t = np.array([c, math.nextafter(c, math.inf), *inside, 1e6, 1e100, 1e300,
                   math.inf, -math.inf, math.nan])
     with np.errstate(all="ignore"):
-        F, f = base._closed_forms(t, True, True)
-        F_alone, no_f = base._closed_forms(t, True, False)
-        no_F, f_alone = base._closed_forms(t, False, True)
-        assert no_f is None and no_F is None
-        assert np.array_equal(_bits(F_alone), _bits(F)) and np.array_equal(_bits(f_alone), _bits(f))
-        for public, joint in ((base.cdf, F), (base.pdf, f)):
-            want = np.where(t > c, joint, 0.0)
+        joint = base._closed_forms(t, True, True, True)
+        for k in range(3):
+            alone = base._closed_forms(t, *(j == k for j in range(3)))
+            assert [v is None for v in alone] == [j != k for j in range(3)], k
+            assert np.array_equal(_bits(alone[k]), _bits(joint[k])), k
+        F, f, df = joint
+        for public, curve in ((base.cdf, F), (base.pdf, f)):
+            want = np.where(t > c, curve, 0.0)
             assert np.array_equal(_bits(public(t)), _bits(want)), public
             points = [public(float(p)) for p in t]
             assert all(type(p) is float for p in points)
             assert np.array_equal(_bits(points), _bits(want)), public
+        # pdf_prime raises at and below c (and at NaN); above it, it is the joint f'
+        above = t > c
+        assert np.array_equal(_bits(base.pdf_prime(t[above])), _bits(df[above]))
+        points = [base.pdf_prime(p) for p in t[above].tolist()]
+        assert all(type(p) is float for p in points)
+        assert np.array_equal(_bits(points), _bits(df[above]))
+
+
+@pytest.mark.parametrize("family", sorted(BASELINES))
+def test_offset_forms_asked_alone_match_both_asked_together(family):
+    # at the support start, the least subnormal offset, a tiny one, across
+    # eighteen decades and at +inf
+    base = BASELINES[family]
+    dz = np.array([0.0, 5e-324, 1e-300, *np.geomspace(1e-12, 1e6, 50), math.inf])
+    F, f = base._offset_forms(dz, True, True)
+    F_alone, no_f = base._offset_forms(dz, True, False)
+    no_F, f_alone = base._offset_forms(dz, False, True)
+    assert no_f is None and no_F is None
+    assert np.array_equal(_bits(F_alone), _bits(F)) and np.array_equal(_bits(f_alone), _bits(f))
+    for public, joint in ((base.cdf_offset, F), (base.pdf_offset, f)):
+        assert np.array_equal(_bits(public(dz)), _bits(joint)), public
+        points = [public(p) for p in dz.tolist()]
+        assert all(type(p) is float for p in points)
+        assert np.array_equal(_bits(points), _bits(joint)), public
 
 
 def test_catalog_curves_filled_alone_match_the_joint_fill(catalog):
@@ -603,7 +639,7 @@ def _nested_group_curves(components, x, curves):
 
     def baseline(name, z):
         def closed_form(t):
-            return base._closed_forms(t, name == "cdf", name == "pdf")[name == "pdf"]
+            return base._closed_forms(t, name == "cdf", name == "pdf", False)[name == "pdf"]
 
         try:
             return _nested_on_support(z, base.support_low, closed_form)
@@ -718,9 +754,9 @@ def test_density_pass_over_alpha_one_groups_calls_no_baseline_cdf(monkeypatch):
     calls = []
     closed_forms = BaselineModel._curves
 
-    def counting(self, t, cdf, pdf):
+    def counting(self, t, cdf, pdf, dpdf):
         calls.extend((id(self), name) for name, asked in (("cdf", cdf), ("pdf", pdf)) if asked)
-        return closed_forms(self, t, cdf, pdf)
+        return closed_forms(self, t, cdf, pdf, dpdf)
 
     monkeypatch.setattr(BaselineModel, "_curves", counting)
     starts = [group[0].support_start for group in mixed]
@@ -738,6 +774,29 @@ def test_density_pass_over_alpha_one_groups_calls_no_baseline_cdf(monkeypatch):
         for (comp,) in ones:  # a component pdf is the kernel's one-group case
             comp.pdf(x)
         assert all(name == "pdf" for _, name in calls), (x, calls)
+
+
+def test_offset_density_at_alpha_one_calls_no_baseline_cdf_offset(monkeypatch):
+    # the density reads no baseline F at alpha = 1, so its offset path forms none
+    dx = np.array([5e-324, 1e-300, *np.geomspace(1e-12, 1e6, 50), math.inf])
+    calls = []
+    cdf_offset = BaselineModel.cdf_offset
+
+    def counting(self, dz):
+        calls.append(dz)
+        return cdf_offset(self, dz)
+
+    for base in BASELINES.values():
+        for alpha in (1.0, 2.5):
+            comp = ELSComponent(base, alpha, 1.5, 2.0)
+            dz = dx / comp.lam
+            want = comp._density(cdf_offset(base, dz), base.pdf_offset(dz))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(BaselineModel, "cdf_offset", counting)
+                _same_bits([comp.pdf_at_offset(dx)], [want])
+                _same_bits([comp.pdf_at_offset(p) for p in dx.tolist()], want.tolist())
+            assert len(calls) == (0 if alpha == 1.0 else 1 + dx.size), (base, alpha)
 
 
 @pytest.mark.parametrize("t", [11.0, np.array([11.0, 12.0]), np.array([5.0, 11.0])],
