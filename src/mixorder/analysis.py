@@ -31,7 +31,7 @@ from .errors import (
     InvalidSampleError,
     ParameterError,
 )
-from .mixture import eval_blocks, sample_curves
+from .mixture import eval_blocks, grid_buffer, sample_curves
 from .numerics import DENOM_FLOOR
 
 DEFAULT_POINTS = 2001
@@ -234,7 +234,7 @@ class OrderVerdict:
 def _masked_div(num, den, keep, out=None):
     """num / den where keep holds, NaN elsewhere; written into ``out`` if given."""
     if out is None:
-        out = np.empty(np.shape(keep))
+        out = grid_buffer(np.shape(keep))
     out[...] = np.nan
     return np.divide(num, den, out=out, where=keep)
 
@@ -328,7 +328,7 @@ class PairSample:
         """h_U / h_V on the r_rh domain, written block by block into one
         array from the rates of each block."""
         keep = self.r_rh_domain
-        out = np.empty(keep.shape)
+        out = grid_buffer(keep.shape)
         for part in eval_blocks(out.size):
             _masked_div(*self.rates(part), keep[part], out[part])
         return out
@@ -338,7 +338,8 @@ class PairSample:
 QUANTITIES = {
     "cdf": lambda s: {"cdf_U": s.cdf_u, "cdf_V": s.cdf_v},
     "pdf": lambda s: {"pdf_U": s.pdf_u, "pdf_V": s.pdf_v},
-    "sf": lambda s: {"sf_U": 1.0 - s.cdf_u, "sf_V": 1.0 - s.cdf_v},
+    "sf": lambda s: {f"sf_{side}": np.subtract(1.0, cdf, out=grid_buffer(cdf.shape))
+                     for side, cdf in (("U", s.cdf_u), ("V", s.cdf_v))},
     "rhr": lambda s: dict(zip(("rhr_U", "rhr_V"), s.rates())),
     "cdf_ratio": lambda s: {"cdf_ratio_V_over_U": s.cdf_ratio},
     "pdf_ratio": lambda s: {"pdf_ratio_V_over_U": s.pdf_ratio},
@@ -371,14 +372,19 @@ def _verdict(order, sample, xs, direction, pair_id, **fields):
 
 
 def check_usual_stochastic(sample, tol=DEFAULT_POINTWISE_TOL, pair_id=""):
-    """U <=st V iff cdf_U >= cdf_V - tol at every grid point."""
+    """U <=st V iff cdf_U >= cdf_V - tol at every grid point, compared
+    ``mixture.EVAL_BLOCK`` points at a time."""
     x, fu, fv = sample.x, sample.cdf_u, sample.cdf_v
-    u_le_v = fu >= fv - tol  # U smaller: its CDF dominates
-    direction = _pointwise_direction(bool(np.all(u_le_v)), bool(np.all(fv >= fu - tol)))
+    miss, le_vu = None, True  # miss: the first point where U <= V fails
+    for part in eval_blocks(x.size):
+        u_le_v = fu[part] >= fv[part] - tol  # U smaller: its CDF dominates
+        if miss is None and not u_le_v.all():
+            miss = part.start + int(np.argmax(~u_le_v))
+        le_vu = le_vu and bool(np.all(fv[part] >= fu[part] - tol))
+    direction = _pointwise_direction(miss is None, le_vu)
     witness = None
     if direction is Direction.NEITHER:
-        i = int(np.argmax(~u_le_v))
-        witness = Witness(float(x[i]), float(fu[i]), float(fv[i]))
+        witness = Witness(float(x[miss]), float(fu[miss]), float(fv[miss]))
     return _verdict(OrderKind.ST, sample, x, direction, pair_id, violation_witness=witness)
 
 

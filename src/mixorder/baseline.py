@@ -277,11 +277,12 @@ class LeftTruncatedBurrXII(BaselineModel):
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         k, m = self.k, self.m
-        tk = t**k
+        with np.errstate(over="ignore"):  # inf past the float range, which gives F = 1, f = 0
+            tk = t**k
+            grow = np.minimum(m * k * t ** (k - 1.0), _MAX) if pdf else None
         u = 1.0 + tk
         return (1.0 - u ** (-m) / self._s0 if cdf else None,
-                np.minimum(m * k * t ** (k - 1.0), _MAX) * u ** (-m - 1.0) / self._s0
-                if pdf else None,
+                grow * u ** (-m - 1.0) / self._s0 if pdf else None,
                 m * k * t ** (k - 2.0) * u ** (-m - 2.0) * ((k - 1.0) * u - (m + 1.0) * k * tk)
                 / self._s0 if dpdf else None)
 
@@ -342,9 +343,12 @@ class LogLogistic(BaselineModel):
     def _closed_forms(self, t, cdf, pdf, dpdf):
         # the CDF caps t^b; the density's (1 + t^b)^2 and f' take it as it is
         b = self.b
-        tb = t**b
+        with np.errstate(over="ignore"):  # inf past the float range, which gives F = 1, f = 0
+            tb = t**b
+            if pdf:
+                grow, square = np.minimum(b * t ** (b - 1.0), _MAX), (1.0 + tb) ** 2
         return ((c := np.minimum(tb, _MAX)) / (1.0 + c) if cdf else None,
-                np.minimum(b * t ** (b - 1.0), _MAX) / (1.0 + tb) ** 2 if pdf else None,
+                grow / square if pdf else None,
                 b * t ** (b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / (1.0 + tb) ** 3
                 if dpdf else None)
 

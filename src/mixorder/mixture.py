@@ -16,6 +16,8 @@ construction and a normalization quadrature check.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -65,6 +67,44 @@ def eval_blocks(size):
     return [slice(i, i + EVAL_BLOCK) for i in range(0, size, EVAL_BLOCK)]
 
 
+#: the arrays ``grid_buffer`` hands out again: all of one shape, the newest last
+_pool = []
+_pool_lock = threading.Lock()
+_POOL_SIZE = 8
+
+
+def _refcounts(arrays):
+    return [sys.getrefcount(a) for a in arrays]
+
+
+#: what ``_refcounts`` reads for an array that only its list references
+_ALONE = _refcounts([np.empty(0)])[0]
+
+
+def grid_buffer(shape):
+    """An uninitialised float array of ``shape`` (a tuple), for a whole grid.
+
+    One of at most ``EVAL_BLOCK`` points is new. A longer one is the oldest
+    array of the pool that only the pool references, so it is reused after
+    its last holder drops it; a view references its base, so an array with
+    a live view is never reused. Otherwise it is a new array, which joins
+    the pool; a pool over ``_POOL_SIZE`` forgets its oldest array, and a
+    new shape starts a new pool. glibc maps an array this long afresh on
+    each allocation, so reuse saves faulting its pages in again.
+    """
+    if math.prod(shape) <= EVAL_BLOCK:
+        return np.empty(shape)
+    with _pool_lock:  # two threads must not both find one array free
+        if _pool and _pool[0].shape != shape:
+            _pool.clear()
+        for buf, refs in zip(_pool, _refcounts(_pool)):
+            if refs == _ALONE:
+                return buf
+        _pool.append(buf := np.empty(shape))
+        del _pool[:-_POOL_SIZE]
+        return buf
+
+
 def _plan(mixtures):
     """The distinct components of ``mixtures`` in groups that share a baseline
     object (an equal baseline of a subclass may compute otherwise), sigma and
@@ -95,7 +135,7 @@ def sample_curves(mixtures, x, curves):
         return [[compensated_sum([w * values[k * i + j]
                                   for w, i in zip(mix.weights.tolist(), place)])
                  for j in range(k)] for mix, place in zip(mixtures, places)]
-    outs = [[np.empty(arr.shape) for _ in curves] for _ in mixtures]
+    outs = [[grid_buffer(arr.shape) for _ in curves] for _ in mixtures]
     for part in eval_blocks(arr.size) if arr.ndim == 1 else [...]:
         values = sample_groups(groups, arr[part], curves)
         with np.errstate(invalid="ignore"):  # a Kahan step past an infinite term is NaN

@@ -257,6 +257,41 @@ def test_usual_stochastic_on_catalog_pairs():
     assert w.value_u < w.value_v - 1e-12
 
 
+@pytest.mark.parametrize("u_misses, v_misses, nan_at", [
+    ((), (), None), ((EVAL_BLOCK + 7,), (), None), ((), (2 * EVAL_BLOCK,), None),
+    ((3 * EVAL_BLOCK + 4, 5), (EVAL_BLOCK - 1,), None), ((2 * EVAL_BLOCK,), (EVAL_BLOCK,), None),
+    ((), (), 2 * EVAL_BLOCK + 1), ((3 * EVAL_BLOCK,), (), 2 * EVAL_BLOCK + 1),
+])
+def test_st_check_in_blocks_gives_the_whole_grid_direction_and_witness(u_misses, v_misses,
+                                                                        nan_at):
+    # the st check compares EVAL_BLOCK points at a time; U <= V fails where
+    # F_V exceeds F_U + tol or at a NaN, and the first such point, in any
+    # block, is the witness of a Neither verdict
+    n = 3 * EVAL_BLOCK + 5
+    tol = analysis.DEFAULT_POINTWISE_TOL
+    fu = np.random.default_rng(9).uniform(0.2, 0.8, n)
+    fv = fu.copy()
+    fu[list(u_misses)] -= 1e-6
+    fv[list(v_misses)] -= 1e-6
+    if nan_at is not None:
+        fu[nan_at] = np.nan
+    grid = Grid(1.0, 2.0, n)
+    sample = PairSample(None, None, grid)
+    vars(sample).update(x=grid.points(), cdf_u=fu, cdf_v=fv)
+    verdict = check_usual_stochastic(sample)
+    u_le_v = fu >= fv - tol
+    want = analysis._pointwise_direction(bool(u_le_v.all()), bool((fv >= fu - tol).all()))
+    assert verdict.direction is want
+    if want is not Direction.NEITHER:
+        assert verdict.violation_witness is None
+        return
+    i = int(np.argmax(~u_le_v))
+    assert i == min(u_misses + ((nan_at,) if nan_at is not None else ()))
+    w = verdict.violation_witness
+    assert [v.hex() for v in (w.x, w.value_u, w.value_v)] == [
+        v.hex() for v in (float(sample.x[i]), float(fu[i]), float(fv[i]))]
+
+
 def test_swap_symmetry():
     u, v, grid = _pair("EX4.1")
     assert check_usual_stochastic(PairSample(v, u, grid)).direction is Direction.V_LEQ_U

@@ -2,7 +2,9 @@
 float temporaries: above the filled sample, the check's traced peak
 (``tracemalloc``) at 100001 points is at most 2.25 float64 arrays over the
 grid. The kept ratio is one of them; the rest is boolean masks and
-``mixture.EVAL_BLOCK``-point slices."""
+``mixture.EVAL_BLOCK``-point slices. The st check keeps no ratio and
+compares the CDFs slice by slice, so its peak is at most 0.25 of one such
+array."""
 
 import tracemalloc
 
@@ -35,3 +37,19 @@ def test_check_peak_above_the_filled_sample_is_at_most_2_25_grid_arrays(kind):
         domain = getattr(sample, DOMAINS[kind])
         assert 3 <= np.count_nonzero(domain) < N and domain[-1]
     assert peak <= 2.25 * 8 * N, f"{peak / (8 * N):.2f} grid arrays"
+
+
+@pytest.mark.parametrize("scenario_id", ["EX4.1", "CE4.1"])
+def test_st_check_peak_above_the_filled_sample_is_at_most_a_quarter_grid_array(scenario_id):
+    # EX4.1 holds in one direction; CE4.1 holds in neither, so it takes a witness
+    scenario = get_scenario(scenario_id)
+    assert scenario.order is OrderKind.ST
+    sample = PairSample(*scenario.mixtures(), scenario_grid(scenario, N))
+    sample.fill("cdf")
+    tracemalloc.start()
+    try:
+        CHECKERS[OrderKind.ST](sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * N, f"{peak / (8 * N):.2f} grid arrays"

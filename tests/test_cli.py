@@ -290,6 +290,29 @@ def test_eval_extreme_finite_parameter_exits_2(tmp_path, catalog_doc, edit, mess
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_eval_far_tail_raises_no_warning():
+    # At 1e300 the LT-Burr XII t**k (EX5.5, CE5.7) and log-logistic t**b and
+    # (1 + t**b)**2 (EX5.7, CE5.9) overflow to inf, which gives the limits
+    # F = 1, f = 0; under -W error a numpy overflow warning would exit 1.
+    probe = (
+        "import contextlib, io, sys\n"
+        "from mixorder.cli import main\n"
+        "for sid in ('EX5.5', 'CE5.7', 'EX5.7', 'CE5.9'):\n"
+        "    for q in ('cdf', 'pdf', 'sf', 'rhr', 'cdf_ratio'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = main(['eval', sid, q, '--grid', '1:1e300:5'])\n"
+        "        print(sid, q, code)\n"
+    )
+    src = str(pathlib.Path(mixorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 20 and all(line.endswith(" 0") for line in lines), lines
+
+
 @pytest.mark.parametrize("grid", [
     ("--points", str(10**12)),
     ("--grid", f"1:2:{10**12}"),
