@@ -8,8 +8,12 @@ reported).
 
 A ``PairSample`` holds one pair's curves, domain masks and ratios on one
 grid, each computed once; every checker reads it, and ``QUANTITIES`` names
-its columns for ``eval`` and the scenario records. ``OrderVerdict.holds``
-is the one rule for an order holding in a direction.
+its columns for ``eval`` and the scenario records. Its float arrays over a
+grid longer than ``mixture.EVAL_BLOCK`` (curves, ratios, ``sf`` columns)
+come from ``mixture.grid_buffer``, so the arrays of a dropped sample serve
+the next one, and an array that a record or a caller still holds, or holds
+a view of, is never reused. ``OrderVerdict.holds`` is the one rule for an
+order holding in a direction.
 
 A grid pass is a semi-decision: it certifies the order on the sampled
 points only. Verdicts carry the evaluated range and point count so callers
@@ -98,6 +102,7 @@ class Grid:
 
     def signature(self):
         return (self.x_lo, self.x_hi, self.n_points, self.spacing)
+
 
 
 def auto_grid(u, v, n_points=DEFAULT_POINTS):
@@ -232,7 +237,8 @@ class OrderVerdict:
 
 
 def _masked_div(num, den, keep, out=None):
-    """num / den where keep holds, NaN elsewhere; written into ``out`` if given."""
+    """num / den where keep holds, NaN elsewhere; written into ``out`` if
+    given, else into a ``grid_buffer`` array."""
     if out is None:
         out = grid_buffer(np.shape(keep))
     out[...] = np.nan
@@ -253,7 +259,9 @@ class PairSample:
     rates on the grid, for the rh check's dual, ``rhr_ratio`` and ``eval
     rhr``; it fills both curves and forms the rates of the slice it is
     given, not kept, so a check allocates no whole-grid float array besides
-    the ratio it keeps.
+    the ratio it keeps. Each curve and ratio of a grid longer than
+    ``mixture.EVAL_BLOCK`` is a ``mixture.grid_buffer`` array, handed to
+    no other caller while this sample or anything else references it.
     """
 
     def __init__(self, u, v, grid):

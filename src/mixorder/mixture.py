@@ -9,13 +9,17 @@ kernel, ``sample_curves``, samples one mixture or a pair: ``cdf`` and
 samples them all in one ``els.sample_groups`` call, for a scalar as for an
 array, then sums each mixture's terms. A grid longer than ``EVAL_BLOCK``
 runs in cache-sized slices of the same elementwise arithmetic on one
-grouping, so it gives the same bits. Also provides the two-block outlier
-construction and a normalization quadrature check.
+grouping, so it gives the same bits. The kernel's outputs over a longer
+grid, and the ratios and ``sf`` columns of ``analysis``, come from
+``grid_buffer``, which hands an array out again once nothing but its pool
+references it. Also provides the two-block outlier construction and a
+normalization quadrature check.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 import threading
 from dataclasses import dataclass
@@ -67,7 +71,8 @@ def eval_blocks(size):
     return [slice(i, i + EVAL_BLOCK) for i in range(0, size, EVAL_BLOCK)]
 
 
-#: the arrays ``grid_buffer`` hands out again: all of one shape, the newest last
+#: the arrays ``grid_buffer`` hands out again: all of one shape, the newest
+#: last, at most ``_POOL_SIZE`` of them
 _pool = []
 _pool_lock = threading.Lock()
 _POOL_SIZE = 8
@@ -77,7 +82,8 @@ def _refcounts(arrays):
     return [sys.getrefcount(a) for a in arrays]
 
 
-#: what ``_refcounts`` reads for an array that only its list references
+#: what ``_refcounts`` reads for an array that only its list references, from a
+#: probe held that way: what ``sys.getrefcount`` counts differs between versions
 _ALONE = _refcounts([np.empty(0)])[0]
 
 
@@ -89,10 +95,14 @@ def grid_buffer(shape):
     its last holder drops it; a view references its base, so an array with
     a live view is never reused. Otherwise it is a new array, which joins
     the pool; a pool over ``_POOL_SIZE`` forgets its oldest array, and a
-    new shape starts a new pool. glibc maps an array this long afresh on
-    each allocation, so reuse saves faulting its pages in again.
+    new shape starts a new pool. The C allocator may hand a freed array this
+    long back to the system, so a new one would fault its pages in again.
+    A pooled array maps pages of its own (an anonymous ``mmap``), so the
+    pool pins no memory of the C heap: the process's other allocations
+    grow and shrink the heap as they would without it, and a forgotten
+    array is unmapped once its last holder drops it.
     """
-    if math.prod(shape) <= EVAL_BLOCK:
+    if (size := math.prod(shape)) <= EVAL_BLOCK:
         return np.empty(shape)
     with _pool_lock:  # two threads must not both find one array free
         if _pool and _pool[0].shape != shape:
@@ -100,7 +110,7 @@ def grid_buffer(shape):
         for buf, refs in zip(_pool, _refcounts(_pool)):
             if refs == _ALONE:
                 return buf
-        _pool.append(buf := np.empty(shape))
+        _pool.append(buf := np.ndarray(shape, float, mmap.mmap(-1, 8 * size)))
         del _pool[:-_POOL_SIZE]
         return buf
 

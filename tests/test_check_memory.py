@@ -1,8 +1,9 @@
 """Each order check reads its sample's cached curves without whole-grid
 float temporaries: above the filled sample, the check's traced peak
 (``tracemalloc``) at 100001 points is at most 2.25 float64 arrays over the
-grid. The kept ratio is one of them; the rest is boolean masks and
-``mixture.EVAL_BLOCK``-point slices. The st check keeps no ratio and
+grid: boolean masks and ``mixture.EVAL_BLOCK``-point slices. The kept
+ratio is a ``mixture.grid_buffer`` array, which maps pages of its own
+that ``tracemalloc`` does not trace. The st check keeps no ratio and
 compares the CDFs slice by slice, so its peak is at most 0.25 of one such
 array."""
 

@@ -7,6 +7,7 @@ that a caller still holds is ever reused, and a dropped one is.
 """
 
 import itertools
+import mmap
 import threading
 import time
 from unittest import mock
@@ -69,6 +70,12 @@ def test_a_held_array_or_view_is_not_reused():
     assert not np.shares_memory(fresh, whole) and not np.shares_memory(fresh, part)
     del fresh
     assert grid_buffer((N,)) is mixture._pool[2]
+
+
+def test_a_pooled_array_maps_pages_of_its_own():
+    # not C heap memory, so holding it keeps no freed heap memory from the system
+    assert isinstance(grid_buffer((N,)).base, mmap.mmap)
+    assert grid_buffer((EVAL_BLOCK,)).base is None
 
 
 def test_the_pool_keeps_at_most_its_size_and_one_shape():
