@@ -109,19 +109,26 @@ def auto_grid(u, v, n_points=DEFAULT_POINTS):
     """Default evaluation window for a mixture pair: from just above the later
     support start to max(u.quantile(p), v.quantile(p)) at ``UPPER_QUANTILE``.
 
-    Component quantiles are taken once and bracket the roots. The mixture
-    whose largest one is larger is rooted first; on a tie at q, the one whose
-    excess log S(q) - log(1 - p) is larger. The other's root solves excess = 0
-    by Brent's method in w = log(x - start), which stops within
-    xtol + 4 eps |w| (< 2e-10) of a sign change. So where that excess is below
-    -1e-6 (far above its rounding noise) at 1e-9 below the first root in w,
-    every sign change lies lower, the other root rounds to at most the first,
-    and it is skipped.
+    A component quantile is taken once per baseline object, alpha, sigma and
+    lam, the key by which ``mixture.sample_curves`` tells components apart
+    (an outlier pair shares both its components), and brackets the roots.
+    The mixture whose largest one is larger is rooted first; on a tie at q,
+    the one whose excess log S(q) - log(1 - p) is larger. The
+    other's root solves excess = 0 by Brent's method in w = log(x - start),
+    which stops within xtol + 4 eps |w| (< 2e-10) of a sign change. So where
+    that excess is below -1e-6 (far above its rounding noise) at 1e-9 below
+    the first root in w, every sign change lies lower, the other root rounds
+    to at most the first, and it is skipped.
     """
     lo = max(u.support_start, v.support_start)
     lo = lo + 1e-9 * (1.0 + abs(lo))
     p = UPPER_QUANTILE
-    pairs = [(m, [c.quantile(p) for c in m.components]) for m in (u, v)]
+    quantile = {}
+    for c in (*u.components, *v.components):
+        if (ident := (id(c.baseline), c.alpha, c.sigma, c.lam)) not in quantile:
+            quantile[ident] = c.quantile(p)
+    pairs = [(m, [quantile[id(c.baseline), c.alpha, c.sigma, c.lam] for c in m.components])
+             for m in (u, v)]
     top = [max(qs) for _, qs in pairs]
     key = top if top[0] != top[1] else [m.log_survival_excess(top[0], p) for m, _ in pairs]
     (first, first_qs), (other, other_qs) = pairs[::-1] if key[1] > key[0] else pairs

@@ -12,6 +12,18 @@ curves asked for. The public curves are their one-curve cases: ``cdf`` and
 scalar with the bits of the same point in a grid, a DomainError naming the
 curve when the float range overflows), the others through ``on_grid``.
 
+Each form takes t (or dz) as an array or as a Python float, the latter
+from a scalar pass. On a float, +, -, * and / run in Python, which rounds
+as numpy's array loops do, and each ufunc (``np.exp``, ``np.expm1``,
+``np.log1p``, ``np.minimum``) gives the array element's bits. So every power
+of a value computed from the point is ``np.power(base, e)``: ``**`` on a
+float or a numpy scalar calls the C library's ``pow``, which rounds some
+points otherwise. Powers of parameters alone (``k**a``, ``self.b**2``) stay
+Python floats on both paths. A divisor on a float path is never a Python
+zero: ``/ self._s0`` divides a numpy value, which gives inf or NaN where
+Python would raise. ``Tabulated``'s interpolant takes arrays, so it runs a
+float as a one-point array.
+
 Closed forms:
 
 * Pareto(a, k):               F(t) = 1 - (k/t)^a,              t > k
@@ -186,9 +198,9 @@ class Pareto(BaselineModel):
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         a, k = self.a, self.k
-        return (1.0 - (k / t) ** a if cdf else None,
-                a * k**a * t ** (-a - 1.0) if pdf else None,
-                -a * (a + 1.0) * k**a * t ** (-a - 2.0) if dpdf else None)
+        return (1.0 - np.power(k / t, a) if cdf else None,
+                a * k**a * np.power(t, -a - 1.0) if pdf else None,
+                -a * (a + 1.0) * k**a * np.power(t, -a - 2.0) if dpdf else None)
 
     def _offset_forms(self, dz, cdf, pdf):
         w = np.log1p(dz / self.k)
@@ -242,13 +254,13 @@ class BenktanderII(BaselineModel):
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         a, b = self.a, self.b
-        tb = t**b
+        tb = np.power(t, b)
         e = np.exp((a / b) * (1.0 - tb))
-        return (1.0 - t ** (b - 1.0) * e if cdf else None,
-                e * t ** (b - 2.0) * np.minimum((1.0 - b) + a * tb, _MAX) if pdf else None,
-                e * ((1.0 - b) * (b - 2.0) * t ** (b - 3.0)
-                     - 3.0 * a * (1.0 - b) * t ** (2.0 * b - 3.0)
-                     - a**2 * t ** (3.0 * b - 3.0)) if dpdf else None)
+        return (1.0 - np.power(t, b - 1.0) * e if cdf else None,
+                e * np.power(t, b - 2.0) * np.minimum((1.0 - b) + a * tb, _MAX) if pdf else None,
+                e * ((1.0 - b) * (b - 2.0) * np.power(t, b - 3.0)
+                     - 3.0 * a * (1.0 - b) * np.power(t, 2.0 * b - 3.0)
+                     - a**2 * np.power(t, 3.0 * b - 3.0)) if dpdf else None)
 
     def _offset_forms(self, dz, cdf, pdf):
         # log survival = (b-1) log t - g with t = 1 + dz and g = (a/b)(t^b - 1)
@@ -278,13 +290,13 @@ class LeftTruncatedBurrXII(BaselineModel):
     def _closed_forms(self, t, cdf, pdf, dpdf):
         k, m = self.k, self.m
         with np.errstate(over="ignore"):  # inf past the float range, which gives F = 1, f = 0
-            tk = t**k
-            grow = np.minimum(m * k * t ** (k - 1.0), _MAX) if pdf else None
+            tk = np.power(t, k)
+            grow = np.minimum(m * k * np.power(t, k - 1.0), _MAX) if pdf else None
         u = 1.0 + tk
-        return (1.0 - u ** (-m) / self._s0 if cdf else None,
-                grow * u ** (-m - 1.0) / self._s0 if pdf else None,
-                m * k * t ** (k - 2.0) * u ** (-m - 2.0) * ((k - 1.0) * u - (m + 1.0) * k * tk)
-                / self._s0 if dpdf else None)
+        return (1.0 - np.power(u, -m) / self._s0 if cdf else None,
+                grow * np.power(u, -m - 1.0) / self._s0 if pdf else None,
+                m * k * np.power(t, k - 2.0) * np.power(u, -m - 2.0)
+                * ((k - 1.0) * u - (m + 1.0) * k * tk) / self._s0 if dpdf else None)
 
     def _offset_forms(self, dz, cdf, pdf):
         F = None
@@ -315,10 +327,10 @@ class LeftTruncatedLomax(BaselineModel):
         self._s0 = (1.0 + self.t0) ** (-self.m)
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
-        u = 1.0 + t
-        return (1.0 - u ** (-self.m) / self._s0 if cdf else None,
-                self.m * u ** (-self.m - 1.0) / self._s0 if pdf else None,
-                -self.m * (self.m + 1.0) * u ** (-self.m - 2.0) / self._s0 if dpdf else None)
+        m, u = self.m, 1.0 + t
+        return (1.0 - np.power(u, -m) / self._s0 if cdf else None,
+                m * np.power(u, -m - 1.0) / self._s0 if pdf else None,
+                -m * (m + 1.0) * np.power(u, -m - 2.0) / self._s0 if dpdf else None)
 
     def _offset_forms(self, dz, cdf, pdf):
         return (-np.expm1(-self.m * np.log1p(dz / (1.0 + self.t0))) if cdf else None,
@@ -344,12 +356,12 @@ class LogLogistic(BaselineModel):
         # the CDF caps t^b; the density's (1 + t^b)^2 and f' take it as it is
         b = self.b
         with np.errstate(over="ignore"):  # inf past the float range, which gives F = 1, f = 0
-            tb = t**b
+            tb = np.power(t, b)
             if pdf:
-                grow, square = np.minimum(b * t ** (b - 1.0), _MAX), (1.0 + tb) ** 2
+                grow, square = np.minimum(b * np.power(t, b - 1.0), _MAX), np.power(1.0 + tb, 2)
         return ((c := np.minimum(tb, _MAX)) / (1.0 + c) if cdf else None,
                 grow / square if pdf else None,
-                b * t ** (b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / (1.0 + tb) ** 3
+                b * np.power(t, b - 2.0) * ((b - 1.0) - (b + 1.0) * tb) / np.power(1.0 + tb, 3)
                 if dpdf else None)
 
     def _quantile_above(self, log_q, log_s):
@@ -392,6 +404,9 @@ class Tabulated(BaselineModel):
         self._deriv = self._interp.derivative()
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
+        if not isinstance(t, np.ndarray):  # the interpolant takes arrays: a one-point one
+            return tuple(v if v is None else v[0]
+                         for v in self._closed_forms(np.array([t]), cdf, pdf, dpdf))
         F = f = None
         inside = t < self._hi
         if cdf:

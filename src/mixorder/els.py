@@ -6,8 +6,9 @@ with support (c, infinity). The indicator is strict: the CDF is 0 at the
 start point itself. One kernel, ``sample_groups``, gives the curves of
 components in groups that share a baseline object, sigma and lam: it keeps
 x > start and z = (x - sigma)/lam > c, makes one call of the baseline's
-closed forms for F and f on the kept z per group (a scalar as a one-point
-array) and forms only F**alpha and the density per component. An array
+closed forms for F and f on the kept z per group (a scalar's as a Python
+float) and forms only F**alpha and the density per component, each power
+by ``np.power``, which keeps a float's bits equal to a grid point's. An array
 block whose smallest point is kept is kept whole, with no mask; a block
 that straddles a start is masked. A component's ``cdf`` and ``pdf`` are
 its one-group case, and a mixture samples all its groups in one call.
@@ -71,17 +72,19 @@ class ELSComponent:
         return self._density(F, self.baseline.pdf_offset(dz))
 
     def _density(self, F, f):
-        """Component density from baseline F and f arrays at the same standardized
-        points; F is not read (and may be None) at alpha = 1."""
+        """Component density from baseline F and f, arrays or floats, at the same
+        standardized points; F is not read (and may be None) at alpha = 1."""
         if self.alpha == 1.0:
             return f / self.lam
         # F == 0 just above the start point means underflow; the
         # alpha < 1 divergence would otherwise produce inf * 0.
-        pos = F > 0.0
+        scale, pos = self.alpha / self.lam, F > 0.0
+        if not isinstance(F, np.ndarray):
+            return scale * np.power(F, self.alpha - 1.0) * f if pos else 0.0
         if pos.all():
-            return (self.alpha / self.lam) * F ** (self.alpha - 1.0) * f
+            return scale * np.power(F, self.alpha - 1.0) * f
         vals = np.zeros_like(F)
-        vals[pos] = (self.alpha / self.lam) * F[pos] ** (self.alpha - 1.0) * f[pos]
+        vals[pos] = scale * np.power(F[pos], self.alpha - 1.0) * f[pos]
         return vals
 
     def quantile(self, p):
@@ -113,11 +116,10 @@ def sample_groups(groups, x, curves):
     array itself. A NaN makes the smallest point NaN, and a group that does
     not pass is masked with numpy and scattered. A scalar is masked in
     Python floats, which compare, subtract and divide as numpy does, and a
-    live group passes its z as a one-point array. Steps are elementwise, so
+    live group passes its z as a Python float. Steps are elementwise, so
     every value has the bits of the same point in any grid."""
-    arr = np.asarray(x, dtype=float)
     out = []
-    if arr.ndim:
+    if not isinstance(x, float) and (arr := np.asarray(x, dtype=float)).ndim:
         low = float(arr.min()) if arr.size else math.nan
         for members in groups:
             c = members[0]
@@ -134,11 +136,11 @@ def sample_groups(groups, x, curves):
                     value[mask] = v
             out += values
         return out
-    t = float(arr)
+    t = float(x)
     for members in groups:
         c = members[0]
         if t > c.support_start and (z := (t - c.sigma) / c.lam) > c.baseline.support_low:
-            out += [v.item() for v in _lane_curves(members, np.array([z]), curves)]
+            out += [float(v) for v in _lane_curves(members, z, curves)]
         else:
             out += [0.0] * (len(curves) * len(members))
     return out
@@ -150,5 +152,5 @@ def _lane_curves(members, z, curves):
     skipped when only densities are asked for and every alpha is 1."""
     F, f, _ = members[0].baseline._curves(
         z, "cdf" in curves or any(c.alpha != 1.0 for c in members), "pdf" in curves, False)
-    return [F ** c.alpha if curve == "cdf" else c._density(F, f)
+    return [np.power(F, c.alpha) if curve == "cdf" else c._density(F, f)
             for c in members for curve in curves]

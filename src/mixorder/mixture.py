@@ -137,11 +137,11 @@ def sample_curves(mixtures, x, curves):
     gets alone, and a scalar the bits of a grid point. A 1-d array longer
     than ``EVAL_BLOCK`` runs slice by slice on one plan, each slice's sums
     written into the outputs."""
-    arr = np.asarray(x, dtype=float)
     groups, places = mixtures[0].own_plan if len(mixtures) == 1 else _plan(mixtures)
     k = len(curves)
-    if arr.ndim == 0:  # summed in Python floats, which take the IEEE steps of 0-d arrays
-        values = sample_groups(groups, arr, curves)
+    if isinstance(x, float) or not (arr := np.asarray(x, dtype=float)).ndim:
+        # summed in Python floats, which take the IEEE steps of an array's elements
+        values = sample_groups(groups, float(x), curves)
         return [[compensated_sum([w * values[k * i + j]
                                   for w, i in zip(mix.weights.tolist(), place)])
                  for j in range(k)] for mix, place in zip(mixtures, places)]
@@ -176,9 +176,10 @@ class FiniteMixture:
             raise ParameterError("a mixture needs at least one component")
         if weights.ndim != 1 or weights.size != len(components):
             raise ParameterError("weights must be a vector matching the components")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-            raise WeightError(f"weights must be strictly positive, got {weights.tolist()}")
-        raw_sum = float(math.fsum(weights.tolist()))
+        listed = weights.tolist()
+        if not all(0.0 < w < math.inf for w in listed):
+            raise WeightError(f"weights must be strictly positive, got {listed}")
+        raw_sum = float(math.fsum(listed))
         policy = WeightPolicy(policy)
         if policy is WeightPolicy.STRICT_UNIT:
             if abs(raw_sum - 1.0) > 1e-12:

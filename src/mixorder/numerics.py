@@ -1,7 +1,9 @@
 """Small numerical kernels: the support mask, the compensated sum, quadrature, roots.
 
-Everything here is deterministic and stateless. ``on_grid`` runs a scalar
-as a one-point grid, so it gets the bits of that grid point. ``on_support``
+Everything here is deterministic and stateless. ``on_grid`` hands a scalar
+to its function as a Python float: the closed forms keep the bits of a grid
+point by doing +, -, * and / in Python, which rounds as numpy's array loops
+do, and sending every power of the point to ``np.power``. ``on_support``
 is the mask rule of every baseline ``cdf``/``pdf`` and of the component
 offset density; component and mixture curves take the two-comparison mask
 of ``els.sample_groups``. ``compensated_sum`` is the one Kahan loop: the
@@ -30,11 +32,12 @@ _BRENT_RTOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100
 
 
 def on_grid(fn, x):
-    """``fn`` of the array ``x``; a scalar x runs as a length-1 array and
-    gives a float, the vector arithmetic of a grid point (numpy's scalar
-    power rounds otherwise)."""
-    arr = np.asarray(x, dtype=float)
-    return float(fn(arr.reshape(1))[0]) if arr.ndim == 0 else fn(arr)
+    """``fn`` of the array ``x``; a scalar x runs as a Python float and gives a
+    float. ``fn`` keeps the bits of a grid point by sending every power to
+    ``np.power`` (Python's ``**`` on a float rounds otherwise)."""
+    if isinstance(x, float) or not (arr := np.asarray(x, dtype=float)).ndim:
+        return float(fn(float(x)))
+    return fn(arr)
 
 
 def on_support(x, start, fn):
@@ -44,9 +47,8 @@ def on_support(x, start, fn):
     gets the whole array when every point is kept and is not called when
     none is; a mixed array is scattered.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return on_grid(fn, arr) if float(arr) > start else 0.0
+    if isinstance(x, float) or not (arr := np.asarray(x, dtype=float)).ndim:
+        return on_grid(fn, t) if (t := float(x)) > start else 0.0
     mask = arr > start
     if mask.all() and arr.size:
         return fn(arr)

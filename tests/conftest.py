@@ -62,6 +62,10 @@ class SweepDraw:
 
 @pytest.fixture(scope="session")
 def sweep_pool():
+    return build_sweep_pool()
+
+
+def build_sweep_pool():
     """Each theorem's ``SWEEP_DRAWS`` sweep draws, in order, every sampler
     drawn from its own ``default_rng(SWEEP_SEED)``."""
     pool = {}

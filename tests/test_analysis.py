@@ -541,6 +541,19 @@ def test_auto_grid_takes_each_component_quantile_once(seed):
             assert calls == [*u.components, *v.components]
 
 
+@pytest.mark.parametrize("theorem", ["T4.1", "T4.2"])
+def test_auto_grid_takes_each_distinct_component_quantile_once(monkeypatch, theorem):
+    # an outlier pair's mixtures share both component objects: two quantiles, not four
+    calls = _component_quantile_calls(monkeypatch)
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        u, v = (build_outlier_mixture(spec) for spec in THEOREM_SAMPLERS[theorem](rng))
+        calls.clear()
+        auto_grid(u, v)
+        assert calls == list(dict.fromkeys([*u.components, *v.components]))
+        assert len(calls) == len(set(calls)) == 2
+
+
 def test_auto_grid_roots_each_t41_sweep_draw_once(monkeypatch):
     # the T4.1 pairs share both components, so their top component quantiles
     # tie; the excess at that quantile picks the mixture to root, and the

@@ -12,7 +12,9 @@ one changed bit shows as a changed byte. Re-record with
 
 The sweep verdicts of every ``SWEEP_STRIDE``-th draw of each theorem are
 replayed against ``perfbench/sweep_reference.json``, which this reads and
-never writes.
+never writes. The same draws' ``auto_grid`` windows are checked against
+``tests/data/sweep_windows.json``, which holds ``x_lo`` and ``x_hi`` of all
+3500 draws as ``float.hex``: the bits of the quantile roots that end them.
 """
 
 import json
@@ -33,6 +35,7 @@ from mixorder.reporting import to_jsonable
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data" / "condition_reports.json"
 SWEEP_REFERENCE = ROOT / "perfbench" / "sweep_reference.json"
+WINDOWS = ROOT / "tests" / "data" / "sweep_windows.json"
 SAMPLER_DRAWS = 20
 SWEEP_SEED = 42
 SWEEP_STRIDE = 7
@@ -99,3 +102,19 @@ def test_sweep_draws_match_the_benchmark_reference(sweep_pool):
         assert len(draws) == reference["draws"]
         for i in range(0, len(draws), SWEEP_STRIDE):
             assert _sweep_output(tid, draws[i]) == reference["theorems"][tid][i], (tid, i)
+
+
+def sweep_windows(pool):
+    """{theorem: ["<x_lo hex> <x_hi hex>" of each draw's ``auto_grid``]}."""
+    return {tid: [f"{draw.grid.x_lo.hex()} {draw.grid.x_hi.hex()}" for draw in draws]
+            for tid, draws in pool.items()}
+
+
+def test_sweep_windows_match_recorded_bits(sweep_pool):
+    recorded = json.loads(WINDOWS.read_text(encoding="utf-8"))
+    windows = sweep_windows(sweep_pool)
+    assert list(windows) == list(recorded)
+    for tid, rows in windows.items():
+        assert len(rows) == len(recorded[tid])
+        for i in range(0, len(rows), SWEEP_STRIDE):
+            assert rows[i] == recorded[tid][i], (tid, i)

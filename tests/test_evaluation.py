@@ -2,14 +2,18 @@
 
 Every baseline ``cdf``/``pdf`` and the component offset density run their
 closed forms through ``numerics.on_support``, which hands a scalar to the
-closed form as a length-1 array by ``numerics.on_grid``; a baseline's
+closed form as a Python float by ``numerics.on_grid``; a baseline's
 ``pdf_prime``, ``cdf_offset`` and ``pdf_offset`` take the same rule, and a
 scalar inside each one's domain must give the bits of that point of an
-array. Component and mixture curves come from one
+array. That rests on the float rule: a closed form does +, -, * and / on a
+float in Python, which rounds as numpy does, and sends every power of the
+point to ``np.power``, which gives an array element's bits where ``**``
+on a float does not; the premise and an ``ast`` scan of the closed forms
+are tested below. Component and mixture curves come from one
 kernel, ``els.sample_groups``: a group of components sharing a baseline,
 sigma and lam takes one two-comparison mask and one closed-form pass, a
-scalar's as a one-point array, so a scalar pass makes the closed-form calls
-of the grid pass on that one point and raises its error. The scalar pass
+scalar's on the float z, so a scalar pass makes the closed-form calls of
+the grid pass on that one point and raises its error. The scalar pass
 must give the bits of the grid pass on every sweep and normalization pool mixture and pair, below,
 at and just above each start, inside, at the grid end, at NaN and at
 +-inf, on a tabulated baseline, on equal but distinct baseline objects and
@@ -31,8 +35,11 @@ of both; ``pdf_prime``, ``cdf_offset`` and ``pdf_offset`` are their
 one-curve cases.
 """
 
+import ast
+import inspect
 import itertools
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -41,6 +48,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mixorder import baseline as baseline_module
 from mixorder import (
     DomainError,
     ELSComponent,
@@ -175,9 +183,10 @@ def test_on_support_paths():
     x = np.array([1.0, 2.0, 3.0])
     # wholly above: the array itself, no copy and no scatter
     assert np.array_equal(on_support(x, 0.5, twice), 2.0 * x) and calls[-1] is x
-    # a scalar is a length-1 array for fn and a float for the caller
-    out = on_support(2.0, 0.5, twice)
-    assert type(out) is float and out == 4.0 and calls[-1].shape == (1,)
+    # a scalar is a Python float for fn and for the caller, whatever scalar type it came as
+    for scalar in (2.0, 2, np.float64(2.0), np.array(2.0)):
+        out = on_support(scalar, 0.5, twice)
+        assert type(out) is float and out == 4.0 and type(calls[-1]) is float
     # a mixed array sends fn only its points above the start
     assert np.array_equal(on_support(x, 1.5, twice), [0.0, 4.0, 6.0])
     assert np.array_equal(calls[-1], [2.0, 3.0])
@@ -186,6 +195,101 @@ def test_on_support_paths():
     assert on_support(1.0, 1.0, twice) == 0.0 and on_support(math.nan, 0.0, twice) == 0.0
     assert np.array_equal(on_support(x, 3.0, twice), np.zeros(3))
     assert on_support(np.empty(0), 0.0, twice).shape == (0,) and len(calls) == n
+
+
+def _float_draws():
+    """3000 doubles from 1e-30 to 1e30 and 3000 in (0, 10), fixed by the seed."""
+    rng = np.random.default_rng(7)
+    return np.concatenate((np.exp(rng.uniform(-69.0, 69.0, 3000)), rng.uniform(0.0, 10.0, 3000)))
+
+
+@pytest.mark.parametrize("ufunc, second", [
+    *((np.power, e) for e in (2.0, 2, 0.5, -1.0, 1.0, 0.0, 3.0, -2.0, -0.5, 1.5, 1.7, -3.3)),
+    (np.exp, None), (np.expm1, None), (np.log1p, None), (np.log, None),
+    (np.minimum, sys.float_info.max)], ids=str)
+def test_a_ufunc_on_a_float_gives_the_bits_of_an_array_element(ufunc, second):
+    # the premise of a scalar pass in floats: every ufunc the closed forms call
+    x = _float_draws()
+    if ufunc in (np.exp, np.expm1):
+        x = np.log(x)  # -69 to 69 and below 2.3
+    x = np.concatenate((x, [0.0, math.inf, math.nan]))
+    args = () if second is None else (second,)
+    with np.errstate(all="ignore"):
+        grid = ufunc(x, *args)
+        points = [ufunc(v, *args) for v in x.tolist()]
+        if ufunc is np.power:  # the array's ``**``, which special-cases some exponents
+            assert _bits(x**second).tolist() == _bits(grid).tolist()
+    assert _bits(points).tolist() == _bits(grid).tolist()
+
+
+@pytest.mark.parametrize("e", [3.0, 1.7, -2.0])
+def test_a_python_power_on_a_float_does_not(e):
+    # ``**`` on a float, or on a numpy scalar, rounds by the C library's pow
+    x = _float_draws()
+    grid = np.power(x, e)
+    for scalars in (x.tolist(), list(x)):
+        assert _bits([v**e for v in scalars]).tolist() != _bits(grid).tolist()
+
+
+#: the arguments that hold evaluation points, and the names of the closed forms
+_POINT_ARGS = {"t", "dz", "z", "F", "f"}
+_CLOSED_FORM_FUNCTIONS = {"_closed_forms", "_offset_forms", "_lane_curves", "_density"}
+
+
+def _point_powers(source):
+    """(function name, line) of each ``**`` in a closed form of ``source``
+    whose left operand is computed from an evaluation point: a point
+    argument, or a name assigned (in any statement, walrus included) from
+    one."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name in _CLOSED_FORM_FUNCTIONS):
+            continue
+        points = {arg.arg for arg in func.args.args} & _POINT_ARGS
+
+        def uses_point(node):
+            return any(isinstance(n, ast.Name) and n.id in points for n in ast.walk(node))
+
+        grown = True
+        while grown:
+            before = len(points)
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.NamedExpr)) and uses_point(
+                        node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    points |= {n.id for target in targets for n in ast.walk(target)
+                               if isinstance(n, ast.Name)}
+            grown = len(points) > before
+        found += [(func.name, node.lineno) for node in ast.walk(func)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and uses_point(node.left)]
+    return found
+
+
+def test_the_scan_finds_a_power_of_the_point():
+    source = """
+class Family:
+    def _closed_forms(self, t, cdf, pdf, dpdf):
+        k = self.k
+        tb = np.power(t, self.b)
+        if pdf:
+            grow, square = k**2 * tb, (1.0 + tb) ** 2
+        return (c := tb + 1.0) ** k, np.power(t, k) ** 0.5, self.b**k
+"""
+    assert sorted(_point_powers(source)) == [("_closed_forms", 7), ("_closed_forms", 8),
+                                             ("_closed_forms", 8)]
+
+
+def test_no_closed_form_raises_the_point_with_python_power():
+    # parameter-only powers (k**a, self.b**2, t0**k) stay Python floats
+    found = 0
+    for module in (baseline_module, els):
+        source = inspect.getsource(module)
+        tree = ast.parse(source)
+        found += sum(isinstance(node, ast.FunctionDef) and node.name in _CLOSED_FORM_FUNCTIONS
+                     for node in ast.walk(tree))
+        assert _point_powers(source) == [], module.__name__
+    assert found >= 12
 
 
 #: parameters of the closed-form families, kept to tail indices of 1/2 or more
@@ -385,13 +489,13 @@ def test_scalar_pass_matches_the_grid_pass_on_shared_baselines(names):
 
 def _closed_form_calls(groups, x, curves):
     """The baseline closed-form calls of one ``els.sample_groups`` pass, each as
-    (baseline object id, CDF asked, density asked, shape), and the message of
-    the DomainError it raises, or None."""
+    (baseline object id, CDF asked, density asked, the type of t and its
+    shape), and the message of the DomainError it raises, or None."""
     calls = []
     closed_forms = BaselineModel._curves
 
     def recording(self, t, cdf, pdf, dpdf):
-        calls.append((id(self), cdf, pdf, np.shape(t)))
+        calls.append((id(self), cdf, pdf, type(t), np.shape(t)))
         return closed_forms(self, t, cdf, pdf, dpdf)
 
     with mock.patch.object(BaselineModel, "_curves", recording):
@@ -414,8 +518,9 @@ def _overflow_mixture():
                                    ("tabulated", "equal_baselines", "alphas_one"),
                                    ("overflow",)])
 def test_scalar_pass_makes_the_closed_form_calls_of_a_one_point_grid(names):
-    # a scalar is the one-point case of the grid pass: group by group, the same
-    # baseline objects, curves and shapes, and the same error where one raises
+    # a scalar makes the calls of a one-point grid: group by group, the same
+    # baseline objects and curves, and the same error where one raises; each
+    # closed form gets the point as a Python float where the grid gets an array
     mixtures = tuple(_overflow_mixture() if name == "overflow" else _LANE_MIXTURES[name]
                      for name in names)
     groups = mixture._plan(mixtures)[0]
@@ -424,7 +529,11 @@ def test_scalar_pass_makes_the_closed_form_calls_of_a_one_point_grid(names):
     for t in _scalar_points(mixtures, 40.0):
         for curves in _CURVE_SETS:
             scalar = _closed_form_calls(groups, t, curves)
-            assert scalar == _closed_form_calls(groups, np.array([t]), curves), (t, curves)
+            grid = _closed_form_calls(groups, np.array([t]), curves)
+            assert scalar[1] == grid[1], (t, curves)
+            assert [call[:3] for call in scalar[0]] == [call[:3] for call in grid[0]], (t, curves)
+            assert all(call[3:] == (float, ()) for call in scalar[0]), (t, curves)
+            assert all(call[3:] == (np.ndarray, (1,)) for call in grid[0]), (t, curves)
             raised += scalar[1] is not None
     assert raised > 0 if names == ("overflow",) else raised == 0
 

@@ -98,6 +98,16 @@ def test_weight_policy_strict():
         FiniteMixture((comp,), (-1.0,))
 
 
+@pytest.mark.parametrize("policy", list(WeightPolicy))
+@pytest.mark.parametrize("bad", [0.0, -0.25, math.nan, math.inf, -math.inf],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+def test_weight_outside_the_positive_reals_names_the_weights(bad, policy):
+    comp = ELSComponent(make_baseline("pareto", a=5.0, k=1.0), 2.0, 1.0, 2.0)
+    text = f"weights must be strictly positive, got [0.5, {bad!r}]"
+    with pytest.raises(WeightError, match=f"^{re.escape(text)}$"):
+        FiniteMixture((comp, comp), np.array([0.5, bad]), policy=policy)
+
+
 def test_weight_policy_autonormalize_records_raw_sum():
     comp = ELSComponent(make_baseline("pareto", a=5.0, k=1.0), 2.0, 1.0, 2.0)
     other = ELSComponent(make_baseline("pareto", a=5.0, k=1.0), 3.0, 2.0, 1.0)

@@ -1,17 +1,18 @@
-"""Re-record, or check, the five pinned output files.
+"""Re-record, or check, the six pinned output files.
 
-    python tools/record_pinned.py           # rewrite all five files
+    python tools/record_pinned.py           # rewrite all six files
     python tools/record_pinned.py --check   # write nothing; list what would change
 
-The three ``tests/data/*.json`` files come from the builder functions of
+The four ``tests/data/*.json`` files are built by functions of
 the tests that read them: ``scenario_digests`` in
-``tests/test_curve_digests.py``, ``pinned_reports`` in
+``tests/test_curve_digests.py``, ``pinned_reports`` and ``sweep_windows``
+(over the draws of ``conftest.build_sweep_pool``) in
 ``tests/test_condition_reports.py`` and ``pinned_mixtures`` in
 ``tests/test_normalization_bits.py``. The two ``perfbench/*_reference.json``
 files are written by ``perfbench/record_reference.py``, which this runs
 as it is.
 
-``--check`` recomputes all five and writes nothing in the repository: it
+``--check`` recomputes all six and writes nothing in the repository: it
 runs ``record_reference.py``'s own ``main()`` with both perfbench
 references pointed into a temporary directory. It prints ``<file>:
 <label>`` for every top-level entry whose bytes would change (the file name
@@ -33,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+import conftest  # noqa: E402
 import record_reference  # noqa: E402
 import test_condition_reports  # noqa: E402
 import test_curve_digests  # noqa: E402
@@ -59,14 +61,19 @@ def normalization_reports():
             for label, mix in test_normalization_bits.pinned_mixtures((draws[270], draws[1911]))}
 
 
+def sweep_windows():
+    return test_condition_reports.sweep_windows(conftest.build_sweep_pool())
+
+
 def _tests_text(doc):
     return json.dumps(doc, indent=1) + "\n"
 
 
-#: (path, builder) of the three tests/data files
+#: (path, function that builds it) of the four tests/data files
 TESTS_DATA = (
     (test_curve_digests.DATA, curve_digests),
     (test_condition_reports.DATA, condition_reports),
+    (test_condition_reports.WINDOWS, sweep_windows),
     (test_normalization_bits.DATA, normalization_reports),
 )
 
