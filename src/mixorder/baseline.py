@@ -4,6 +4,10 @@ Six closed-form families plus a tabulated escape hatch. Each model exposes
 the CDF F, the density f and the density derivative f'. The lower
 support bound ``support_low`` is the constant that shifts an
 exponentiated location-scale component's start point.
+Each family is a frozen dataclass whose fields are its parameters, each
+checked to be a positive finite real (not a bool) and stored as a float;
+equality, hash and repr come from them, and ``dataclasses.asdict`` gives
+them. So a component's cached start point cannot go stale.
 Each family writes each formula once, in ``_closed_forms(t, cdf, pdf,
 dpdf)`` (F, f and f' above c) or ``_offset_forms(dz, cdf, pdf)`` (F and f
 at c + dz); each computes a part two curves share once and returns only the
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,21 +82,31 @@ def _log_survival(log_q):
     return math.log(-math.expm1(log_q))
 
 
+def _finite_real(value):
+    """Whether ``value`` is a finite real number; a bool or a string is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and -_MAX <= value <= _MAX)
+
+
 def _require_positive(name, value):
-    if not (value > 0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be a positive finite real, got {value}")
-    return float(value)
+    if _finite_real(value) and value > 0:
+        return float(value)
+    raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
 
 
+@dataclass(frozen=True)
 class BaselineModel:
     """Common evaluation shell; subclasses provide the closed forms on t > c."""
 
     family = "abstract"
 
-    @property
-    def support_low(self):
-        """Lower support bound c; F(c) = 0."""
-        return self._c
+    def __post_init__(self):
+        """Each field as a float, once checked; then ``support_low``, the bound c
+        with F(c) = 0, from the family's ``_low``: c, or the field c equals."""
+        for name in self.__match_args__:  # the fields, in positional order
+            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+        low = self._low
+        object.__setattr__(self, "support_low", getattr(self, low) if isinstance(low, str) else low)
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         """(F, f, f') at t > c, unmasked, each None unless asked for; each form
@@ -102,7 +117,7 @@ class BaselineModel:
         """(F, f) at c + dz for dz >= 0, each None unless asked for. Families
         with c > 0 give it a cancellation-free form; at c = 0 the offset is the
         abscissa, and this one is exact."""
-        t = self._c + dz
+        t = self.support_low + dz
         return self.cdf(t) if cdf else None, self.pdf(t) if pdf else None
 
     def _curves(self, t, cdf, pdf, dpdf):
@@ -117,15 +132,15 @@ class BaselineModel:
             raise DomainError(f"{self.family} {name} overflows the float range") from None
 
     def cdf(self, t):
-        return on_support(t, self._c, lambda above: self._curves(above, True, False, False)[0])
+        return on_support(t, self.support_low, lambda z: self._curves(z, True, False, False)[0])
 
     def pdf(self, t):
-        return on_support(t, self._c, lambda above: self._curves(above, False, True, False)[1])
+        return on_support(t, self.support_low, lambda z: self._curves(z, False, True, False)[1])
 
     def pdf_prime(self, t):
         """Density derivative f'(t), the third output of ``_closed_forms``."""
-        if np.any(np.asarray(t, dtype=float) <= self._c):
-            raise DomainError(f"pdf derivative requires t > support_low={self._c}")
+        if np.any(np.asarray(t, dtype=float) <= self.support_low):
+            raise DomainError(f"pdf derivative requires t > support_low={self.support_low}")
         return on_grid(lambda above: self._curves(above, False, False, True)[2], t)
 
     def cdf_offset(self, dz):
@@ -164,37 +179,19 @@ class BaselineModel:
         """Root of F(t) = q above the support bound, where F = 0; families
         with a closed-form inverse override this with it."""
         q = math.exp(log_q)
-        lo = self._c
+        lo = self.support_low
         hi, f_hi = expand_upper_bracket(self.cdf, q, lo, step=max(1.0, abs(lo)))
         return brent_root(lambda t: self.cdf(t) - q, lo, hi, _ROOT_XTOL, -q, f_hi - q)
 
-    def params(self):
-        raise NotImplementedError
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
-        return f"{type(self).__name__}({args})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BaselineModel)
-            and self.family == other.family
-            and self.params() == other.params()
-        )
-
-    def __hash__(self):
-        return hash((self.family, tuple(sorted(self.params().items()))))
-
-
+@dataclass(frozen=True)
 class Pareto(BaselineModel):
     """F(t) = 1 - (k/t)^a on t > k, shape a > 0, scale k > 0."""
 
+    a: float
+    k: float
     family = "pareto"
-
-    def __init__(self, a, k):
-        self.a = _require_positive("a", a)
-        self.k = _require_positive("k", k)
-        self._c = self.k
+    _low = "k"
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         a, k = self.a, self.k
@@ -210,19 +207,15 @@ class Pareto(BaselineModel):
     def _quantile_above(self, log_q, log_s):
         return self.k * math.exp(-log_s / self.a)
 
-    def params(self):
-        return {"a": self.a, "k": self.k}
 
-
+@dataclass(frozen=True)
 class LeftTruncatedExponential(BaselineModel):
     """F(t) = 1 - exp(-(t-t0)/b) on t > t0, scale b > 0."""
 
+    b: float
+    t0: float
     family = "lt_exponential"
-
-    def __init__(self, b, t0):
-        self.b = _require_positive("b", b)
-        self.t0 = _require_positive("t0", t0)
-        self._c = self.t0
+    _low = "t0"
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         e = -(t - self.t0) / self.b
@@ -236,21 +229,20 @@ class LeftTruncatedExponential(BaselineModel):
     def _quantile_above(self, log_q, log_s):
         return self.t0 - self.b * log_s
 
-    def params(self):
-        return {"b": self.b, "t0": self.t0}
 
-
+@dataclass(frozen=True)
 class BenktanderII(BaselineModel):
     """F(t) = 1 - t^(b-1) exp((a/b)(1 - t^b)) on t > 1, a > 0, 0 < b < 1."""
 
+    a: float
+    b: float
     family = "benktander2"
+    _low = 1.0
 
-    def __init__(self, a, b):
-        self.a = _require_positive("a", a)
-        self.b = _require_positive("b", b)
+    def __post_init__(self):
+        super().__post_init__()
         if not self.b < 1.0:
-            raise ParameterError(f"Benktander-II requires 0 < b < 1, got b={b}")
-        self._c = 1.0
+            raise ParameterError(f"Benktander-II requires 0 < b < 1, got b={self.b}")
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         a, b = self.a, self.b
@@ -271,21 +263,20 @@ class BenktanderII(BaselineModel):
                 np.exp(-g + (b - 2.0) * w) * np.minimum((1.0 - b) + a * np.exp(b * w), _MAX)
                 if pdf else None)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
 
-
+@dataclass(frozen=True)
 class LeftTruncatedBurrXII(BaselineModel):
     """Burr XII survival (1+t^k)^-m renormalised at t0; support t > t0."""
 
+    k: float
+    m: float
+    t0: float
     family = "lt_burr12"
+    _low = "t0"
 
-    def __init__(self, k, m, t0):
-        self.k = _require_positive("k", k)
-        self.m = _require_positive("m", m)
-        self.t0 = _require_positive("t0", t0)
-        self._c = self.t0
-        self._s0 = (1.0 + self.t0**self.k) ** (-self.m)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_s0", (1.0 + self.t0**self.k) ** (-self.m))
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         k, m = self.k, self.m
@@ -311,20 +302,19 @@ class LeftTruncatedBurrXII(BaselineModel):
         t0k = self.t0**self.k
         return (t0k + (1.0 + t0k) * math.expm1(-log_s / self.m)) ** (1.0 / self.k)
 
-    def params(self):
-        return {"k": self.k, "m": self.m, "t0": self.t0}
 
-
+@dataclass(frozen=True)
 class LeftTruncatedLomax(BaselineModel):
     """Lomax survival (1+t)^-m renormalised at t0; support t > t0."""
 
+    m: float
+    t0: float
     family = "lt_lomax"
+    _low = "t0"
 
-    def __init__(self, m, t0):
-        self.m = _require_positive("m", m)
-        self.t0 = _require_positive("t0", t0)
-        self._c = self.t0
-        self._s0 = (1.0 + self.t0) ** (-self.m)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_s0", (1.0 + self.t0) ** (-self.m))
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         m, u = self.m, 1.0 + t
@@ -339,18 +329,14 @@ class LeftTruncatedLomax(BaselineModel):
     def _quantile_above(self, log_q, log_s):
         return self.t0 + (1.0 + self.t0) * math.expm1(-log_s / self.m)
 
-    def params(self):
-        return {"m": self.m, "t0": self.t0}
 
-
+@dataclass(frozen=True)
 class LogLogistic(BaselineModel):
     """F(t) = t^b / (1 + t^b) on t > 0, shape b > 0."""
 
+    b: float
     family = "loglogistic"
-
-    def __init__(self, b):
-        self.b = _require_positive("b", b)
-        self._c = 0.0
+    _low = 0.0
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         # the CDF caps t^b; the density's (1 + t^b)^2 and f' take it as it is
@@ -368,10 +354,8 @@ class LogLogistic(BaselineModel):
         # t^b = F / (1 - F)
         return math.exp((log_q - log_s) / self.b)
 
-    def params(self):
-        return {"b": self.b}
 
-
+@dataclass(frozen=True)
 class Tabulated(BaselineModel):
     """User-supplied (t, F) pairs joined by monotone cubic interpolation.
 
@@ -379,29 +363,33 @@ class Tabulated(BaselineModel):
     the support bound. The density derivative is always numeric.
     """
 
+    t: tuple
+    F: tuple
     family = "tabulated"
 
-    def __init__(self, t, F):
-        t = np.asarray(t, dtype=float)
-        F = np.asarray(F, dtype=float)
-        if t.ndim != 1 or t.shape != F.shape or t.size < 3:
+    def __post_init__(self):
+        for name in ("t", "F"):
+            values = getattr(self, name)
+            items = tuple(values) if np.iterable(values) else (values,)
+            if not all(map(_finite_real, items)):
+                raise ParameterError(f"tabulated {name} must contain only finite values, "
+                                     f"each a real number, got {values!r}")
+            object.__setattr__(self, name, tuple(map(float, items)))
+        t, F = np.array(self.t), np.array(self.F)
+        if t.shape != F.shape or t.size < 3:
             raise ParameterError("tabulated baseline needs matching 1-d t/F with >= 3 points")
-        for name, values in (("t", t), ("F", F)):
-            if not np.isfinite(values).all():
-                raise ParameterError(f"tabulated {name} must contain only finite values")
         if np.any(np.diff(t) <= 0):
             raise ParameterError("tabulated abscissae must be strictly increasing")
         if np.any(np.diff(F) < 0):
             raise ParameterError("baseline_cdf must be nondecreasing: tabulated F decreases")
         if abs(F[0]) > 1e-12 or abs(F[-1] - 1.0) > 1e-9:
             raise ParameterError("tabulated F must start at 0 and end at 1")
-        self._t = t
-        self._F = F
-        self._c = float(t[0])
-        self._hi = float(t[-1])
         from scipy.interpolate import PchipInterpolator
-        self._interp = PchipInterpolator(t, F, extrapolate=False)
-        self._deriv = self._interp.derivative()
+        interp = PchipInterpolator(t, F, extrapolate=False)
+        object.__setattr__(self, "support_low", self.t[0])
+        object.__setattr__(self, "_hi", self.t[-1])
+        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "_deriv", interp.derivative())
 
     def _closed_forms(self, t, cdf, pdf, dpdf):
         if not isinstance(t, np.ndarray):  # the interpolant takes arrays: a one-point one
@@ -418,9 +406,6 @@ class Tabulated(BaselineModel):
             if np.any(inside):
                 f[inside] = np.maximum(self._deriv(t[inside]), 0.0)
         return F, f, central_difference(self.pdf, t) if dpdf else None
-
-    def params(self):
-        return {"t": tuple(self._t.tolist()), "F": tuple(self._F.tolist())}
 
 
 FAMILIES = {

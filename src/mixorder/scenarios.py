@@ -150,10 +150,12 @@ def _member(enum, value, key, where):
 
 
 def _number(value, key, where):
+    """A JSON number as a finite float; a string, a bool or null is not one."""
     try:
-        if not isinstance(value, bool) and math.isfinite(number := float(value)):
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(number := float(value))):
             return number
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     msg = f"field {key!r} must be a finite number, got {value!r}"
     raise ScenarioFormatError(msg, location=where)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from mixorder import (
     make_baseline,
 )
 from mixorder.analysis import Grid, Monotonicity
-from mixorder.baseline import _ROOT_XTOL
+from mixorder.baseline import _ROOT_XTOL, Pareto
+from mixorder.els import ELSComponent
 from mixorder.numerics import brent_root, central_difference, expand_upper_bracket
 
 FAMILY_CASES = [
@@ -238,8 +241,8 @@ def test_root_quantile_reuses_known_cdf_values(model, monkeypatch):
     end as given: the same root as evaluating both ends again, two CDF
     calls fewer."""
     calls = []
-    cdf = model.cdf
-    monkeypatch.setattr(model, "cdf", lambda t: calls.append(t) or cdf(t))
+    cdf = type(model).cdf  # a frozen baseline takes no instance attribute: patch its class
+    monkeypatch.setattr(type(model), "cdf", lambda self, t: calls.append(t) or cdf(self, t))
     lo = model.support_low
     for p in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
         calls.clear()
@@ -255,3 +258,95 @@ def test_root_quantile_reuses_known_cdf_values(model, monkeypatch):
 def test_quantile_beyond_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         make_baseline("pareto", a=0.01, k=1.0).quantile(1.0 - 1e-6)
+
+
+#: one baseline of each family: its parameters, and its repr text and
+#: support bound c, pinned so that scenario reports keep their bytes
+VALUE_CASES = [
+    ("pareto", {"a": 2.0, "k": 1.0}, "Pareto(a=2.0, k=1.0)", 1.0),
+    ("lt_exponential", {"b": 2.0, "t0": 3.0}, "LeftTruncatedExponential(b=2.0, t0=3.0)", 3.0),
+    ("benktander2", {"a": 5.0, "b": 0.8}, "BenktanderII(a=5.0, b=0.8)", 1.0),
+    ("lt_burr12", {"k": 1.5, "m": 5.0, "t0": 2.0},
+     "LeftTruncatedBurrXII(k=1.5, m=5.0, t0=2.0)", 2.0),
+    ("lt_lomax", {"m": 3.0, "t0": 6.0}, "LeftTruncatedLomax(m=3.0, t0=6.0)", 6.0),
+    ("loglogistic", {"b": 4.0}, "LogLogistic(b=4.0)", 0.0),
+    ("tabulated", {"t": [1.0, 2.0, 4.0], "F": [0.0, 0.5, 1.0]},
+     "Tabulated(t=(1.0, 2.0, 4.0), F=(0.0, 0.5, 1.0))", 1.0),
+]
+VALUE_IDS = [case[0] for case in VALUE_CASES]
+
+
+def _as_ints(value):
+    """``value`` with each integral float written as an int."""
+    if isinstance(value, list):
+        return [_as_ints(v) for v in value]
+    return int(value) if float(value).is_integer() else value
+
+
+@pytest.mark.parametrize("family,params,text,c", VALUE_CASES, ids=VALUE_IDS)
+def test_baseline_repr_and_support_bound(family, params, text, c):
+    model = make_baseline(family, **params)
+    assert repr(model) == text
+    assert model.support_low == c and type(model.support_low) is float
+
+
+@pytest.mark.parametrize("family,params,text,c", VALUE_CASES, ids=VALUE_IDS)
+def test_baseline_rebuilds_from_its_fields(family, params, text, c):
+    model = make_baseline(family, **params)
+    twin = type(model)(**dataclasses.asdict(model))
+    assert twin == model and hash(twin) == hash(model) and twin is not model
+    assert dataclasses.asdict(model) == {k: v if isinstance(v, float) else tuple(v)
+                                         for k, v in params.items()}
+
+
+@pytest.mark.parametrize("family,params,text,c", VALUE_CASES, ids=VALUE_IDS)
+def test_int_and_float_parameters_give_equal_baselines(family, params, text, c):
+    # each case has an integral parameter; its repr shows it stored as a float
+    model = make_baseline(family, **{k: _as_ints(v) for k, v in params.items()})
+    assert model == make_baseline(family, **params) and repr(model) == text
+
+
+@pytest.mark.parametrize("family,params,text,c", VALUE_CASES, ids=VALUE_IDS)
+def test_baseline_fields_cannot_be_assigned(family, params, text, c):
+    model = make_baseline(family, **params)
+    for name in [*params, "support_low"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, 5.0)
+    assert repr(model) == text and model.support_low == c
+
+
+def test_component_start_cannot_go_stale():
+    """A component's cached start point stays its baseline's: assigning a
+    parameter, which would leave the CDF at -5.25 here, raises."""
+    model = make_baseline("pareto", a=2.0, k=1.0)
+    component = ELSComponent(model, 1.0, 0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.k = 5.0
+    assert component.cdf(2.0) == 0.75
+
+
+def test_equality_is_class_strict():
+    """A subclass instance never equals its base's, even with equal fields."""
+    class Variant(Pareto):
+        pass
+
+    assert Pareto(2.0, 1.0) != Variant(2.0, 1.0) and Variant(2.0, 1.0) == Variant(2.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [True, False, "5", "abc", [1.0], {}, None, math.nan,
+                                 math.inf, 10**400, -1.0, 0],
+                         ids=["true", "false", "digit_text", "text", "array", "object", "none",
+                              "nan", "inf", "huge_int", "negative", "zero"])
+def test_non_real_or_non_positive_parameter_is_rejected_naming_it(bad):
+    with pytest.raises(ParameterError, match=f"^k must be a positive finite real, got "
+                                             f"{re.escape(repr(bad))}$"):
+        make_baseline("pareto", a=5, k=bad)
+
+
+@pytest.mark.parametrize("field", ["t", "F"])
+@pytest.mark.parametrize("bad", ["abc", None, {"a": 1.0}, [0.0, True, 1.0], [0.0, "0.5", 1.0]])
+def test_tabulated_non_real_values_are_rejected_naming_the_field(field, bad):
+    params = {"t": [1.0, 2.0, 4.0], "F": [0.0, 0.5, 1.0], field: bad}
+    with pytest.raises(ParameterError, match=f"^tabulated {field} must contain only finite values, "
+                                             f"each a real number, got {re.escape(repr(bad))}$"):
+        make_baseline("tabulated", **params)

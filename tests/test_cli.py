@@ -247,6 +247,36 @@ def _set(*path, value=5, scenario_id="EX4.1"):
     pytest.param(_set("mixtures", 0, "components", 1, "sigma", value=float("nan")),
                  ".mixtures[0].components[1]: field 'sigma' must be a finite number, got nan",
                  id="sigma_nan"),
+] + [
+    # a number written as a JSON string is not one
+    pytest.param(_set(*at, value="5", scenario_id=scenario_id),
+                 f"{where}: field '{key}' must be a finite number, got '5'", id=f"{key}_text")
+    for scenario_id, at, where, key in [
+        ("EX4.1", ("mixtures", 0, "components", 0, "alpha"), ".mixtures[0].components[0]",
+         "alpha"),
+        ("EX4.1", ("mixtures", 0, "components", 1, "sigma"), ".mixtures[0].components[1]",
+         "sigma"),
+        ("EX4.1", ("mixtures", 1, "components", 0, "lambda"), ".mixtures[1].components[0]",
+         "lambda"),
+        ("EX4.1", ("mixtures", 1, "weights", 0), ".mixtures[1]", "weights[0]"),
+        ("EX5.5", ("mixtures", 0, "outlier", "r1"), ".mixtures[0].outlier", "r1"),
+        ("EX5.5", ("mixtures", 1, "outlier", "r2"), ".mixtures[1].outlier", "r2"),
+        ("EX5.5", ("baseline", "truncation"), ".baseline", "truncation"),
+        ("EX4.1", ("expected", "x_min"), ".expected", "x_min"),
+        ("EX4.1", ("expected", "x_max"), ".expected", "x_max"),
+    ]
+] + [
+    # a baseline parameter that is not a real number, named
+    pytest.param(_set("baseline", "params", "k", value=value),
+                 f".baseline: k must be a positive finite real, got {value!r}", id=f"k_{name}")
+    for name, value in [("bool", True), ("text", "1"), ("array", [1.0]), ("object", {}),
+                        ("null", None)]
+] + [
+    pytest.param(_set("baseline", value={"family": "tabulated", "params": {**table, **bad}}),
+                 f".baseline: tabulated {field} must contain only finite values, each a real "
+                 f"number, got {bad[field]!r}", id=f"tabulated_{field}_{name}")
+    for table in [{"t": [1.0, 2.0, 4.0], "F": [0.0, 0.5, 1.0]}]
+    for field, name, bad in [("t", "text", {"t": "abc"}), ("F", "bool", {"F": [0.0, True, 1.0]})]
 ])
 def test_eval_wrong_field_type_exits_2(tmp_path, capsys, catalog_doc, edit, message):
     doc = catalog_doc(edit.scenario_id)

@@ -36,6 +36,7 @@ one-curve cases.
 """
 
 import ast
+import dataclasses
 import inspect
 import itertools
 import math
@@ -451,7 +452,7 @@ def _assert_scalar_pass_matches_grid(mixtures, points, curve_sets=_CURVE_SETS):
 
 def _twin(base):
     """A baseline equal to ``base`` that is another object."""
-    return type(base)(**base.params())
+    return dataclasses.replace(base)
 
 
 def _lane_mixtures():

@@ -112,7 +112,7 @@ def test_truncation_key_merges_into_params(tmp_path, catalog_doc):
     path = tmp_path / "trunc.json"
     path.write_text(json.dumps(doc))
     u, _ = load_scenario(path).mixtures()
-    assert u.components[0].baseline.params()["t0"] == t0
+    assert u.components[0].baseline.t0 == t0
 
 
 def test_run_scenario_records():
